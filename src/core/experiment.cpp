@@ -9,11 +9,10 @@
 #include "moas/chaos/invariants.h"
 #include "moas/core/moas_invariants.h"
 #include "moas/sim/wave_engine.h"
-#include "moas/topo/metrics.h"
-#include "moas/topo/route_views.h"
 #include "moas/util/assert.h"
 #include "moas/util/stats.h"
 #include "moas/util/thread_pool.h"
+#include "scenario.h"
 
 namespace moas::core {
 
@@ -125,39 +124,8 @@ RunResult Experiment::run_with(const bgp::AsnSet& origins, const bgp::AsnSet& at
 RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& attackers,
                                 std::uint64_t seed) const {
   util::Rng rng(seed);
-
-  const net::Prefix victim = topo::prefix_for_asn(*origins.begin());
-
-  // Ground truth / registry databases.
-  auto truth = std::make_shared<PrefixOriginDb>();
-  truth->set(victim, origins);
-  std::shared_ptr<OriginResolver> resolver;
-  switch (config_.resolver) {
-    case ResolverKind::Oracle:
-      resolver = std::make_shared<OracleResolver>(truth);
-      break;
-    case ResolverKind::Dns: {
-      DnsResolver::Config dns;
-      dns.unavailability = config_.dns_unavailability;
-      dns.forgery = config_.dns_forgery;
-      if (!attackers.empty()) dns.forged_answer = attackers;
-      dns.seed = rng.next();
-      resolver = std::make_shared<DnsResolver>(truth, dns);
-      break;
-    }
-    case ResolverKind::Irr: {
-      auto stale = std::make_shared<PrefixOriginDb>();
-      if (!config_.irr_stale_origins.empty()) stale->set(victim, config_.irr_stale_origins);
-      IrrResolver::Config irr;
-      irr.staleness = config_.irr_staleness;
-      irr.seed = rng.next();
-      resolver = std::make_shared<IrrResolver>(truth, stale, irr);
-      break;
-    }
-    case ResolverKind::None:
-      resolver = nullptr;  // alarm-only detectors
-      break;
-  }
+  scenario::Run run(*graph_, config_, origins, attackers, rng);
+  const net::Prefix& victim = run.victim;
 
   // Build the network.
   bgp::Network::Config net_config;
@@ -167,36 +135,28 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   net_config.graceful_restart = config_.graceful_restart;
   net_config.gr_restart_time = config_.gr_restart_time;
   net_config.revised_error_handling = config_.revised_error_handling;
-  net_config.seed = rng.next();
+  net_config.seed = run.network_seed;
   bgp::Network network(net_config);
+  const scenario::RouterAt at = [&network](bgp::Asn asn) -> bgp::Router& {
+    return network.router(asn);
+  };
 
   // Per-run trace bus, stamped from the run's own clock. Runs are
   // self-contained and single-threaded (the PR 4 contract), so one bus per
   // run is the "per-thread buffer": the sweep harness serializes buses in
   // plan order and the merged stream is bit-identical for any --jobs.
+  const bool tracing = config_.trace_level != obs::TraceLevel::Off;
   obs::TraceBus bus(config_.trace_level, &network.clock());
-  if (config_.trace_level != obs::TraceLevel::Off) network.set_trace(&bus);
+  if (tracing) network.set_trace(&bus);
 
-  const std::vector<bgp::Asn> all_ases = graph_->nodes();
-  for (bgp::Asn asn : all_ases) network.add_router(asn);
+  for (bgp::Asn asn : run.ases) network.add_router(asn);
   for (const auto& edge : graph_->edges()) {
     network.connect(edge.a, edge.b, edge.rel_of_b);
   }
 
   // Churn-aware resolver cache: under session churn the same prefix alarms
   // repeatedly, and without a cache every alarm is a fresh registry lookup.
-  // `backend` keeps a handle on the real resolver so the run can report the
-  // registry load the cache absorbed.
-  std::shared_ptr<OriginResolver> backend = resolver;
-  std::shared_ptr<CachingResolver> cache;
-  if (resolver && config_.resolver_cache_ttl > 0.0) {
-    CachingResolver::Config cache_config;
-    cache_config.ttl = config_.resolver_cache_ttl;
-    cache_config.negative_ttl = std::min(config_.resolver_cache_ttl, 5.0);
-    cache = std::make_shared<CachingResolver>(
-        backend, [&network] { return network.clock().now(); }, cache_config);
-    resolver = cache;
-  }
+  run.cache_resolver([&network] { return network.clock().now(); });
 
   // Asynchronous fault-tolerant resolution: the (possibly cached) primary
   // becomes source 0 of the fallback chain, optionally backed by an IRR
@@ -204,19 +164,12 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   // Declared after `network` so in-flight requests die before the clock.
   std::shared_ptr<AsyncResolver> async;
   std::shared_ptr<chaos::RegistryOutageSchedule> outage_schedule;
-  if (config_.async_resolution && resolver) {
+  if (config_.async_resolution && run.resolver) {
     AsyncResolver::Config async_config = *config_.async_resolution;
     async_config.seed ^= rng.next();  // one run seed reproduces latency draws
     async = std::make_shared<AsyncResolver>(network.clock(), async_config);
-    async->add_source(resolver);
-    if (config_.async_fallback_irr) {
-      auto stale = std::make_shared<PrefixOriginDb>();
-      if (!config_.irr_stale_origins.empty()) stale->set(victim, config_.irr_stale_origins);
-      IrrResolver::Config irr;
-      irr.staleness = config_.irr_staleness;
-      irr.seed = rng.next();
-      async->add_source(std::make_shared<IrrResolver>(truth, stale, irr));
-    }
+    async->add_source(run.resolver);
+    if (config_.async_fallback_irr) async->add_source(run.make_irr(rng));
     if (config_.registry_outage) {
       chaos::RegistryOutageConfig outage = *config_.registry_outage;
       outage.seed ^= seed;  // same mixing rule as churn
@@ -224,53 +177,23 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
           chaos::compile_registry_outages(outage, async->source_count()));
       async->set_outage_schedule(outage_schedule);
     }
-    if (config_.trace_level != obs::TraceLevel::Off) async->set_trace(&bus);
+    if (tracing) async->set_trace(&bus);
   }
 
-  // Detector deployment. The paper's partial deployment picks the capable
-  // half among *all* nodes; capability on a compromised node is moot, so we
-  // simply never give attackers a detector.
-  auto alarms = std::make_shared<AlarmLog>();
-  if (config_.trace_level != obs::TraceLevel::Off) alarms->set_trace(&bus);
-  std::vector<std::shared_ptr<MoasDetector>> detectors;
-  bgp::AsnSet capable;
-  if (config_.deployment == Deployment::Full) {
-    for (bgp::Asn asn : all_ases) capable.insert(asn);
-  } else if (config_.deployment == Deployment::Partial) {
-    const auto want = static_cast<std::size_t>(
-        std::lround(config_.deployment_fraction * static_cast<double>(all_ases.size())));
-    for (std::size_t i : rng.sample_indices(all_ases.size(), want)) {
-      capable.insert(all_ases[i]);
-    }
-  }
-  for (bgp::Asn asn : capable) {
-    if (attackers.contains(asn)) continue;
-    auto detector = std::make_shared<MoasDetector>(alarms, resolver);
+  if (tracing) run.alarms->set_trace(&bus);
+  run.deploy(rng, at);
+  for (const auto& detector : run.detectors) {
     if (async) detector->set_async_resolver(async);
-    if (config_.trace_level != obs::TraceLevel::Off) detector->set_trace(&bus);
-    network.router(asn).set_validator(detector);
-    detectors.push_back(std::move(detector));
-  }
-
-  // Community-stripping routers (Section 4.3): random non-origin routers
-  // drop the optional transitive attribute on re-advertisement.
-  if (config_.strip_fraction > 0.0) {
-    std::vector<bgp::Asn> pool = all_ases;
-    std::erase_if(pool, [&](bgp::Asn asn) { return origins.contains(asn); });
-    const auto want = static_cast<std::size_t>(
-        std::lround(config_.strip_fraction * static_cast<double>(pool.size())));
-    for (std::size_t i : rng.sample_indices(pool.size(), want)) {
-      network.router(pool[i]).set_strip_communities(true);
-    }
+    if (tracing) detector->set_trace(&bus);
   }
 
   if (config_.mrai > 0.0) {
-    for (bgp::Asn asn : all_ases) network.router(asn).set_mrai(config_.mrai);
+    for (bgp::Asn asn : run.ases) network.router(asn).set_mrai(config_.mrai);
   }
   if (!config_.prefer_established) {
     // Equal-key tie contests then resolve by lowest neighbor ASN instead of
     // route age — the timing-independent mode the wave engine matches.
-    for (bgp::Asn asn : all_ases) network.router(asn).set_prefer_established(false);
+    for (bgp::Asn asn : run.ases) network.router(asn).set_prefer_established(false);
   }
 
   // Background churn: compile the seeded fault schedule for this topology
@@ -286,14 +209,10 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
     engine->arm();
   }
 
-  // Origination. Valid origins attach the MOAS list when the prefix really
-  // is multi-origin; a single-origin prefix carries no list (the paper:
-  // "Routes that originate from a single AS need not attach a MOAS list").
-  bgp::PathAttributes origin_attrs;  // width-split MOAS list carrier
-  if (origins.size() > 1) attach_moas_list(origin_attrs, origins);
+  const bgp::PathAttributes origin_attrs = scenario::origin_attrs(origins);
   for (bgp::Asn origin : origins) {
-    const double at = rng.uniform01() * 0.5;
-    network.clock().schedule_after(at, [&network, origin, victim, origin_attrs] {
+    const double at_time = rng.uniform01() * 0.5;
+    network.clock().schedule_after(at_time, [&network, origin, victim, origin_attrs] {
       network.router(origin).originate(victim, origin_attrs.communities,
                                        origin_attrs.large_communities);
     });
@@ -318,22 +237,18 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   // honestly through phase 1 (the steady state includes it) and turns at
   // injection time.
   for (bgp::Asn attacker : attackers) {
-    AttackPlan plan;
-    plan.attacker = attacker;
-    plan.target = victim;
-    plan.valid_origins = origins;
-    plan.strategy = config_.strategy;
+    const AttackPlan plan = scenario::attack_plan(attacker, victim, origins, config_.strategy);
     if (!config_.converge_before_attack) {
       install_suppression(network.router(attacker), plan);
     }
-    const double at = rng.uniform01() * 0.5;
+    const double at_time = rng.uniform01() * 0.5;
     // Injection time = earliest false origination on the run's clock; the
     // latency metrics below measure from here.
-    const sim::Time inject_at = network.clock().now() + at;
+    const sim::Time inject_at = network.clock().now() + at_time;
     if (result.attack_injected_at < 0.0 || inject_at < result.attack_injected_at) {
       result.attack_injected_at = inject_at;
     }
-    network.clock().schedule_after(at, [&network, plan] {
+    network.clock().schedule_after(at_time, [&network, plan] {
       if (obs::trace_wants(network.trace(), obs::TraceLevel::Summary)) {
         network.trace()->emit(
             obs::TraceEvent(obs::EventKind::AttackInjected, plan.attacker)
@@ -349,52 +264,17 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
           .count();
   MOAS_ENSURE(result.quiesced, "simulation failed to quiesce within the event cap");
 
-  // Scoring. Under SubPrefixHijack the attacker wins a node whenever the
-  // more-specific route is present (longest-prefix match beats the valid
-  // covering route).
-  net::Prefix scored_prefix = victim;
-  if (config_.strategy == AttackerStrategy::SubPrefixHijack && !attackers.empty()) {
-    scored_prefix = victim.children().first;
-  }
-
-  result.total_ases = all_ases.size();
-  result.attackers = attackers.size();
-  result.origin_set = origins;
-  result.attacker_set = attackers;
-  for (bgp::Asn asn : all_ases) {
-    if (attackers.contains(asn)) continue;
-    ++result.population;
-    const bgp::Router& router = network.router(asn);
-    const auto hijacked_origin = router.best_origin(scored_prefix);
-    if (hijacked_origin && attackers.contains(*hijacked_origin)) {
-      ++result.adopted_false;
-      continue;
-    }
-    const auto valid_origin = router.best_origin(victim);
-    if (!valid_origin) {
-      ++result.no_route;
-    } else if (origins.contains(*valid_origin)) {
-      ++result.adopted_valid;
-    } else if (attackers.contains(*valid_origin)) {
-      ++result.adopted_false;
-    }
-  }
-
-  // Metrics snapshot. The registry is the source of truth: every scalar
-  // counter RunResult reports below is read back out of it, so a drifting
-  // name or a missed collect shows up in the run results, not just in an
-  // exporter nobody looks at.
+  // Metrics snapshot. Resolver counters ("resolver.*") come straight from
+  // the components: the async resolver collects its whole fallback chain
+  // (each source's backend included); otherwise the possibly-cached
+  // synchronous resolver reports.
   result.metrics = network.collect_metrics();
   if (engine) engine->collect_metrics(result.metrics);
-  for (const auto& detector : detectors) detector->collect_metrics(result.metrics);
-  // Resolver counters ("resolver.*") come straight from the components: the
-  // async resolver collects its whole fallback chain (each source's backend
-  // included); otherwise the possibly-cached synchronous resolver reports.
   if (async) {
     async->collect_metrics(result.metrics);
     result.outage_log = outage_schedule ? outage_schedule->to_string() : std::string();
-  } else if (resolver) {
-    resolver->collect_metrics(result.metrics);
+  } else if (run.resolver) {
+    run.resolver->collect_metrics(result.metrics);
   }
 
   if (engine) {
@@ -414,7 +294,7 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   }
   if (config_.check_invariants) {
     chaos::NetworkInvariantChecker checker;
-    register_moas_invariants(checker, alarms);
+    register_moas_invariants(checker, run.alarms);
     if (engine) {
       chaos::register_corruption_invariants(checker, *engine);
       for (const auto& [from, to] : engine->dirty_links()) {
@@ -426,7 +306,7 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
     }
   }
 
-  const double first_alarm_at = account_alarms(result, *alarms, attackers);
+  const double first_alarm_at = run.finish(result, at);
   if (first_alarm_at >= 0.0 && result.attack_injected_at >= 0.0) {
     result.first_alarm_latency = std::max(0.0, first_alarm_at - result.attack_injected_at);
   }
@@ -438,6 +318,7 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   // is from injection to the moment that set last became empty.
   if (obs::kTraceCompiledIn && result.attack_injected_at >= 0.0 &&
       bus.wants(obs::TraceLevel::Summary)) {
+    const net::Prefix scored_prefix = run.scored_prefix();
     bgp::AsnSet on_false_route;
     double last_cleared = -1.0;
     bool ever_adopted = false;
@@ -467,259 +348,63 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
     }
   }
 
-  result.rejections = static_cast<std::size_t>(result.metrics.counter("detector.rejections"));
-  result.messages = result.metrics.counter("network.messages_sent");
-  result.withdrawals = result.metrics.counter("router.withdrawals_sent");
-  result.announcements = result.metrics.counter("router.announcements_sent");
-  result.stale_retained = result.metrics.counter("router.stale_retained");
-  result.stale_swept = result.metrics.counter("router.stale_swept");
-  result.routes_withdrawn = result.metrics.counter("router.routes_withdrawn");
-  result.error_withdraws = result.metrics.counter("router.error_withdraws");
-  // The registry is the source of truth for resolver load too: the scalars
-  // are read back out of it (and the names exist even for resolver-less
-  // runs, so manifest consumers can rely on them unconditionally).
-  result.metrics.count("resolver.queries", 0);
-  result.metrics.count("resolver.cache_hits", 0);
-  result.resolver_queries = result.metrics.counter("resolver.queries");
-  result.resolver_cache_hits = result.metrics.counter("resolver.cache_hits") +
-                               result.metrics.counter("resolver.cache_negative_hits");
-  if (!attackers.empty()) {
-    result.structural_cutoff = topo::fraction_cut_off(*graph_, origins, attackers);
-  }
-  if (config_.keep_final_ribs) {
-    for (bgp::Asn asn : all_ases) {
-      const bgp::LocRib& rib = network.router(asn).loc_rib();
-      for (const net::Prefix& prefix : rib.prefixes()) {
-        result.final_ribs.push_back({asn, *rib.best(prefix)});
-      }
-    }
-  }
   if (config_.keep_trace) result.trace = bus.take();
   return result;
-}
-
-double Experiment::account_alarms(RunResult& result, const AlarmLog& alarms,
-                                  const bgp::AsnSet& attackers) const {
-  result.alarms = alarms.size();
-  result.alarms_pending = alarms.count_state(MoasAlarm::State::Pending);
-  result.alarms_resolved = alarms.count_state(MoasAlarm::State::Resolved);
-  result.alarms_expired = alarms.count_state(MoasAlarm::State::Expired);
-  // Settle latency (alarm raised -> terminal state): instantaneous on the
-  // synchronous path, and exactly the resolution latency the degraded mode
-  // added on the async path — the bounded-inflation gate reads this.
-  {
-    auto& settle =
-        result.metrics.histogram("detector.alarm_settle_latency", kAlarmLatencySpec);
-    for (const MoasAlarm& alarm : alarms.alarms()) {
-      if (alarm.settled_at >= 0.0) settle.add(alarm.settled_at - alarm.at);
-    }
-  }
-  double first_alarm_at = -1.0;
-  for (const MoasAlarm& alarm : alarms.alarms()) {
-    const bool implicates_attacker =
-        std::any_of(attackers.begin(), attackers.end(), [&](bgp::Asn a) {
-          return alarm.offending_origins.contains(a) || alarm.observed_list.contains(a) ||
-                 alarm.reference_list.contains(a);
-        });
-    if (!implicates_attacker) {
-      ++result.false_alarms;
-    } else if (first_alarm_at < 0.0 || alarm.at < first_alarm_at) {
-      first_alarm_at = alarm.at;
-    }
-  }
-  return first_alarm_at;
 }
 
 RunResult Experiment::run_wave(const bgp::AsnSet& origins, const bgp::AsnSet& attackers,
                                std::uint64_t seed) const {
   util::Rng rng(seed);
-
-  const net::Prefix victim = topo::prefix_for_asn(*origins.begin());
-
-  // Ground truth / registry databases — the same construction (and the same
-  // rng draws) as run_event, so one PlannedRun seed resolves to the same
-  // resolver behavior under either engine.
-  auto truth = std::make_shared<PrefixOriginDb>();
-  truth->set(victim, origins);
-  std::shared_ptr<OriginResolver> resolver;
-  switch (config_.resolver) {
-    case ResolverKind::Oracle:
-      resolver = std::make_shared<OracleResolver>(truth);
-      break;
-    case ResolverKind::Dns: {
-      DnsResolver::Config dns;
-      dns.unavailability = config_.dns_unavailability;
-      dns.forgery = config_.dns_forgery;
-      if (!attackers.empty()) dns.forged_answer = attackers;
-      dns.seed = rng.next();
-      resolver = std::make_shared<DnsResolver>(truth, dns);
-      break;
-    }
-    case ResolverKind::Irr: {
-      auto stale = std::make_shared<PrefixOriginDb>();
-      if (!config_.irr_stale_origins.empty()) stale->set(victim, config_.irr_stale_origins);
-      IrrResolver::Config irr;
-      irr.staleness = config_.irr_staleness;
-      irr.seed = rng.next();
-      resolver = std::make_shared<IrrResolver>(truth, stale, irr);
-      break;
-    }
-    case ResolverKind::None:
-      resolver = nullptr;  // alarm-only detectors
-      break;
-  }
-
-  // run_event draws the network seed here; burn the same draw so the
-  // deployment and stripping samples below land on the same stream offsets
-  // — the differential gate compares the two engines run-for-run, and that
-  // only means anything if a run's capable set matches across engines.
-  (void)rng.next();
+  // The Run constructor draws the network seed too, which the wave engine
+  // has no use for: the deployment and stripping samples then land on the
+  // same stream offsets as run_event's, so one PlannedRun resolves to the
+  // same capable set under either engine.
+  scenario::Run run(*graph_, config_, origins, attackers, rng);
 
   sim::WaveEngine::Config wave_config;
   wave_config.mode = config_.policy;
   sim::WaveEngine wave(*graph_, wave_config);
+  const scenario::RouterAt at = [&wave](bgp::Asn asn) -> bgp::Router& {
+    return wave.router(asn);
+  };
 
   // Resolver cache on a frozen clock: entries never expire, which is the
   // right model for a timeless run — within one run the registry answer for
   // a prefix is fixed anyway.
-  std::shared_ptr<OriginResolver> backend = resolver;
-  std::shared_ptr<CachingResolver> cache;
-  if (resolver && config_.resolver_cache_ttl > 0.0) {
-    CachingResolver::Config cache_config;
-    cache_config.ttl = config_.resolver_cache_ttl;
-    cache_config.negative_ttl = std::min(config_.resolver_cache_ttl, 5.0);
-    cache = std::make_shared<CachingResolver>(backend, [] { return 0.0; }, cache_config);
-    resolver = cache;
-  }
+  run.cache_resolver([] { return 0.0; });
+  run.deploy(rng, at);
 
-  const std::vector<bgp::Asn> all_ases = graph_->nodes();
-
-  // Detector deployment — identical sampling (and rng draws) to run_event.
-  auto alarms = std::make_shared<AlarmLog>();
-  std::vector<std::shared_ptr<MoasDetector>> detectors;
-  bgp::AsnSet capable;
-  if (config_.deployment == Deployment::Full) {
-    for (bgp::Asn asn : all_ases) capable.insert(asn);
-  } else if (config_.deployment == Deployment::Partial) {
-    const auto want = static_cast<std::size_t>(
-        std::lround(config_.deployment_fraction * static_cast<double>(all_ases.size())));
-    for (std::size_t i : rng.sample_indices(all_ases.size(), want)) {
-      capable.insert(all_ases[i]);
-    }
-  }
-  for (bgp::Asn asn : capable) {
-    if (attackers.contains(asn)) continue;
-    auto detector = std::make_shared<MoasDetector>(alarms, resolver);
-    wave.router(asn).set_validator(detector);
-    detectors.push_back(std::move(detector));
-  }
-
-  if (config_.strip_fraction > 0.0) {
-    std::vector<bgp::Asn> pool = all_ases;
-    std::erase_if(pool, [&](bgp::Asn asn) { return origins.contains(asn); });
-    const auto want = static_cast<std::size_t>(
-        std::lround(config_.strip_fraction * static_cast<double>(pool.size())));
-    for (std::size_t i : rng.sample_indices(pool.size(), want)) {
-      wave.router(pool[i]).set_strip_communities(true);
-    }
-  }
-
-  // Origination. No clock, so no scheduling jitter: valid originations are
-  // seeded, then (racing mode) the attacks, and the sweeps run everything
-  // to the fixpoint together. Under converge_before_attack the valid
-  // routes reach their fixpoint first and the attack hits the converged
-  // state incrementally — the wave analog of the two-phase event run.
-  bgp::PathAttributes origin_attrs;  // width-split MOAS list carrier
-  if (origins.size() > 1) attach_moas_list(origin_attrs, origins);
+  // No clock, so no scheduling jitter: valid originations are seeded, then
+  // (racing mode) the attacks, and the sweeps run everything to the
+  // fixpoint together. Under converge_before_attack the valid routes reach
+  // their fixpoint first and the attack hits the converged state
+  // incrementally — the wave analog of the two-phase event run.
+  const bgp::PathAttributes origin_attrs = scenario::origin_attrs(origins);
   for (bgp::Asn origin : origins) {
-    wave.router(origin).originate(victim, origin_attrs.communities,
+    wave.router(origin).originate(run.victim, origin_attrs.communities,
                                   origin_attrs.large_communities);
   }
 
   RunResult result;
-  if (config_.converge_before_attack) {
-    const auto phase_start = std::chrono::steady_clock::now();
+  const auto propagate = [&] {
+    const auto start = std::chrono::steady_clock::now();
     wave.propagate();
     result.propagation_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - phase_start)
-            .count();
-  }
-
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  };
+  if (config_.converge_before_attack) propagate();
   for (bgp::Asn attacker : attackers) {
-    AttackPlan plan;
-    plan.attacker = attacker;
-    plan.target = victim;
-    plan.valid_origins = origins;
-    plan.strategy = config_.strategy;
-    launch_attack(wave.router(attacker), plan);
+    launch_attack(wave.router(attacker),
+                  scenario::attack_plan(attacker, run.victim, origins, config_.strategy));
   }
-  const auto sweep_start = std::chrono::steady_clock::now();
-  wave.propagate();
-  result.propagation_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start)
-          .count();
+  propagate();
   result.quiesced = true;  // propagate() returns only at the fixpoint
 
-  // Scoring — identical to run_event.
-  net::Prefix scored_prefix = victim;
-  if (config_.strategy == AttackerStrategy::SubPrefixHijack && !attackers.empty()) {
-    scored_prefix = victim.children().first;
-  }
-  result.total_ases = all_ases.size();
-  result.attackers = attackers.size();
-  result.origin_set = origins;
-  result.attacker_set = attackers;
-  for (bgp::Asn asn : all_ases) {
-    if (attackers.contains(asn)) continue;
-    ++result.population;
-    const bgp::Router& router = wave.router(asn);
-    const auto hijacked_origin = router.best_origin(scored_prefix);
-    if (hijacked_origin && attackers.contains(*hijacked_origin)) {
-      ++result.adopted_false;
-      continue;
-    }
-    const auto valid_origin = router.best_origin(victim);
-    if (!valid_origin) {
-      ++result.no_route;
-    } else if (origins.contains(*valid_origin)) {
-      ++result.adopted_valid;
-    } else if (attackers.contains(*valid_origin)) {
-      ++result.adopted_false;
-    }
-  }
-
   wave.collect_metrics(result.metrics);
-  for (const auto& detector : detectors) detector->collect_metrics(result.metrics);
-  if (resolver) resolver->collect_metrics(result.metrics);
-
-  account_alarms(result, *alarms, attackers);
+  if (run.resolver) run.resolver->collect_metrics(result.metrics);
   // attack_injected_at / first_alarm_latency / eviction_latency stay -1:
   // a timeless engine has no latencies to report.
-
-  result.rejections = static_cast<std::size_t>(result.metrics.counter("detector.rejections"));
-  result.messages = result.metrics.counter("network.messages_sent");
-  result.withdrawals = result.metrics.counter("router.withdrawals_sent");
-  result.announcements = result.metrics.counter("router.announcements_sent");
-  result.stale_retained = result.metrics.counter("router.stale_retained");
-  result.stale_swept = result.metrics.counter("router.stale_swept");
-  result.routes_withdrawn = result.metrics.counter("router.routes_withdrawn");
-  result.error_withdraws = result.metrics.counter("router.error_withdraws");
-  result.metrics.count("resolver.queries", 0);
-  result.metrics.count("resolver.cache_hits", 0);
-  result.resolver_queries = result.metrics.counter("resolver.queries");
-  result.resolver_cache_hits = result.metrics.counter("resolver.cache_hits") +
-                               result.metrics.counter("resolver.cache_negative_hits");
-  if (!attackers.empty()) {
-    result.structural_cutoff = topo::fraction_cut_off(*graph_, origins, attackers);
-  }
-  if (config_.keep_final_ribs) {
-    for (bgp::Asn asn : all_ases) {
-      const bgp::LocRib& rib = wave.router(asn).loc_rib();
-      for (const net::Prefix& prefix : rib.prefixes()) {
-        result.final_ribs.push_back({asn, *rib.best(prefix)});
-      }
-    }
-  }
+  run.finish(result, at);
   return result;
 }
 

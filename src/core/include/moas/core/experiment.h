@@ -404,16 +404,11 @@ class Experiment {
   /// The event-queue backend (the historical run_with body).
   RunResult run_event(const bgp::AsnSet& origins, const bgp::AsnSet& attackers,
                       std::uint64_t seed) const;
-  /// The rank-ordered wave backend. Consumes the run seed in the same draw
-  /// order as run_event up through the deployment/stripping samples, so a
-  /// PlannedRun resolves to the same capable set under either engine.
+  /// The rank-ordered wave backend. Both backends play the same scenario
+  /// (src/core/scenario.h) with the same draws, so a PlannedRun resolves to
+  /// the same capable set under either engine.
   RunResult run_wave(const bgp::AsnSet& origins, const bgp::AsnSet& attackers,
                      std::uint64_t seed) const;
-  /// Alarm bookkeeping shared by both engines: lifecycle counts, settle
-  /// histogram, false-alarm classification. Returns the earliest
-  /// attacker-implicating alarm time (-1 if none).
-  double account_alarms(RunResult& result, const AlarmLog& alarms,
-                        const bgp::AsnSet& attackers) const;
 
   const topo::AsGraph* graph_;
   ExperimentConfig config_;

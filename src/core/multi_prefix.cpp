@@ -8,11 +8,11 @@
 
 #include "moas/core/alarm.h"
 #include "moas/core/detector.h"
-#include "moas/core/moas_list.h"
 #include "moas/core/resolver.h"
 #include "moas/sim/wave_engine.h"
 #include "moas/util/assert.h"
 #include "moas/util/rng.h"
+#include "scenario.h"
 
 namespace moas::core {
 
@@ -65,6 +65,8 @@ MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
   MOAS_REQUIRE(config.origins_per_prefix >= 1, "each prefix needs an origin");
   MOAS_REQUIRE(config.attacked_fraction >= 0.0 && config.attacked_fraction <= 1.0,
                "attacked fraction must be in [0, 1]");
+  MOAS_REQUIRE(config.deployment_fraction >= 0.0 && config.deployment_fraction <= 1.0,
+               "deployment_fraction must be in [0, 1]");
 
   const std::vector<bgp::Asn> all_ases = graph.nodes();
   const std::vector<bgp::Asn> stubs = graph.stubs();
@@ -110,26 +112,15 @@ MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
   sim::WaveEngine wave(graph, wave_config);
 
   // Detector deployment — the single-prefix wave-run wiring: capable ASes
-  // get an import validator against the oracle, attackers never do.
+  // get an import validator against the oracle, attackers never do. The
+  // routers own the detectors.
+  const scenario::RouterAt at = [&wave](bgp::Asn asn) -> bgp::Router& {
+    return wave.router(asn);
+  };
   auto alarms = std::make_shared<AlarmLog>();
-  auto resolver = std::make_shared<OracleResolver>(truth);
-  std::vector<std::shared_ptr<MoasDetector>> detectors;
-  AsnSet capable;
-  if (config.deployment == Deployment::Full) {
-    for (bgp::Asn asn : all_ases) capable.insert(asn);
-  } else if (config.deployment == Deployment::Partial) {
-    const auto want = static_cast<std::size_t>(std::lround(
-        config.deployment_fraction * static_cast<double>(all_ases.size())));
-    for (std::size_t i : rng.sample_indices(all_ases.size(), want)) {
-      capable.insert(all_ases[i]);
-    }
-  }
-  for (bgp::Asn asn : capable) {
-    if (all_attackers.contains(asn)) continue;
-    auto detector = std::make_shared<MoasDetector>(alarms, resolver);
-    wave.router(asn).set_validator(detector);
-    detectors.push_back(std::move(detector));
-  }
+  scenario::install_detectors(config.deployment, config.deployment_fraction, all_ases,
+                              all_attackers, alarms, std::make_shared<OracleResolver>(truth),
+                              rng, at);
 
   // Block-iterated origination: seed one block's valid routes and attacks,
   // run to the fixpoint, move on. The converged tables are block-size
@@ -141,19 +132,15 @@ MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
     const std::size_t end = std::min(start + config.block_size, plans.size());
     for (std::size_t i = start; i < end; ++i) {
       const PrefixPlan& plan = plans[i];
-      bgp::PathAttributes origin_attrs;
-      if (plan.origins.size() > 1) attach_moas_list(origin_attrs, plan.origins);
+      const bgp::PathAttributes origin_attrs = scenario::origin_attrs(plan.origins);
       for (bgp::Asn origin : plan.origins) {
         wave.router(origin).originate(plan.victim, origin_attrs.communities,
                                       origin_attrs.large_communities);
       }
       if (plan.attacker != bgp::kNoAs) {
-        AttackPlan attack;
-        attack.attacker = plan.attacker;
-        attack.target = plan.victim;
-        attack.valid_origins = plan.origins;
-        attack.strategy = config.strategy;
-        launch_attack(wave.router(plan.attacker), attack);
+        launch_attack(wave.router(plan.attacker),
+                      scenario::attack_plan(plan.attacker, plan.victim, plan.origins,
+                                            config.strategy));
       }
     }
     const auto block_start = std::chrono::steady_clock::now();
@@ -167,37 +154,16 @@ MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
   // Scoring: the fig9/10 outcome tally per attacked prefix, summed.
   for (const PrefixPlan& plan : plans) {
     if (plan.attacker == bgp::kNoAs) continue;
-    net::Prefix scored_prefix = plan.victim;
-    if (config.strategy == AttackerStrategy::SubPrefixHijack) {
-      scored_prefix = plan.victim.children().first;
-    }
-    for (bgp::Asn asn : all_ases) {
-      if (asn == plan.attacker) continue;
-      const bgp::Router& router = wave.router(asn);
-      const auto hijacked_origin = router.best_origin(scored_prefix);
-      if (hijacked_origin == std::optional<bgp::Asn>(plan.attacker)) {
-        ++result.adopted_false;
-        continue;
-      }
-      const auto valid_origin = router.best_origin(plan.victim);
-      if (!valid_origin) {
-        ++result.no_route;
-      } else if (plan.origins.contains(*valid_origin)) {
-        ++result.adopted_valid;
-      } else if (*valid_origin == plan.attacker) {
-        ++result.adopted_false;
-      }
-    }
+    const scenario::Outcome outcome = scenario::score(at, all_ases, plan.victim, plan.origins,
+                                                      {plan.attacker}, config.strategy);
+    result.adopted_false += outcome.adopted_false;
+    result.adopted_valid += outcome.adopted_valid;
+    result.no_route += outcome.no_route;
   }
 
   result.alarms = alarms->size();
   for (const MoasAlarm& alarm : alarms->alarms()) {
-    const bool implicates_attacker =
-        std::any_of(all_attackers.begin(), all_attackers.end(), [&](bgp::Asn a) {
-          return alarm.offending_origins.contains(a) || alarm.observed_list.contains(a) ||
-                 alarm.reference_list.contains(a);
-        });
-    if (!implicates_attacker) ++result.false_alarms;
+    if (!scenario::implicates_attacker(alarm, all_attackers)) ++result.false_alarms;
   }
 
   for (bgp::Asn asn : all_ases) {

@@ -53,6 +53,10 @@ TEST(MultiPrefix, ValidatesConfig) {
   config = small_config();
   config.num_prefixes = 4096;  // attackers would exceed half the population
   EXPECT_THROW(run_multi_prefix(small_topology(), config), std::invalid_argument);
+  config = small_config();
+  config.deployment = Deployment::Full;  // unused under Full, still rejected
+  config.deployment_fraction = 1.5;
+  EXPECT_THROW(run_multi_prefix(small_topology(), config), std::invalid_argument);
 }
 
 TEST(MultiPrefix, FullDeploymentRaisesAlarmsWithoutFalsePositives) {
