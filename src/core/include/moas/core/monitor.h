@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "moas/bgp/network.h"
-#include "moas/chaos/engine.h"
 #include "moas/core/alarm.h"
 #include "moas/obs/metrics.h"
 
@@ -26,9 +25,8 @@ namespace moas::core {
 /// Aggregated RFC 7606 error-handling counters for one network: how much
 /// damage arrived and which degradation mode absorbed it. Router-side
 /// `error_withdraws` counts routes revoked by treat-as-withdraw; the rest
-/// come from the chaos engine's scheduled attribute corruptions (zero when
-/// `engine` is null). Session-FSM runs surface the same trio as
-/// bgp::Session::Stats counters.
+/// come from the chaos engine's scheduled attribute corruptions (zero
+/// without churn).
 ///
 /// The counters live in the metrics registry ("router.error_withdraws" +
 /// "chaos.*"); this struct is a typed view over a registry snapshot, kept
@@ -48,26 +46,13 @@ struct ErrorHandlingSummary {
   /// Read the summary out of a registry snapshot (the names written by
   /// Network::collect_metrics and ChaosEngine::collect_metrics).
   static ErrorHandlingSummary from_metrics(const obs::MetricsRegistry& registry);
-
-  /// Write the summary's counters back under the same registry names.
-  void to_metrics(obs::MetricsRegistry& registry) const;
 };
-
-/// Collect the summary from a network + (optionally) chaos-engine registry
-/// snapshot. Thin shim over collect_metrics + from_metrics.
-ErrorHandlingSummary collect_error_handling(const bgp::Network& network,
-                                            const chaos::ChaosEngine* engine = nullptr);
 
 /// Render labeled registry snapshots as one aligned error-handling table
 /// (one row per label) — the bench harnesses print this so degradation mode
 /// is visible at a glance.
 std::string error_handling_table_from_metrics(
     const std::vector<std::pair<std::string, obs::MetricsRegistry>>& rows);
-
-/// Struct-field flavor of the table; shim that round-trips each summary
-/// through a registry snapshot and renders with the registry printer.
-std::string error_handling_table(
-    const std::vector<std::pair<std::string, ErrorHandlingSummary>>& rows);
 
 class MoasMonitor {
  public:

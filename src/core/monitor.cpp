@@ -21,22 +21,6 @@ ErrorHandlingSummary ErrorHandlingSummary::from_metrics(
   return summary;
 }
 
-void ErrorHandlingSummary::to_metrics(obs::MetricsRegistry& registry) const {
-  registry.count("router.error_withdraws", error_withdraws);
-  registry.count("chaos.attr_corruptions_applied", attr_corruptions);
-  registry.count("chaos.treat_as_withdraws", treat_as_withdraws);
-  registry.count("chaos.attr_discards", attr_discards);
-  registry.count("chaos.corrupt_session_resets", corrupt_session_resets);
-  registry.count("chaos.poisoned_blocked", poisoned_blocked);
-}
-
-ErrorHandlingSummary collect_error_handling(const bgp::Network& network,
-                                            const chaos::ChaosEngine* engine) {
-  obs::MetricsRegistry registry = network.collect_metrics();
-  if (engine) engine->collect_metrics(registry);
-  return ErrorHandlingSummary::from_metrics(registry);
-}
-
 std::string error_handling_table_from_metrics(
     const std::vector<std::pair<std::string, obs::MetricsRegistry>>& rows) {
   util::TablePrinter table({"arm", "corruptions", "treat-as-withdraw", "attr-discard",
@@ -53,18 +37,6 @@ std::string error_handling_table_from_metrics(
   std::ostringstream os;
   table.print(os);
   return os.str();
-}
-
-std::string error_handling_table(
-    const std::vector<std::pair<std::string, ErrorHandlingSummary>>& rows) {
-  std::vector<std::pair<std::string, obs::MetricsRegistry>> snapshots;
-  snapshots.reserve(rows.size());
-  for (const auto& [label, summary] : rows) {
-    obs::MetricsRegistry registry;
-    summary.to_metrics(registry);
-    snapshots.emplace_back(label, std::move(registry));
-  }
-  return error_handling_table_from_metrics(snapshots);
 }
 
 MoasMonitor::MoasMonitor(std::vector<bgp::Asn> vantages) : vantages_(std::move(vantages)) {
