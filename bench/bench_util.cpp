@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -14,6 +15,12 @@
 #include "moas/util/strings.h"
 
 namespace moas::bench {
+
+std::string json_double(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
 
 const topo::AsGraph& shared_internet() {
   static const topo::AsGraph graph = [] {

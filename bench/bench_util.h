@@ -18,6 +18,10 @@
 
 namespace moas::bench {
 
+/// A double for a JSON report: "%.17g" — full round-trip precision, no
+/// locale surprises.
+std::string json_double(double value);
+
 /// The deterministic "full Internet" all benches sample from — the default
 /// topo::InternetConfig (~10k ASes: 12 tier-1 + 240 tier-2 + 500 tier-3 +
 /// 9000 stubs). The first call logs the actual generated node/edge counts

@@ -20,7 +20,6 @@
 // timing measures per-run cost, not pool scheduling.
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -62,12 +61,6 @@ bool outcomes_identical(const std::vector<core::SweepPoint>& a,
     }
   }
   return true;
-}
-
-std::string json_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
 }
 
 }  // namespace

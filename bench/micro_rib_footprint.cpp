@@ -26,7 +26,6 @@
 // --smoke shrinks the workload (the 630-AS paper topology, 64 prefixes) so
 // the ASan CI subset finishes in seconds; full mode runs >=20k ASes x
 // >=1024 prefixes.
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -48,12 +47,6 @@ namespace {
 /// propagation). Deliberately far below any observed single-core figure —
 /// it exists to catch order-of-magnitude regressions, not scheduler noise.
 constexpr double kRoutesPerSecFloor = 200.0;
-
-std::string json_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 }  // namespace
 

@@ -13,7 +13,6 @@
 // BENCH_sweep.json path.
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -55,13 +54,6 @@ bool points_identical(const std::vector<core::SweepPoint>& a,
     }
   }
   return true;
-}
-
-std::string json_double(double value) {
-  // Full round-trip precision, no locale surprises.
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 // noise on the multi-second event arm otherwise dwarfs the gate margin.
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -49,12 +48,6 @@ struct Outcome {
 
 Outcome outcome_of(const core::RunResult& result) {
   return {result.population, result.adopted_false, result.adopted_valid, result.no_route};
-}
-
-std::string json_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
 }
 
 }  // namespace

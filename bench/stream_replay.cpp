@@ -20,7 +20,6 @@
 //
 // --smoke shrinks the trace (sanitizer-friendly) but keeps every gate.
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -38,12 +37,6 @@ using namespace moas;
 using namespace moas::bench;
 
 namespace {
-
-std::string json_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 struct ScenarioSpec {
   std::string name;

@@ -137,7 +137,7 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   net_config.revised_error_handling = config_.revised_error_handling;
   net_config.seed = run.network_seed;
   bgp::Network network(net_config);
-  const scenario::RouterAt at = [&network](bgp::Asn asn) -> bgp::Router& {
+  const scenario::RouterAt router_at = [&network](bgp::Asn asn) -> bgp::Router& {
     return network.router(asn);
   };
 
@@ -181,7 +181,7 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   }
 
   if (tracing) run.alarms->set_trace(&bus);
-  run.deploy(rng, at);
+  run.deploy(rng, router_at);
   for (const auto& detector : run.detectors) {
     if (async) detector->set_async_resolver(async);
     if (tracing) detector->set_trace(&bus);
@@ -211,8 +211,8 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
 
   const bgp::PathAttributes origin_attrs = scenario::origin_attrs(origins);
   for (bgp::Asn origin : origins) {
-    const double at_time = rng.uniform01() * 0.5;
-    network.clock().schedule_after(at_time, [&network, origin, victim, origin_attrs] {
+    const double at = rng.uniform01() * 0.5;
+    network.clock().schedule_after(at, [&network, origin, victim, origin_attrs] {
       network.router(origin).originate(victim, origin_attrs.communities,
                                        origin_attrs.large_communities);
     });
@@ -241,14 +241,14 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
     if (!config_.converge_before_attack) {
       install_suppression(network.router(attacker), plan);
     }
-    const double at_time = rng.uniform01() * 0.5;
+    const double at = rng.uniform01() * 0.5;
     // Injection time = earliest false origination on the run's clock; the
     // latency metrics below measure from here.
-    const sim::Time inject_at = network.clock().now() + at_time;
+    const sim::Time inject_at = network.clock().now() + at;
     if (result.attack_injected_at < 0.0 || inject_at < result.attack_injected_at) {
       result.attack_injected_at = inject_at;
     }
-    network.clock().schedule_after(at_time, [&network, plan] {
+    network.clock().schedule_after(at, [&network, plan] {
       if (obs::trace_wants(network.trace(), obs::TraceLevel::Summary)) {
         network.trace()->emit(
             obs::TraceEvent(obs::EventKind::AttackInjected, plan.attacker)
@@ -306,7 +306,7 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
     }
   }
 
-  const double first_alarm_at = run.finish(result, at);
+  const double first_alarm_at = run.finish(result, router_at);
   if (first_alarm_at >= 0.0 && result.attack_injected_at >= 0.0) {
     result.first_alarm_latency = std::max(0.0, first_alarm_at - result.attack_injected_at);
   }
@@ -318,7 +318,8 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   // is from injection to the moment that set last became empty.
   if (obs::kTraceCompiledIn && result.attack_injected_at >= 0.0 &&
       bus.wants(obs::TraceLevel::Summary)) {
-    const net::Prefix scored_prefix = run.scored_prefix();
+    const net::Prefix scored_prefix =
+        scenario::scored_prefix(victim, config_.strategy, attackers);
     bgp::AsnSet on_false_route;
     double last_cleared = -1.0;
     bool ever_adopted = false;
@@ -364,7 +365,7 @@ RunResult Experiment::run_wave(const bgp::AsnSet& origins, const bgp::AsnSet& at
   sim::WaveEngine::Config wave_config;
   wave_config.mode = config_.policy;
   sim::WaveEngine wave(*graph_, wave_config);
-  const scenario::RouterAt at = [&wave](bgp::Asn asn) -> bgp::Router& {
+  const scenario::RouterAt router_at = [&wave](bgp::Asn asn) -> bgp::Router& {
     return wave.router(asn);
   };
 
@@ -372,7 +373,7 @@ RunResult Experiment::run_wave(const bgp::AsnSet& origins, const bgp::AsnSet& at
   // right model for a timeless run — within one run the registry answer for
   // a prefix is fixed anyway.
   run.cache_resolver([] { return 0.0; });
-  run.deploy(rng, at);
+  run.deploy(rng, router_at);
 
   // No clock, so no scheduling jitter: valid originations are seeded, then
   // (racing mode) the attacks, and the sweeps run everything to the
@@ -404,7 +405,7 @@ RunResult Experiment::run_wave(const bgp::AsnSet& origins, const bgp::AsnSet& at
   if (run.resolver) run.resolver->collect_metrics(result.metrics);
   // attack_injected_at / first_alarm_latency / eviction_latency stay -1:
   // a timeless engine has no latencies to report.
-  run.finish(result, at);
+  run.finish(result, router_at);
   return result;
 }
 

@@ -150,10 +150,6 @@ void Run::deploy(util::Rng& rng, const RouterAt& at) {
   }
 }
 
-net::Prefix Run::scored_prefix() const {
-  return scenario::scored_prefix(victim, config.strategy, attackers);
-}
-
 double Run::finish(RunResult& result, const RouterAt& at) const {
   const Outcome outcome = score(at, ases, victim, origins, attackers, config.strategy);
   result.total_ases = ases.size();

@@ -71,6 +71,9 @@ Outcome score(const RouterAt& at, const std::vector<bgp::Asn>& ases, const net::
 bool implicates_attacker(const MoasAlarm& alarm, const AsnSet& attackers);
 
 /// One single-prefix Experiment run: its inputs, registry and deployment.
+/// It is built before the engine (the engine needs network_seed) and so
+/// outlives it; nothing it holds calls into the engine once finish() has
+/// returned.
 struct Run {
   /// Builds the truth DB and the primary resolver (drawing the Dns/Irr
   /// seed), then draws the network seed.
@@ -89,8 +92,6 @@ struct Run {
   /// community-stripping routers (Section 4.3): a seeded strip_fraction of
   /// the non-origin ASes drop the optional transitive attribute on export.
   void deploy(util::Rng& rng, const RouterAt& at);
-
-  net::Prefix scored_prefix() const;
 
   /// The engine-independent end of a run, after propagation and after the
   /// caller collected its engine and resolver metrics into result.metrics:

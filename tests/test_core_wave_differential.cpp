@@ -185,11 +185,11 @@ TEST(WaveDifferential, NoAttackConvergenceMatchesWithMoasList) {
 
 TEST(WaveDifferential, SeedsResolveToSameCapableAndStripSets) {
   // Partial deployment + community stripping consume the run-seed stream;
-  // run_wave mirrors run_event's draw order so the same PlannedRun resolves
-  // to the same capable/stripping sets — which this equality implies. The
-  // attack hits a pre-converged steady state: with partial detectors a
-  // racing start is history-dependent (DESIGN.md §10), and this test is
-  // about the seed plumbing, not the racing regime.
+  // both engines draw them through the shared scenario pipeline, so the
+  // same PlannedRun resolves to the same capable/stripping sets — which
+  // this equality implies. The attack hits a pre-converged steady state:
+  // with partial detectors a racing start is history-dependent (DESIGN.md
+  // §10), and this test is about the seed plumbing, not the racing regime.
   ExperimentConfig config;
   config.deployment = Deployment::Partial;
   config.deployment_fraction = 0.5;
