@@ -20,6 +20,10 @@ struct RoundTripCase {
   const char* text;
 };
 
+// Print the address text, not the pointer bytes, so the test names that
+// gtest_discover_tests derives from the parameter are the same in every build.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << ::testing::PrintToString(c.text); }
+
 class Ipv4RoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
 TEST_P(Ipv4RoundTrip, ParseThenFormat) {
