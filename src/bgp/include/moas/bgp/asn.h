@@ -7,8 +7,8 @@
 namespace moas::bgp {
 
 /// AS number. The paper predates 4-octet ASNs, but nothing in the mechanism
-/// depends on width: the wire layer speaks RFC 6793 (AS4 capability,
-/// AS_TRANS + AS4_PATH fallback) and wide MOAS-list members ride RFC 8092
+/// depends on width: the wire layer speaks RFC 6793 (AS_TRANS stand-ins
+/// plus AS4_PATH) and wide MOAS-list members ride RFC 8092
 /// large communities, so the full 32-bit range is usable end to end.
 using Asn = std::uint32_t;
 
@@ -19,7 +19,7 @@ using AsnSet = std::set<Asn>;
 inline constexpr Asn kNoAs = 0;
 
 /// AS_TRANS (RFC 6793 §9): the 2-octet stand-in a 4-octet ASN travels as in
-/// 2-octet wire fields (OPEN my-AS, non-AS4 AS_PATH hops).
+/// 2-octet wire fields (the AS_PATH hops of an UPDATE).
 inline constexpr Asn kAsTrans = 23456;
 
 /// Private-use ASN range (RFC 1930 era): used by the ASE multi-homing model.

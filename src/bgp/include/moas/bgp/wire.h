@@ -1,13 +1,12 @@
-// BGP-4 wire format (RFC 4271 §4) for the message types the simulator
-// models, plus the RFC 1997 COMMUNITIES attribute encoding the MOAS list
-// travels in.
+// BGP-4 UPDATE wire format (RFC 4271 §4.3), plus the RFC 1997 COMMUNITIES
+// attribute encoding the MOAS list travels in.
 //
 // The simulator itself exchanges in-memory Update objects; this module
 // exists so that (a) the byte-level cost of a MOAS list can be measured
-// honestly (Section 4.3 discusses the size overhead), (b) dumps can be
-// written/read in a real interchange format, and (c) the encoding logic is
-// tested against the RFC's corner cases (extended-length attributes,
-// AS_SET segments, prefix padding).
+// honestly (Section 4.3 discusses the size overhead), (b) the chaos harness
+// can corrupt real bytes on the wire, and (c) the encoding logic is tested
+// against the RFC's corner cases (extended-length attributes, AS_SET
+// segments, prefix padding).
 #pragma once
 
 #include <cstdint>
@@ -24,21 +23,13 @@ namespace moas::bgp::wire {
 /// NOTIFICATION error codes (RFC 4271 §6.1).
 enum class ErrorCode : std::uint8_t {
   MessageHeader = 1,
-  OpenMessage = 2,
   UpdateMessage = 3,
-  HoldTimerExpired = 4,
-  FsmError = 5,
-  Cease = 6,
 };
 
 // Message Header Error subcodes (§6.2).
 inline constexpr std::uint8_t kHdrNotSynchronized = 1;
 inline constexpr std::uint8_t kHdrBadLength = 2;
 inline constexpr std::uint8_t kHdrBadType = 3;
-
-// OPEN Message Error subcodes (§6.3).
-inline constexpr std::uint8_t kOpenUnsupportedVersion = 1;
-inline constexpr std::uint8_t kOpenUnacceptableHoldTime = 6;
 
 // UPDATE Message Error subcodes (§6.4).
 inline constexpr std::uint8_t kUpdMalformedAttrList = 1;
@@ -66,7 +57,7 @@ enum class ErrorAction : std::uint8_t {
 const char* to_string(ErrorAction action);
 
 /// Malformed input while decoding. Carries the RFC 4271 NOTIFICATION error
-/// code + subcode a session must send before resetting, so the FSM never
+/// code + subcode a session must send before resetting, so a receiver never
 /// has to guess what went wrong.
 class WireError : public std::runtime_error {
  public:
@@ -80,14 +71,6 @@ class WireError : public std::runtime_error {
  private:
   ErrorCode code_;
   std::uint8_t subcode_;
-};
-
-/// Message types (RFC 4271 §4.1).
-enum class MessageType : std::uint8_t {
-  Open = 1,
-  Update = 2,
-  Notification = 3,
-  Keepalive = 4,
 };
 
 /// Fixed header size: 16-byte marker + 2-byte length + 1-byte type.
@@ -135,32 +118,18 @@ struct UpdateMessage {
   std::vector<net::Prefix> error_withdrawn;
 };
 
-struct EncodeOptions {
-  /// Include LOCAL_PREF (IBGP sessions only; EBGP must not send it).
-  bool include_local_pref = false;
-  /// NEXT_HOP value; the AS-level simulator has no concrete next hop, so a
-  /// placeholder is used unless the caller knows better.
-  net::Ipv4Addr next_hop = net::Ipv4Addr(0u);
-  /// Encode AS_PATH with 4-octet ASNs (both peers negotiated the RFC 6793
-  /// capability). When false, ASNs above 0xffff are written as AS_TRANS in
-  /// AS_PATH and the true path is appended as a self-describing AS4_PATH —
-  /// so any decoder recovers the full path, negotiated or not, and byte
-  /// streams for all-narrow paths are identical to the pre-AS4 encoding.
-  bool four_octet_as = false;
-};
-
 /// Encode an UPDATE. Throws std::invalid_argument for unencodable input
-/// (an over-long message or path segment). ASNs of any width encode: wide
-/// ones travel natively or via AS_TRANS + AS4_PATH (see
-/// EncodeOptions::four_octet_as).
-std::vector<std::uint8_t> encode_update(const UpdateMessage& update,
-                                        const EncodeOptions& options = EncodeOptions());
+/// (an over-long message or path segment). AS_PATH is written with 2-octet
+/// ASNs: wide ones travel as AS_TRANS, with the true path appended as a
+/// self-describing AS4_PATH (RFC 6793 §4.2.2), so byte streams for
+/// all-narrow paths are identical to the pre-AS4 encoding.
+std::vector<std::uint8_t> encode_update(const UpdateMessage& update);
 
 /// Decode an UPDATE (must include the header). Throws WireError at the
-/// first problem — the strict RFC 4271 discipline. `four_octet_as` selects
-/// the negotiated AS_PATH width; when false, an AS4_PATH attribute is
-/// merged per RFC 6793 §4.2.3 to recover wide ASNs.
-UpdateMessage decode_update(std::span<const std::uint8_t> data, bool four_octet_as = false);
+/// first problem — the strict RFC 4271 discipline. AS_PATH is read with
+/// 2-octet ASNs; an AS4_PATH attribute is merged per RFC 6793 §4.2.3 to
+/// recover wide ones.
+UpdateMessage decode_update(std::span<const std::uint8_t> data);
 
 /// One classified problem found while decoding an UPDATE under RFC 7606.
 struct AttributeIssue {
@@ -197,86 +166,18 @@ struct DecodeResult {
 /// aborting the parse. Still throws WireError for SessionReset-class
 /// damage — a broken header, withdrawn-routes section, attribute-section
 /// framing (Total Path Attribute Length overrunning the body), or NLRI —
-/// because then no prefix list can be trusted. `four_octet_as` as in
-/// decode_update.
-DecodeResult decode_update_revised(std::span<const std::uint8_t> data,
-                                   bool four_octet_as = false);
+/// because then no prefix list can be trusted.
+DecodeResult decode_update_revised(std::span<const std::uint8_t> data);
 
 /// An UPDATE with no withdrawn routes and no NLRI is the RFC 4724 §2
 /// End-of-RIB marker for IPv4 unicast.
 bool is_end_of_rib(const UpdateMessage& message);
 
-/// Encode the End-of-RIB marker (an empty UPDATE).
-std::vector<std::uint8_t> encode_end_of_rib();
-
-/// RFC 4724 §3 Graceful Restart capability (code 64), carried in the OPEN
-/// optional parameters. Only the IPv4/unicast AFI-SAFI tuple is modeled.
-struct GracefulRestartCapability {
-  /// Restart-State flag: the speaker has just restarted and is replaying.
-  bool restart_state = false;
-  /// Restart Time in seconds (12-bit field): how long the peer should
-  /// retain this speaker's routes as stale before flushing them.
-  std::uint16_t restart_time = 120;
-  /// Announce the IPv4/unicast AFI-SAFI tuple (with its Forwarding-State
-  /// flag). Off encodes a bare capability: restart timing only.
-  bool ipv4_unicast = true;
-  bool forwarding_preserved = false;
-
-  friend auto operator<=>(const GracefulRestartCapability&,
-                          const GracefulRestartCapability&) = default;
-};
-
-/// OPEN message content (§4.2). The only optional parameter modeled is the
-/// Capabilities parameter carrying graceful restart and the RFC 6793
-/// four-octet-AS capability; unknown parameters and capabilities are
-/// skipped on decode.
-struct OpenMessage {
-  std::uint8_t version = 4;
-  /// 2-octet "My Autonomous System" field; a speaker with a wide ASN puts
-  /// kAsTrans here and its true ASN in the four_octet_as capability.
-  std::uint16_t my_as = 0;
-  std::uint16_t hold_time = 180;
-  std::uint32_t bgp_identifier = 0;
-  std::optional<GracefulRestartCapability> graceful_restart;
-  /// RFC 6793 capability 65: the sender's full 4-octet ASN. Present iff the
-  /// speaker supports 4-octet AS_PATH encoding.
-  std::optional<std::uint32_t> four_octet_as;
-};
-
-std::vector<std::uint8_t> encode_open(const OpenMessage& open);
-OpenMessage decode_open(std::span<const std::uint8_t> data);
-
-/// KEEPALIVE: header only.
-std::vector<std::uint8_t> encode_keepalive();
-
-/// Validate a KEEPALIVE (header-only message). Throws WireError — like the
-/// other decode_* entry points, a wrong message type is a MessageHeader /
-/// bad-type error.
-void decode_keepalive(std::span<const std::uint8_t> data);
-
-/// NOTIFICATION (§4.5): error code, subcode, diagnostic data.
-struct NotificationMessage {
-  std::uint8_t code = 0;
-  std::uint8_t subcode = 0;
-  std::vector<std::uint8_t> data;
-};
-
-std::vector<std::uint8_t> encode_notification(const NotificationMessage& notification);
-NotificationMessage decode_notification(std::span<const std::uint8_t> data);
-
-/// Peek at a message's type (validates the header). Throws WireError.
-MessageType message_type(std::span<const std::uint8_t> data);
-
 /// Convert between the simulator's Update and wire messages.
-std::vector<std::uint8_t> encode_sim_update(const Update& update,
-                                            const EncodeOptions& options = EncodeOptions());
+/// An EndOfRib update encodes as the empty UPDATE that is its marker.
+std::vector<std::uint8_t> encode_sim_update(const Update& update);
 /// A decoded message may carry several announcements/withdrawals; expand to
 /// simulator updates (announcements share the attribute set).
 std::vector<Update> to_sim_updates(const UpdateMessage& message);
-
-/// The extra bytes a MOAS list of `n_origins` adds to an announcement
-/// (Section 4.3's overhead discussion): n x 4 community octets plus the
-/// attribute header when no communities were present at all.
-std::size_t moas_list_overhead_bytes(std::size_t n_origins, bool had_communities);
 
 }  // namespace moas::bgp::wire

@@ -18,16 +18,8 @@ constexpr std::uint8_t kFlagExtendedLength = 0x10;
 constexpr std::uint8_t kSegmentSet = 1;
 constexpr std::uint8_t kSegmentSequence = 2;
 
-// OPEN optional parameters (RFC 5492) and the graceful-restart capability
-// (RFC 4724 §3).
-constexpr std::uint8_t kOptParamCapabilities = 2;
-constexpr std::uint8_t kCapGracefulRestart = 64;
-constexpr std::uint8_t kCapFourOctetAs = 65;  // RFC 6793 §3
-constexpr std::uint16_t kGrRestartFlag = 0x8000;      // Restart-State "R" bit
-constexpr std::uint16_t kGrRestartTimeMask = 0x0fff;  // 12-bit restart time
-constexpr std::uint16_t kAfiIpv4 = 1;
-constexpr std::uint8_t kSafiUnicast = 1;
-constexpr std::uint8_t kGrForwardingFlag = 0x80;  // per-AFI "F" bit
+// The UPDATE message type octet (RFC 4271 §4.1).
+constexpr std::uint8_t kTypeUpdate = 2;
 
 class Writer {
  public:
@@ -58,8 +50,8 @@ class Writer {
 class Reader {
  public:
   /// `truncation_code`/`truncation_subcode` classify an out-of-bounds read:
-  /// truncation inside an OPEN body is an OPEN error, inside an UPDATE body
-  /// an UPDATE error, and so on.
+  /// truncation inside the header is a header error, inside an UPDATE body
+  /// or attribute an UPDATE error.
   explicit Reader(std::span<const std::uint8_t> data,
                   ErrorCode truncation_code = ErrorCode::MessageHeader,
                   std::uint8_t truncation_subcode = kHdrBadLength)
@@ -87,10 +79,6 @@ class Reader {
   }
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return remaining() == 0; }
-
-  /// The unread tail — used to re-wrap a body with message-specific
-  /// truncation codes once the type is known.
-  std::span<const std::uint8_t> rest() const { return data_.subspan(pos_); }
 
  private:
   void need(std::size_t n) const {
@@ -124,10 +112,10 @@ net::Prefix read_prefix(Reader& r) {
   return net::Prefix(net::Ipv4Addr(addr), length);
 }
 
-void write_header(Writer& w, MessageType type) {
+void write_header(Writer& w) {
   for (int i = 0; i < 16; ++i) w.u8(0xff);
   w.u16(0);  // length, patched later
-  w.u8(static_cast<std::uint8_t>(type));
+  w.u8(kTypeUpdate);
 }
 
 std::vector<std::uint8_t> finish(Writer& w) {
@@ -136,8 +124,8 @@ std::vector<std::uint8_t> finish(Writer& w) {
   return w.take();
 }
 
-/// Validates the header and returns (type, body reader).
-std::pair<MessageType, Reader> open_message(std::span<const std::uint8_t> data) {
+/// Validates an UPDATE's header and returns its body.
+std::span<const std::uint8_t> update_body(std::span<const std::uint8_t> data) {
   if (data.size() < kHeaderSize) {
     throw WireError(ErrorCode::MessageHeader, kHdrBadLength, "short header");
   }
@@ -153,11 +141,10 @@ std::pair<MessageType, Reader> open_message(std::span<const std::uint8_t> data) 
   if (length != data.size()) {
     throw WireError(ErrorCode::MessageHeader, kHdrBadLength, "length field does not match buffer");
   }
-  const std::uint8_t type = data[18];
-  if (type < 1 || type > 4) {
-    throw WireError(ErrorCode::MessageHeader, kHdrBadType, "unknown message type");
+  if (data[18] != kTypeUpdate) {
+    throw WireError(ErrorCode::MessageHeader, kHdrBadType, "not an UPDATE message");
   }
-  return {static_cast<MessageType>(type), Reader(data.subspan(kHeaderSize))};
+  return data.subspan(kHeaderSize);
 }
 
 /// The 2-octet representation of an ASN: itself, or AS_TRANS (RFC 6793
@@ -179,17 +166,15 @@ void write_attribute_header(Writer& w, std::uint8_t flags, AttrType type,
   }
 }
 
-void write_attributes(Writer& w, const PathAttributes& attrs, const EncodeOptions& options) {
+void write_attributes(Writer& w, const PathAttributes& attrs) {
   // ORIGIN — well-known mandatory.
   write_attribute_header(w, kFlagTransitive, AttrType::Origin, 1);
   w.u8(static_cast<std::uint8_t>(attrs.origin_code));
 
-  // AS_PATH — well-known mandatory. In 4-octet mode (RFC 6793 negotiated)
-  // ASNs are written natively; otherwise wide ones travel as AS_TRANS here,
-  // with the true path in the AS4_PATH attribute appended further down.
-  const std::size_t asn_width = options.four_octet_as ? 4 : 2;
+  // AS_PATH — well-known mandatory. Wide ASNs travel as AS_TRANS here, with
+  // the true path in the AS4_PATH attribute appended further down.
   std::size_t path_len = 0;
-  for (const auto& seg : attrs.path.segments()) path_len += 2 + asn_width * seg.asns.size();
+  for (const auto& seg : attrs.path.segments()) path_len += 2 + 2 * seg.asns.size();
   write_attribute_header(w, kFlagTransitive, AttrType::AsPath, path_len);
   bool wide_asn = false;
   for (const auto& seg : attrs.path.segments()) {
@@ -198,17 +183,14 @@ void write_attributes(Writer& w, const PathAttributes& attrs, const EncodeOption
     w.u8(static_cast<std::uint8_t>(seg.asns.size()));
     for (Asn asn : seg.asns) {
       if (asn > 0xffffu) wide_asn = true;
-      if (options.four_octet_as) {
-        w.u32(asn);
-      } else {
-        w.u16(narrow_asn(asn));
-      }
+      w.u16(narrow_asn(asn));
     }
   }
 
-  // NEXT_HOP — well-known mandatory.
+  // NEXT_HOP — well-known mandatory. The AS-level simulator has no concrete
+  // next hop, so 0.0.0.0 stands in.
   write_attribute_header(w, kFlagTransitive, AttrType::NextHop, 4);
-  w.u32(options.next_hop.value());
+  w.u32(0);
 
   // MED — optional non-transitive; omitted when zero.
   if (attrs.med != 0) {
@@ -216,11 +198,8 @@ void write_attributes(Writer& w, const PathAttributes& attrs, const EncodeOption
     w.u32(attrs.med);
   }
 
-  // LOCAL_PREF — well-known on IBGP sessions only.
-  if (options.include_local_pref) {
-    write_attribute_header(w, kFlagTransitive, AttrType::LocalPref, 4);
-    w.u32(attrs.local_pref);
-  }
+  // LOCAL_PREF is never sent: it belongs to IBGP sessions, and every
+  // session here is EBGP-style.
 
   // COMMUNITIES — optional transitive (RFC 1997); the MOAS list rides here.
   if (!attrs.communities.empty()) {
@@ -242,10 +221,10 @@ void write_attributes(Writer& w, const PathAttributes& attrs, const EncodeOption
   }
 
   // AS4_PATH — optional transitive (RFC 6793 §4.2.2): the true 4-octet path
-  // behind the AS_TRANS stand-ins above. Self-describing, so a receiver
-  // reconstructs the full path whether or not it negotiated the capability;
-  // absent for all-narrow paths, keeping their byte streams unchanged.
-  if (wide_asn && !options.four_octet_as) {
+  // behind the AS_TRANS stand-ins above. Self-describing, so any receiver
+  // reconstructs the full path; absent for all-narrow paths, keeping their
+  // byte streams unchanged.
+  if (wide_asn) {
     std::size_t as4_len = 0;
     for (const auto& seg : attrs.path.segments()) as4_len += 2 + 4 * seg.asns.size();
     write_attribute_header(w, kFlagOptional | kFlagTransitive, AttrType::As4Path, as4_len);
@@ -363,7 +342,7 @@ void add_issue(ParsedUpdate& out, ErrorAction action, std::uint8_t attr_type,
 /// Attribute Length octets), classifying every problem instead of throwing.
 /// Issues are recorded in encounter order, so strict RFC 4271 handling can
 /// throw the first one and match the old first-bad-byte behavior.
-void read_attributes_classified(Reader& section, ParsedUpdate& out, bool four_octet_as) {
+void read_attributes_classified(Reader& section, ParsedUpdate& out) {
   PathAttributes attrs;
   bool saw_origin = false;
   bool saw_as_path = false;
@@ -418,12 +397,10 @@ void read_attributes_classified(Reader& section, ParsedUpdate& out, bool four_oc
           break;
         }
         case AttrType::AsPath:
-          attrs.path = read_as_path(value, four_octet_as);
+          attrs.path = read_as_path(value, /*four_octet=*/false);
           break;
         case AttrType::As4Path:
-          // RFC 6793 §4.2.3: a speaker that negotiated 4-octet ASNs already
-          // has the true path in AS_PATH and discards AS4_PATH.
-          if (!four_octet_as) as4_path = read_as_path(value, /*four_octet=*/true);
+          as4_path = read_as_path(value, /*four_octet=*/true);
           break;
         case AttrType::NextHop:
           if (length != 4) {
@@ -500,13 +477,9 @@ void read_attributes_classified(Reader& section, ParsedUpdate& out, bool four_oc
 /// for SessionReset-class damage (header, withdrawn-routes section,
 /// attribute-section framing, NLRI); everything inside the attribute
 /// section is classified into `issues` instead.
-ParsedUpdate parse_update(std::span<const std::uint8_t> data, bool four_octet_as) {
-  auto [type, body] = open_message(data);
-  if (type != MessageType::Update) {
-    throw WireError(ErrorCode::MessageHeader, kHdrBadType, "not an UPDATE message");
-  }
+ParsedUpdate parse_update(std::span<const std::uint8_t> data) {
   // Truncation inside the UPDATE body is an UPDATE error, not a header one.
-  Reader r(body.rest(), ErrorCode::UpdateMessage, kUpdMalformedAttrList);
+  Reader r(update_body(data), ErrorCode::UpdateMessage, kUpdMalformedAttrList);
 
   ParsedUpdate out;
   const std::size_t withdrawn_len = r.u16();
@@ -520,7 +493,7 @@ ParsedUpdate parse_update(std::span<const std::uint8_t> data, bool four_octet_as
       throw WireError(ErrorCode::UpdateMessage, kUpdMalformedAttrList, "attribute section truncated");
     }
     Reader section(r.bytes(attrs_len), ErrorCode::UpdateMessage, kUpdMalformedAttrList);
-    read_attributes_classified(section, out, four_octet_as);
+    read_attributes_classified(section, out);
   }
   while (!r.done()) out.message.nlri.push_back(read_prefix(r));
   if (!out.message.nlri.empty() && !out.message.attrs) {
@@ -542,12 +515,11 @@ const char* to_string(ErrorAction action) {
   return "?";
 }
 
-std::vector<std::uint8_t> encode_update(const UpdateMessage& update,
-                                        const EncodeOptions& options) {
+std::vector<std::uint8_t> encode_update(const UpdateMessage& update) {
   MOAS_REQUIRE(update.nlri.empty() || update.attrs.has_value(),
                "announcements need path attributes");
   Writer w;
-  write_header(w, MessageType::Update);
+  write_header(w);
 
   const std::size_t withdrawn_len_pos = w.size();
   w.u16(0);
@@ -557,7 +529,7 @@ std::vector<std::uint8_t> encode_update(const UpdateMessage& update,
 
   const std::size_t attrs_len_pos = w.size();
   w.u16(0);
-  if (update.attrs) write_attributes(w, *update.attrs, options);
+  if (update.attrs) write_attributes(w, *update.attrs);
   for (const auto& attr : update.unknown_attrs) {
     // Pass-through of attributes we do not implement: optional transitive
     // with the Partial bit, since this speaker did not originate them.
@@ -571,8 +543,8 @@ std::vector<std::uint8_t> encode_update(const UpdateMessage& update,
   return finish(w);
 }
 
-UpdateMessage decode_update(std::span<const std::uint8_t> data, bool four_octet_as) {
-  ParsedUpdate parsed = parse_update(data, four_octet_as);
+UpdateMessage decode_update(std::span<const std::uint8_t> data) {
+  ParsedUpdate parsed = parse_update(data);
   if (!parsed.issues.empty()) {
     // Strict RFC 4271 discipline: the first problem aborts the message with
     // the NOTIFICATION code it documents.
@@ -599,8 +571,8 @@ UpdateMessage DecodeResult::to_deliverable() const {
   return out;
 }
 
-DecodeResult decode_update_revised(std::span<const std::uint8_t> data, bool four_octet_as) {
-  ParsedUpdate parsed = parse_update(data, four_octet_as);
+DecodeResult decode_update_revised(std::span<const std::uint8_t> data) {
+  ParsedUpdate parsed = parse_update(data);
   return DecodeResult{std::move(parsed.message), std::move(parsed.issues)};
 }
 
@@ -608,169 +580,7 @@ bool is_end_of_rib(const UpdateMessage& message) {
   return message.withdrawn.empty() && message.nlri.empty() && message.error_withdrawn.empty();
 }
 
-std::vector<std::uint8_t> encode_end_of_rib() {
-  // RFC 4724 §2: for IPv4 unicast the marker is simply an UPDATE with no
-  // withdrawn routes and no NLRI — the minimal 23-octet message.
-  return encode_update(UpdateMessage{});
-}
-
-std::vector<std::uint8_t> encode_open(const OpenMessage& open) {
-  Writer w;
-  write_header(w, MessageType::Open);
-  w.u8(open.version);
-  w.u16(open.my_as);
-  w.u16(open.hold_time);
-  w.u32(open.bgp_identifier);
-
-  // Capability list (RFC 5492: one Capabilities optional parameter). Built
-  // separately so the two length prefixes can be written without patching.
-  // Graceful restart comes first — a GR-only OPEN is byte-identical to the
-  // pre-AS4 encoding.
-  Writer caps;
-  if (open.graceful_restart) {
-    const GracefulRestartCapability& gr = *open.graceful_restart;
-    MOAS_REQUIRE(gr.restart_time <= kGrRestartTimeMask,
-                 "graceful-restart time exceeds the 12-bit field");
-    const std::uint8_t cap_len = gr.ipv4_unicast ? 6 : 2;  // flags/time [+ tuple]
-    caps.u8(kCapGracefulRestart);
-    caps.u8(cap_len);
-    std::uint16_t flags_time = gr.restart_time;
-    if (gr.restart_state) flags_time |= kGrRestartFlag;
-    caps.u16(flags_time);
-    if (gr.ipv4_unicast) {
-      caps.u16(kAfiIpv4);
-      caps.u8(kSafiUnicast);
-      caps.u8(gr.forwarding_preserved ? kGrForwardingFlag : 0);
-    }
-  }
-  if (open.four_octet_as) {
-    caps.u8(kCapFourOctetAs);
-    caps.u8(4);
-    caps.u32(*open.four_octet_as);
-  }
-
-  const std::vector<std::uint8_t> cap_bytes = caps.take();
-  if (cap_bytes.empty()) {
-    w.u8(0);  // no optional parameters
-    return finish(w);
-  }
-  w.u8(static_cast<std::uint8_t>(cap_bytes.size() + 2));  // total optional-params length
-  w.u8(kOptParamCapabilities);
-  w.u8(static_cast<std::uint8_t>(cap_bytes.size()));  // parameter value length
-  w.bytes(cap_bytes);
-  return finish(w);
-}
-
-OpenMessage decode_open(std::span<const std::uint8_t> data) {
-  auto [type, body] = open_message(data);
-  if (type != MessageType::Open) {
-    throw WireError(ErrorCode::MessageHeader, kHdrBadType, "not an OPEN message");
-  }
-  // A short OPEN body is an OPEN error (unspecific subcode 0).
-  Reader r(body.rest(), ErrorCode::OpenMessage, 0);
-  OpenMessage out;
-  out.version = r.u8();
-  if (out.version != 4) {
-    throw WireError(ErrorCode::OpenMessage, kOpenUnsupportedVersion, "unsupported BGP version");
-  }
-  out.my_as = r.u16();
-  out.hold_time = r.u16();
-  if (out.hold_time == 1 || out.hold_time == 2) {
-    throw WireError(ErrorCode::OpenMessage, kOpenUnacceptableHoldTime, "illegal hold time");
-  }
-  out.bgp_identifier = r.u32();
-  const std::uint8_t opt_len = r.u8();
-  Reader params(r.bytes(opt_len), ErrorCode::OpenMessage, 0);
-  if (!r.done()) throw WireError(ErrorCode::OpenMessage, 0, "trailing bytes in OPEN");
-  while (!params.done()) {
-    const std::uint8_t param_type = params.u8();
-    const std::uint8_t param_len = params.u8();
-    Reader value(params.bytes(param_len), ErrorCode::OpenMessage, 0);
-    if (param_type != kOptParamCapabilities) continue;  // unknown parameter: skip
-    while (!value.done()) {
-      const std::uint8_t cap_code = value.u8();
-      const std::uint8_t cap_len = value.u8();
-      Reader cap(value.bytes(cap_len), ErrorCode::OpenMessage, 0);
-      if (cap_code == kCapFourOctetAs) {
-        if (cap_len != 4) {
-          throw WireError(ErrorCode::OpenMessage, 0, "four-octet-AS capability must be 4 octets");
-        }
-        out.four_octet_as = cap.u32();
-        continue;
-      }
-      if (cap_code != kCapGracefulRestart) continue;  // unknown capability: skip
-      if (cap_len < 2) {
-        throw WireError(ErrorCode::OpenMessage, 0, "graceful-restart capability too short");
-      }
-      GracefulRestartCapability gr;
-      const std::uint16_t flags_time = cap.u16();
-      gr.restart_state = (flags_time & kGrRestartFlag) != 0;
-      gr.restart_time = flags_time & kGrRestartTimeMask;
-      gr.ipv4_unicast = false;
-      while (cap.remaining() >= 4) {
-        const std::uint16_t afi = cap.u16();
-        const std::uint8_t safi = cap.u8();
-        const std::uint8_t afi_flags = cap.u8();
-        if (afi == kAfiIpv4 && safi == kSafiUnicast) {
-          gr.ipv4_unicast = true;
-          gr.forwarding_preserved = (afi_flags & kGrForwardingFlag) != 0;
-        }  // other address families: announced but not modeled, skip
-      }
-      if (!cap.done()) {
-        throw WireError(ErrorCode::OpenMessage, 0, "graceful-restart tuple truncated");
-      }
-      out.graceful_restart = gr;
-    }
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> encode_keepalive() {
-  Writer w;
-  write_header(w, MessageType::Keepalive);
-  return finish(w);
-}
-
-void decode_keepalive(std::span<const std::uint8_t> data) {
-  auto [type, r] = open_message(data);
-  if (type != MessageType::Keepalive) {
-    throw WireError(ErrorCode::MessageHeader, kHdrBadType, "not a KEEPALIVE message");
-  }
-  if (!r.done()) {
-    throw WireError(ErrorCode::MessageHeader, kHdrBadLength, "KEEPALIVE must be header-only");
-  }
-}
-
-std::vector<std::uint8_t> encode_notification(const NotificationMessage& notification) {
-  Writer w;
-  write_header(w, MessageType::Notification);
-  w.u8(notification.code);
-  w.u8(notification.subcode);
-  w.bytes(notification.data);
-  return finish(w);
-}
-
-NotificationMessage decode_notification(std::span<const std::uint8_t> data) {
-  auto [type, r] = open_message(data);
-  if (type != MessageType::Notification) {
-    throw WireError(ErrorCode::MessageHeader, kHdrBadType, "not a NOTIFICATION message");
-  }
-  NotificationMessage out;
-  out.code = r.u8();
-  out.subcode = r.u8();
-  auto rest = r.bytes(r.remaining());
-  out.data.assign(rest.begin(), rest.end());
-  return out;
-}
-
-MessageType message_type(std::span<const std::uint8_t> data) {
-  auto [type, r] = open_message(data);
-  (void)r;
-  return type;
-}
-
-std::vector<std::uint8_t> encode_sim_update(const Update& update,
-                                            const EncodeOptions& options) {
+std::vector<std::uint8_t> encode_sim_update(const Update& update) {
   UpdateMessage message;
   if (update.kind == Update::Kind::Withdraw) {
     message.withdrawn.push_back(update.prefix);
@@ -779,7 +589,7 @@ std::vector<std::uint8_t> encode_sim_update(const Update& update,
     message.attrs = update.route->attrs;
     message.nlri.push_back(update.prefix);
   }  // EndOfRib: the empty message IS the marker
-  return encode_update(message, options);
+  return encode_update(message);
 }
 
 std::vector<Update> to_sim_updates(const UpdateMessage& message) {
@@ -800,13 +610,6 @@ std::vector<Update> to_sim_updates(const UpdateMessage& message) {
     out.push_back(Update::announce(std::move(route)));
   }
   return out;
-}
-
-std::size_t moas_list_overhead_bytes(std::size_t n_origins, bool had_communities) {
-  const std::size_t values = 4 * n_origins;
-  if (had_communities) return values;
-  // Attribute header: flags + type + 1-byte length (lists of <= 63 origins).
-  return values + 3;
 }
 
 }  // namespace moas::bgp::wire

@@ -130,8 +130,6 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   // Build the network.
   bgp::Network::Config net_config;
   net_config.mode = config_.policy;
-  net_config.link_delay = config_.link_delay;
-  net_config.jitter = config_.jitter;
   net_config.graceful_restart = config_.graceful_restart;
   net_config.gr_restart_time = config_.gr_restart_time;
   net_config.revised_error_handling = config_.revised_error_handling;

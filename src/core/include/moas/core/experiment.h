@@ -97,8 +97,7 @@ struct ExperimentConfig {
   ResolverKind resolver = ResolverKind::Oracle;
   double dns_unavailability = 0.0;  // when resolver == Dns
   double dns_forgery = 0.0;
-  double irr_staleness = 0.0;  // when resolver == Irr
-  bgp::AsnSet irr_stale_origins;  // what a stale IRR record answers
+  double irr_staleness = 0.0;  // when resolver == Irr; a stale record is missing
 
   /// Wrap the resolver in a CachingResolver with this TTL (seconds); 0
   /// disables. Under churn the same prefix alarms repeatedly, and without a
@@ -113,7 +112,7 @@ struct ExperimentConfig {
   /// of blocking on the synchronous resolver. The async seed is mixed with
   /// the run seed, so one run seed reproduces the latency draws too.
   std::optional<AsyncResolver::Config> async_resolution;
-  /// Add an IRR source (knobbed by irr_staleness / irr_stale_origins) behind
+  /// Add an IRR source (knobbed by irr_staleness) behind
   /// the primary backend in the fallback chain. Only with async_resolution.
   bool async_fallback_irr = false;
   /// Seeded registry outage windows and latency spikes replayed against the
@@ -142,8 +141,6 @@ struct ExperimentConfig {
   /// lists make full deployment essentially immune.
   bool converge_before_attack = false;
 
-  double link_delay = 0.05;
-  double jitter = 0.02;
   std::size_t max_events = 50'000'000;
 
   /// Background churn: a seeded fault schedule (link flaps, session resets,

@@ -121,7 +121,6 @@ Run::Run(const topo::AsGraph& graph_in, const ExperimentConfig& config_in,
 
 std::shared_ptr<OriginResolver> Run::make_irr(util::Rng& rng) const {
   auto stale = std::make_shared<PrefixOriginDb>();
-  if (!config.irr_stale_origins.empty()) stale->set(victim, config.irr_stale_origins);
   IrrResolver::Config irr;
   irr.staleness = config.irr_staleness;
   irr.seed = rng.next();

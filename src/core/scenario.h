@@ -80,8 +80,8 @@ struct Run {
   Run(const topo::AsGraph& graph, const ExperimentConfig& config, const AsnSet& origins,
       const AsnSet& attackers, util::Rng& rng);
 
-  /// An IRR mirror of the truth DB, knobbed by irr_staleness and
-  /// irr_stale_origins. Draws its seed.
+  /// An IRR mirror of the truth DB, knobbed by irr_staleness; a stale
+  /// lookup finds no record. Draws its seed.
   std::shared_ptr<OriginResolver> make_irr(util::Rng& rng) const;
 
   /// Put a CachingResolver reading `now` in front of `resolver` when

@@ -130,6 +130,12 @@ std::int64_t LineParser::i64() {
 
 double LineParser::f64() { return double_from_bits(token()); }
 
+std::uint64_t LineParser::line_count(const CheckpointReader& reader) {
+  const std::uint64_t n = u64();
+  MOAS_REQUIRE(n <= reader.remaining(), "checkpoint: line count overruns the payload");
+  return n;
+}
+
 void LineParser::expect(std::string_view expected) {
   const std::string t = token();
   MOAS_REQUIRE(t == expected,

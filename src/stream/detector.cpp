@@ -364,13 +364,13 @@ StreamDetector StreamDetector::restore_checkpoint(std::istream& is, StreamConfig
   {
     LineParser p(r.next());
     p.expect("buffered");
-    const std::uint64_t days = p.u64();
+    const std::uint64_t days = p.line_count(r);
     for (std::uint64_t i = 0; i < days; ++i) {
       LineParser h(r.next());
       h.expect("bday");
       const int day = h.day();
       const std::uint64_t later = h.u64();
-      const std::uint64_t n = h.u64();
+      const std::uint64_t n = h.line_count(r);
       d.later_counts_[day] = later;
       auto& batch = d.buffered_[day];
       batch.reserve(n);

@@ -55,6 +55,10 @@ class CheckpointReader {
   /// (a truncated logical structure inside an intact frame).
   const std::string& next();
   bool done() const { return cursor_ >= lines_.size(); }
+  /// Payload lines not yet consumed. A restored count of lines to follow
+  /// must not exceed it — the checksum proves the file is intact, not that
+  /// its counts are sane.
+  std::size_t remaining() const { return lines_.size() - cursor_; }
 
  private:
   std::vector<std::string> lines_;
@@ -76,6 +80,9 @@ class LineParser {
   std::int64_t i64();
   int day() { return static_cast<int>(i64()); }
   double f64();  // reads a double_bits() token
+  /// A u64() counting the payload lines that follow; rejects a count larger
+  /// than `reader.remaining()`.
+  std::uint64_t line_count(const CheckpointReader& reader);
 
   /// Consume a token and require it to equal `expected`.
   void expect(std::string_view expected);

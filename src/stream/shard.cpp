@@ -43,6 +43,15 @@ bgp::AsnSet read_asn_set(LineParser& p) {
   return set;
 }
 
+/// An enum stored as its integer value, at most `last`.
+template <typename Enum>
+Enum read_enum(LineParser& p, Enum last, const char* what) {
+  const std::uint64_t value = p.u64();
+  MOAS_REQUIRE(value <= static_cast<std::uint64_t>(last),
+               std::string("checkpoint: bad alarm ") + what);
+  return static_cast<Enum>(value);
+}
+
 net::Prefix read_prefix(LineParser& p) {
   const auto prefix = net::Prefix::parse(p.token());
   MOAS_REQUIRE(prefix.has_value(), "checkpoint: bad prefix");
@@ -339,7 +348,7 @@ void DetectorShard::load(CheckpointReader& r) {
   {
     LineParser p(r.next());
     p.expect("gaps");
-    const std::uint64_t n = p.u64();
+    const std::uint64_t n = p.line_count(r);
     for (std::uint64_t i = 0; i < n; ++i) {
       LineParser g(r.next());
       g.expect("gap");
@@ -361,7 +370,7 @@ void DetectorShard::load(CheckpointReader& r) {
     std::array<std::uint64_t, 3> by_cause{};
     for (auto& v : by_state) v = p.u64();
     for (auto& v : by_cause) v = p.u64();
-    const std::uint64_t retained = p.u64();
+    const std::uint64_t retained = p.line_count(r);
     log_.restore_compacted(base, by_state, by_cause);
     for (std::uint64_t i = 0; i < retained; ++i) {
       LineParser a(r.next());
@@ -370,8 +379,8 @@ void DetectorShard::load(CheckpointReader& r) {
       alarm.at = a.f64();
       alarm.settled_at = a.f64();
       alarm.observer = static_cast<bgp::Asn>(a.u64());
-      alarm.cause = static_cast<core::MoasAlarm::Cause>(a.u64());
-      alarm.state = static_cast<core::MoasAlarm::State>(a.u64());
+      alarm.cause = read_enum(a, core::MoasAlarm::Cause::BannedOriginSeen, "cause");
+      alarm.state = read_enum(a, core::MoasAlarm::State::Expired, "state");
       alarm.prefix = read_prefix(a);
       alarm.reference_list = read_asn_set(a);
       alarm.observed_list = read_asn_set(a);
@@ -383,7 +392,7 @@ void DetectorShard::load(CheckpointReader& r) {
   {
     LineParser p(r.next());
     p.expect("states");
-    const std::uint64_t n = p.u64();
+    const std::uint64_t n = p.line_count(r);
     for (std::uint64_t i = 0; i < n; ++i) {
       LineParser s(r.next());
       s.expect("state");

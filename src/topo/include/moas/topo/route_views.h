@@ -1,40 +1,17 @@
-// Synthetic RouteViews-style table dump.
-//
-// The paper builds its simulation topologies by inferring BGP peerings from
-// the AS paths in the Oregon RouteViews table. We reproduce the full
-// pipeline: assign a prefix to every AS, dump the (prefix, AS path) table
-// seen from a set of vantage ASes, then run the same inference over it
-// (infer.h).
+// Per-AS prefix assignment for the simulated RouteViews-style topologies:
+// every AS originates one deterministic /20 so scenarios and benches can
+// name "the prefix of AS n" without a lookup table.
 #pragma once
 
-#include <vector>
-
-#include "moas/bgp/as_path.h"
+#include "moas/bgp/asn.h"
 #include "moas/net/prefix.h"
-#include "moas/topo/graph.h"
 
 namespace moas::topo {
 
-struct TableEntry {
-  net::Prefix prefix;
-  bgp::AsPath path;  // from the vantage AS (inclusive) to the origin AS
-};
-
-struct TableDump {
-  std::vector<TableEntry> entries;
-};
-
-/// Deterministic unique prefix for an AS: a /20 carved out of 10.0.0.0/8 by
-/// ASN (supports ~1M ASes before wrapping).
-net::Prefix prefix_for_asn(Asn asn);
-
-/// Inverse of prefix_for_asn for prefixes it produced.
-Asn asn_for_prefix(const net::Prefix& prefix);
-
-/// Dump the table: every AS originates prefix_for_asn(asn); each vantage
-/// contributes one shortest AS path per reachable origin (BFS over the
-/// peering graph, deterministic tie-break by lower neighbor ASN — the same
-/// flavor of path the paper reads out of RouteViews).
-TableDump dump_route_views(const AsGraph& graph, const std::vector<Asn>& vantages);
+/// Deterministic prefix for an AS: a /20 carved out of 10.0.0.0/8 by ASN.
+/// The /8 holds 4,096 such /20s, so ASNs congruent modulo 4,096 share a
+/// prefix; callers that need distinct prefixes keep ASNs below 4,096 or
+/// assign their own.
+net::Prefix prefix_for_asn(bgp::Asn asn);
 
 }  // namespace moas::topo

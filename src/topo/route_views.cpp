@@ -1,60 +1,12 @@
 #include "moas/topo/route_views.h"
 
-#include <deque>
-#include <map>
-
-#include "moas/util/assert.h"
-
 namespace moas::topo {
 
-net::Prefix prefix_for_asn(Asn asn) {
+net::Prefix prefix_for_asn(bgp::Asn asn) {
   // 10.0.0.0/8 sliced into /20s: 4096 host addresses per AS.
   const std::uint32_t base = 10u << 24;
   const std::uint32_t offset = (asn << 12) & 0x00ffffffu;
   return net::Prefix(net::Ipv4Addr(base | offset), 20);
-}
-
-Asn asn_for_prefix(const net::Prefix& prefix) {
-  MOAS_REQUIRE(prefix.length() == 20, "not a prefix_for_asn prefix");
-  return (prefix.network().value() & 0x00ffffffu) >> 12;
-}
-
-TableDump dump_route_views(const AsGraph& graph, const std::vector<Asn>& vantages) {
-  TableDump dump;
-  // One BFS per origin yields shortest paths from every node to that origin;
-  // we read out the vantage rows. Parent pointers point toward the origin,
-  // chosen deterministically (lowest-ASN parent at the shallower level).
-  for (Asn origin : graph.nodes()) {
-    std::map<Asn, Asn> parent;  // next hop toward origin
-    std::map<Asn, unsigned> depth;
-    std::deque<Asn> frontier{origin};
-    depth[origin] = 0;
-    while (!frontier.empty()) {
-      const Asn cur = frontier.front();
-      frontier.pop_front();
-      // Only the origin itself and transit ASes forward traffic: a stub AS
-      // never appears mid-path (it provides no transit), so BFS must not
-      // route through it.
-      if (cur != origin && !graph.is_transit(cur)) continue;
-      for (Asn nbr : graph.neighbors(cur)) {
-        if (depth.contains(nbr)) continue;
-        depth[nbr] = depth[cur] + 1;
-        parent[nbr] = cur;
-        frontier.push_back(nbr);
-      }
-    }
-    for (Asn vantage : vantages) {
-      if (vantage == origin || !depth.contains(vantage)) continue;
-      std::vector<Asn> asns{vantage};
-      Asn cur = vantage;
-      while (cur != origin) {
-        cur = parent.at(cur);
-        asns.push_back(cur);
-      }
-      dump.entries.push_back(TableEntry{prefix_for_asn(origin), bgp::AsPath(std::move(asns))});
-    }
-  }
-  return dump;
 }
 
 }  // namespace moas::topo

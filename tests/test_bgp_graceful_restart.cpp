@@ -1,4 +1,4 @@
-// RFC 4724 graceful restart: the capability and End-of-RIB wire formats,
+// RFC 4724 graceful restart: the End-of-RIB wire format,
 // stale-route retention across a peer's crash/restart cycle, End-of-RIB
 // sweeping, the restart-timer fallback, and the end-to-end claim — a
 // restarting router stops masquerading as withdraw/re-announce churn.
@@ -31,56 +31,8 @@ Network::Config gr_config(double restart_time = 60.0) {
 
 // --- wire format -----------------------------------------------------------
 
-TEST(GracefulRestartWire, CapabilityRoundTrips) {
-  wire::OpenMessage open;
-  open.my_as = 64500;
-  open.hold_time = 90;
-  open.bgp_identifier = 0xc0a80001;
-  wire::GracefulRestartCapability gr;
-  gr.restart_state = true;
-  gr.restart_time = 4095;  // the 12-bit maximum
-  gr.ipv4_unicast = true;
-  gr.forwarding_preserved = true;
-  open.graceful_restart = gr;
-
-  const wire::OpenMessage decoded = wire::decode_open(wire::encode_open(open));
-  ASSERT_TRUE(decoded.graceful_restart.has_value());
-  EXPECT_EQ(*decoded.graceful_restart, gr);
-  EXPECT_EQ(decoded.my_as, open.my_as);
-  EXPECT_EQ(decoded.hold_time, open.hold_time);
-}
-
-TEST(GracefulRestartWire, BareCapabilityRoundTrips) {
-  // No AFI/SAFI tuple: restart timing only (legal per RFC 4724 §3).
-  wire::OpenMessage open;
-  open.my_as = 1;
-  wire::GracefulRestartCapability gr;
-  gr.restart_time = 120;
-  gr.ipv4_unicast = false;
-  open.graceful_restart = gr;
-  const wire::OpenMessage decoded = wire::decode_open(wire::encode_open(open));
-  ASSERT_TRUE(decoded.graceful_restart.has_value());
-  EXPECT_EQ(*decoded.graceful_restart, gr);
-}
-
-TEST(GracefulRestartWire, OpenWithoutCapabilityDecodesNone) {
-  wire::OpenMessage open;
-  open.my_as = 1;
-  const wire::OpenMessage decoded = wire::decode_open(wire::encode_open(open));
-  EXPECT_FALSE(decoded.graceful_restart.has_value());
-}
-
-TEST(GracefulRestartWire, RestartTimeMustFitTwelveBits) {
-  wire::OpenMessage open;
-  open.my_as = 1;
-  wire::GracefulRestartCapability gr;
-  gr.restart_time = 4096;  // one past the field
-  open.graceful_restart = gr;
-  EXPECT_THROW(wire::encode_open(open), std::invalid_argument);
-}
-
 TEST(GracefulRestartWire, EndOfRibIsTheEmptyUpdate) {
-  const std::vector<std::uint8_t> bytes = wire::encode_end_of_rib();
+  const std::vector<std::uint8_t> bytes = wire::encode_sim_update(Update::end_of_rib());
   EXPECT_EQ(bytes.size(), 23u);  // header + two zero length fields (RFC 4724 §2)
   const wire::UpdateMessage decoded = wire::decode_update(bytes);
   EXPECT_TRUE(decoded.withdrawn.empty());

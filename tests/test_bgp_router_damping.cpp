@@ -3,7 +3,6 @@
 
 #include "moas/bgp/network.h"
 #include "moas/bgp/router.h"
-#include "moas/measure/snapshot.h"
 
 namespace moas::bgp {
 namespace {
@@ -104,29 +103,6 @@ TEST(RouterDamping, AlternatePathSurvivesDamping) {
   const RibEntry* best = network.router(4).best(pfx("10.0.0.0/8"));
   ASSERT_NE(best, nullptr);
   EXPECT_EQ(best->route.origin_as(), std::optional<Asn>(1u));
-}
-
-TEST(Snapshot, CapturesOriginsAcrossVantages) {
-  Network network;
-  for (Asn asn : {1u, 2u, 3u, 4u}) network.add_router(asn);
-  network.connect(1, 2);
-  network.connect(2, 4);
-  network.connect(4, 3);
-  network.router(1).originate(pfx("10.0.0.0/8"));
-  network.router(3).originate(pfx("10.0.0.0/8"));  // a second origin
-  network.run_to_quiescence();
-
-  const auto dump = measure::snapshot_network(network, {2, 4}, 5);
-  EXPECT_EQ(dump.day, 5);
-  ASSERT_TRUE(dump.origins.contains(pfx("10.0.0.0/8")));
-  // Vantage 2 sees origin 1, vantage 4 sees origin 3: the dump records a
-  // MOAS case exactly as RouteViews would.
-  EXPECT_EQ(dump.origins.at(pfx("10.0.0.0/8")), (AsnSet{1, 3}));
-}
-
-TEST(Snapshot, RequiresVantages) {
-  Network network;
-  EXPECT_THROW(measure::snapshot_network(network, {}, 0), std::invalid_argument);
 }
 
 }  // namespace

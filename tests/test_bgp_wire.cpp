@@ -15,14 +15,26 @@ PathAttributes attrs_for(std::vector<Asn> path) {
   return attrs;
 }
 
+/// Wrap a hand-built UPDATE body in the 19-octet header.
+std::vector<std::uint8_t> frame_update(const std::vector<std::uint8_t>& body) {
+  std::vector<std::uint8_t> bytes(16, 0xff);
+  const std::size_t total = kHeaderSize + body.size();
+  bytes.push_back(static_cast<std::uint8_t>(total >> 8));
+  bytes.push_back(static_cast<std::uint8_t>(total));
+  bytes.push_back(2);  // UPDATE
+  bytes.insert(bytes.end(), body.begin(), body.end());
+  return bytes;
+}
+
 TEST(Wire, HeaderShape) {
-  const auto bytes = encode_keepalive();
-  ASSERT_EQ(bytes.size(), kHeaderSize);
+  // The empty UPDATE: header plus two zero section lengths.
+  const auto bytes = encode_update(UpdateMessage{});
+  ASSERT_EQ(bytes.size(), kHeaderSize + 4);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(bytes[static_cast<std::size_t>(i)], 0xff);
   EXPECT_EQ(bytes[16], 0);
-  EXPECT_EQ(bytes[17], kHeaderSize);
-  EXPECT_EQ(bytes[18], 4);  // KEEPALIVE
-  EXPECT_EQ(message_type(bytes), MessageType::Keepalive);
+  EXPECT_EQ(bytes[17], kHeaderSize + 4);
+  EXPECT_EQ(bytes[18], 2);  // UPDATE
+  for (std::size_t i = kHeaderSize; i < bytes.size(); ++i) EXPECT_EQ(bytes[i], 0);
 }
 
 TEST(Wire, UpdateRoundTripAnnounce) {
@@ -87,19 +99,32 @@ TEST(Wire, PrefixPaddingBoundaries) {
   }
 }
 
-TEST(Wire, LocalPrefOnlyWhenRequested) {
+TEST(Wire, LocalPrefIsNotSent) {
   UpdateMessage msg;
   msg.attrs = attrs_for({7});
   msg.attrs->local_pref = 300;
   msg.nlri = {pfx("10.0.0.0/8")};
+  const UpdateMessage decoded = decode_update(encode_update(msg));
+  EXPECT_EQ(decoded.attrs->local_pref, 100u);  // default, not transmitted
+}
 
-  const UpdateMessage ebgp = decode_update(encode_update(msg));
-  EXPECT_EQ(ebgp.attrs->local_pref, 100u);  // default, not transmitted
-
-  EncodeOptions options;
-  options.include_local_pref = true;
-  const UpdateMessage ibgp = decode_update(encode_update(msg, options));
-  EXPECT_EQ(ibgp.attrs->local_pref, 300u);
+TEST(Wire, DecodesInboundLocalPref) {
+  // A peer may still send LOCAL_PREF (an IBGP-style speaker); the decoder
+  // keeps its value.
+  const auto bytes = frame_update({
+      0x00, 0x00,                                // no withdrawn routes
+      0x00, 0x19,                                // attr length = 25
+      0x40, 0x01, 0x01, 0x00,                    // ORIGIN = IGP
+      0x40, 0x02, 0x04, 0x02, 0x01, 0x00, 0x07,  // AS_PATH = SEQ(7)
+      0x40, 0x03, 0x04, 0x00, 0x00, 0x00, 0x00,  // NEXT_HOP = 0.0.0.0
+      0x40, 0x05, 0x04, 0x00, 0x00, 0x01, 0x2c,  // LOCAL_PREF = 300
+      0x08, 0x0a                                 // NLRI 10.0.0.0/8
+  });
+  const UpdateMessage decoded = decode_update(bytes);
+  ASSERT_TRUE(decoded.attrs.has_value());
+  EXPECT_EQ(decoded.attrs->local_pref, 300u);
+  EXPECT_EQ(decoded.attrs->path, AsPath({7}));
+  EXPECT_EQ(decoded.nlri, (std::vector<net::Prefix>{pfx("10.0.0.0/8")}));
 }
 
 TEST(Wire, WideAsnTravelsAsTransPlusAs4Path) {
@@ -122,27 +147,9 @@ TEST(Wire, WideAsnTravelsAsTransPlusAs4Path) {
   EXPECT_EQ(decoded.attrs->path, msg.attrs->path);
 }
 
-TEST(Wire, NegotiatedFourOctetPathIsNative) {
-  UpdateMessage msg;
-  msg.attrs = attrs_for({70'000, 1239});
-  msg.attrs->path.append_set({90'000, 91'000});
-  msg.nlri = {pfx("10.0.0.0/8")};
-  EncodeOptions options;
-  options.four_octet_as = true;
-  const auto bytes = encode_update(msg, options);
-  const UpdateMessage decoded = decode_update(bytes, /*four_octet_as=*/true);
-  ASSERT_TRUE(decoded.attrs.has_value());
-  EXPECT_EQ(decoded.attrs->path, msg.attrs->path);
-  // No AS4_PATH attribute on a negotiated session: scanning the stream for
-  // the attribute header (optional transitive, type 17) must find nothing.
-  for (std::size_t i = kHeaderSize; i + 1 < bytes.size(); ++i) {
-    EXPECT_FALSE(bytes[i] == 0xc0 && bytes[i + 1] == 17) << "AS4_PATH at offset " << i;
-  }
-}
-
 TEST(Wire, NarrowPathsCarryNoAs4Path) {
   // All-narrow byte streams must be identical to the pre-AS4 encoding: no
-  // AS4_PATH attribute, and the non-negotiated decode round-trips.
+  // AS4_PATH attribute, and the decode round-trips.
   UpdateMessage msg;
   msg.attrs = attrs_for({701, 1239, 4006});
   msg.nlri = {pfx("135.38.0.0/16")};
@@ -155,21 +162,16 @@ TEST(Wire, NarrowPathsCarryNoAs4Path) {
 
 TEST(Wire, LargeCommunitiesRoundTrip) {
   // RFC 8092: wide-ASN MOAS-list members ride large communities and must
-  // survive both the negotiated and the AS_TRANS encodings.
+  // survive the AS_TRANS encoding.
   UpdateMessage msg;
   msg.attrs = attrs_for({70'000, 4006});
   msg.attrs->large_communities.add(LargeCommunity(70'000, 0xff9a, 0));
   msg.attrs->large_communities.add(LargeCommunity(4'000'000'000, 7, 9));
   msg.nlri = {pfx("10.0.0.0/8")};
-  for (bool negotiated : {false, true}) {
-    EncodeOptions options;
-    options.four_octet_as = negotiated;
-    const auto bytes = encode_update(msg, options);
-    const UpdateMessage decoded = decode_update(bytes, negotiated);
-    ASSERT_TRUE(decoded.attrs.has_value());
-    EXPECT_EQ(decoded.attrs->large_communities, msg.attrs->large_communities);
-    EXPECT_EQ(decoded.attrs->path, msg.attrs->path);
-  }
+  const UpdateMessage decoded = decode_update(encode_update(msg));
+  ASSERT_TRUE(decoded.attrs.has_value());
+  EXPECT_EQ(decoded.attrs->large_communities, msg.attrs->large_communities);
+  EXPECT_EQ(decoded.attrs->path, msg.attrs->path);
 }
 
 TEST(Wire, RevisedDecodeDiscardsBrokenAs4Path) {
@@ -230,23 +232,21 @@ TEST(Wire, DecodeRejectsCorruptions) {
     truncated.resize(bytes.size() - 2);
     EXPECT_THROW(decode_update(truncated), WireError);
   }
-  EXPECT_THROW(decode_update(encode_keepalive()), WireError);  // wrong kind
+  {
+    auto bad = bytes;
+    bad[18] = 4;  // wrong kind: KEEPALIVE
+    EXPECT_THROW(decode_update(bad), WireError);
+  }
 }
 
 TEST(Wire, DecodeRejectsMissingMandatoryAttributes) {
   // Hand-build an UPDATE whose attribute section has ORIGIN only.
-  std::vector<std::uint8_t> body{
+  const auto bytes = frame_update({
       0x00, 0x00,              // no withdrawn routes
       0x00, 0x04,              // attr length = 4
       0x40, 0x01, 0x01, 0x00,  // ORIGIN = IGP
       0x08, 0x0a               // NLRI 10.0.0.0/8
-  };
-  std::vector<std::uint8_t> bytes(16, 0xff);
-  const std::size_t total = kHeaderSize + body.size();
-  bytes.push_back(static_cast<std::uint8_t>(total >> 8));
-  bytes.push_back(static_cast<std::uint8_t>(total));
-  bytes.push_back(2);  // UPDATE
-  bytes.insert(bytes.end(), body.begin(), body.end());
+  });
   EXPECT_THROW(decode_update(bytes), WireError);
 }
 
@@ -322,12 +322,12 @@ TEST(Wire, UnknownOptionalTransitiveRetainedWithPartialBit) {
 }
 
 TEST(Wire, WrongMessageTypeIsBadTypeAcrossAllDecoders) {
-  // Feeding any decoder the wrong message kind is the same protocol error
-  // everywhere: Message Header Error / Bad Message Type.
-  const auto keepalive = encode_keepalive();
-  OpenMessage open;
-  open.my_as = 7;
-  const auto open_bytes = encode_open(open);
+  // Feeding either UPDATE decoder another message kind (OPEN, NOTIFICATION,
+  // KEEPALIVE) or an undefined type is the same protocol error: Message
+  // Header Error / Bad Message Type.
+  UpdateMessage msg;
+  msg.attrs = attrs_for({7});
+  msg.nlri = {pfx("10.0.0.0/8")};
   const auto check = [](auto&& decode, std::span<const std::uint8_t> bytes) {
     try {
       decode(bytes);
@@ -337,24 +337,12 @@ TEST(Wire, WrongMessageTypeIsBadTypeAcrossAllDecoders) {
       EXPECT_EQ(e.subcode(), kHdrBadType);
     }
   };
-  check([](auto b) { (void)decode_update(b); }, keepalive);
-  check([](auto b) { (void)decode_open(b); }, keepalive);
-  check([](auto b) { (void)decode_notification(b); }, keepalive);
-  check([](auto b) { decode_keepalive(b); }, open_bytes);
-  check([](auto b) { (void)decode_update_revised(b); }, keepalive);
-}
-
-TEST(Wire, DecodeKeepalive) {
-  EXPECT_NO_THROW(decode_keepalive(encode_keepalive()));
-  auto bytes = encode_keepalive();
-  bytes.push_back(0x00);  // KEEPALIVE must be header-only
-  bytes[17] = static_cast<std::uint8_t>(bytes.size());
-  try {
-    decode_keepalive(bytes);
-    ADD_FAILURE() << "oversized KEEPALIVE must not decode";
-  } catch (const WireError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::MessageHeader);
-    EXPECT_EQ(e.subcode(), kHdrBadLength);
+  for (std::uint8_t type : {0, 1, 3, 4, 5}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    auto bytes = encode_update(msg);
+    bytes[18] = type;
+    check([](auto b) { (void)decode_update(b); }, bytes);
+    check([](auto b) { (void)decode_update_revised(b); }, bytes);
   }
 }
 
@@ -405,29 +393,6 @@ TEST(Wire, RevisedDecodeOfValidMessageIsClean) {
   EXPECT_EQ(deliverable.attrs->communities, msg.attrs->communities);
 }
 
-TEST(Wire, OpenRoundTrip) {
-  OpenMessage open;
-  open.my_as = 4006;
-  open.hold_time = 90;
-  open.bgp_identifier = 0x0a000001;
-  const OpenMessage decoded = decode_open(encode_open(open));
-  EXPECT_EQ(decoded.my_as, 4006);
-  EXPECT_EQ(decoded.hold_time, 90);
-  EXPECT_EQ(decoded.bgp_identifier, 0x0a000001u);
-  EXPECT_EQ(decoded.version, 4);
-}
-
-TEST(Wire, NotificationRoundTrip) {
-  NotificationMessage n;
-  n.code = 6;
-  n.subcode = 2;
-  n.data = {1, 2, 3};
-  const NotificationMessage decoded = decode_notification(encode_notification(n));
-  EXPECT_EQ(decoded.code, 6);
-  EXPECT_EQ(decoded.subcode, 2);
-  EXPECT_EQ(decoded.data, (std::vector<std::uint8_t>{1, 2, 3}));
-}
-
 TEST(Wire, SimUpdateConversions) {
   Route route;
   route.prefix = pfx("135.38.0.0/16");
@@ -445,27 +410,6 @@ TEST(Wire, SimUpdateConversions) {
   const auto wupdates = to_sim_updates(decode_update(wbytes));
   ASSERT_EQ(wupdates.size(), 1u);
   EXPECT_EQ(wupdates[0].kind, Update::Kind::Withdraw);
-}
-
-TEST(Wire, MoasListOverheadAccounting) {
-  // Section 4.3: the measured byte cost of attaching a MOAS list must
-  // match the analytic helper.
-  auto encoded_size = [](std::size_t n_origins) {
-    Route route;
-    route.prefix = pfx("135.38.0.0/16");
-    route.attrs.path = AsPath({40});
-    AsnSet origins;
-    for (std::size_t i = 0; i < n_origins; ++i) origins.insert(static_cast<Asn>(40 + i));
-    if (!origins.empty()) route.attrs.communities = core::encode_moas_list(origins);
-    return encode_sim_update(Update::announce(route)).size();
-  };
-  const std::size_t bare = encoded_size(0);
-  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5}}) {
-    EXPECT_EQ(encoded_size(n) - bare, moas_list_overhead_bytes(n, false)) << n;
-  }
-  // "about 99% of all MOAS cases involve 3 or fewer origin ASes", so the
-  // typical cost is 15 bytes or less.
-  EXPECT_LE(moas_list_overhead_bytes(3, false), 15u);
 }
 
 }  // namespace

@@ -1,19 +1,23 @@
-// Checkpoint/restore: framing integrity, bit-exact round-trips, and the
+// Checkpoint/restore: framing integrity, bit-exact round-trips, the
 // tentpole differential — crashing at ANY checkpoint boundary and restoring
 // yields byte-identical alarm logs and metrics versus an uninterrupted run,
-// at any --jobs value.
+// at any --jobs value — and a seeded mutate-and-re-checksum fuzzer for the
+// field parser behind the checksum.
 #include "moas/stream/checkpoint.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <utility>
 
 #include "moas/stream/detector.h"
 #include "moas/stream/feed.h"
 #include "moas/stream/replay.h"
+#include "moas/util/rng.h"
+#include "moas/util/strings.h"
 
 namespace moas::stream {
 namespace {
@@ -233,6 +237,172 @@ TEST(StreamCheckpoint, CrashAtAnyCheckpointBoundaryIsLossless) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Mutate and re-checksum. The checksum rejects accidental damage before any
+// field is parsed, so flipping bytes only ever exercises the framing. A file
+// that was edited and re-sealed (or written by a buggy writer) reaches the
+// field parser intact; restore must then either succeed or throw
+// std::invalid_argument — never allocate from an absurd count, never accept
+// an enum outside its range, never throw anything else.
+
+/// A real mid-run image: attacked and churned feed, alarms retained in the
+/// log, and days still buffered in the front-end.
+std::string fuzz_image() {
+  const auto trace = crash_trace();
+  const auto churn = plan_churn(trace, ChurnConfig{.seed = 5, .share = 0.3});
+  const auto plans = plan_attacks(trace, AttackConfig{.seed = 13, .attacks = 4}, churn);
+  std::vector<OriginOverride> overrides = churn;
+  for (const auto& p : plans) overrides.push_back(p.inject);
+  TraceReplaySource source(trace, overrides);
+  StreamConfig config = crash_config();
+  config.checkpoint_every_days = 7;
+  std::string image;
+  StreamDetector detector(config);
+  detector.run(source, [&](const StreamDetector& d, int) {
+    std::ostringstream os;
+    d.save_checkpoint(os);
+    const std::string text = os.str();
+    if (text.find("\nalarm ") != std::string::npos && text.find("\nbday ") != std::string::npos) {
+      image = text;
+    }
+  });
+  return image;
+}
+
+/// The payload lines between the version header and the checksum trailer.
+std::vector<std::string> payload_lines(const std::string& image) {
+  std::vector<std::string> lines = util::split(image, '\n');
+  EXPECT_EQ(lines.front(), kCheckpointHeader);
+  lines.erase(lines.begin());
+  while (!lines.empty() && lines.back().rfind("checksum ", 0) != 0) lines.pop_back();
+  lines.pop_back();
+  return lines;
+}
+
+std::string reseal(const std::vector<std::string>& lines) {
+  std::ostringstream os;
+  CheckpointWriter writer(os);
+  for (const auto& line : lines) writer.line(line);
+  writer.finish();
+  return os.str();
+}
+
+/// Restore `image`; returns an empty string when it succeeded or was
+/// rejected with std::invalid_argument, else what went wrong.
+std::string restore_outcome(const std::string& image) {
+  try {
+    std::istringstream is(image);
+    (void)StreamDetector::restore_checkpoint(is, crash_config());
+  } catch (const std::invalid_argument&) {
+  } catch (const std::exception& e) {
+    return std::string("unexpected exception: ") + e.what();
+  }
+  return {};
+}
+
+/// Overwrite token `index` of the first line tagged `tag` and re-seal.
+std::string with_token(const std::string& image, const std::string& tag, std::size_t index,
+                       const std::string& value) {
+  std::vector<std::string> lines = payload_lines(image);
+  for (auto& line : lines) {
+    std::vector<std::string> tokens = util::split(line, ' ');
+    if (tokens.front() != tag) continue;
+    EXPECT_LT(index, tokens.size());
+    tokens.at(index) = value;
+    line = util::join(tokens, " ");
+    return reseal(lines);
+  }
+  ADD_FAILURE() << "no '" << tag << "' line in the image";
+  return image;
+}
+
+TEST(CheckpointRestore, HugeBufferedCountIsRejected) {
+  // bday <day> <later> <n>: n updates follow. An n beyond the remaining
+  // lines must be rejected before anything is reserved for it.
+  const std::string image = fuzz_image();
+  ASSERT_FALSE(image.empty());
+  for (const char* n : {"1000000000", "4611686018427387904"}) {
+    std::istringstream is(with_token(image, "bday", 3, n));
+    EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument)
+        << n;
+  }
+}
+
+TEST(CheckpointRestore, OutOfRangeAlarmEnumsAreRejected) {
+  // alarm <at> <settled_at> <observer> <cause> <state> ...
+  const std::string image = fuzz_image();
+  ASSERT_FALSE(image.empty());
+  {
+    std::istringstream is(with_token(image, "alarm", 4, "7"));
+    EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument);
+  }
+  {
+    std::istringstream is(with_token(image, "alarm", 5, "9"));
+    EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument);
+  }
+}
+
+std::string mutate(const std::vector<std::string>& original, util::Rng& rng, std::string& what) {
+  std::vector<std::string> lines = original;
+  // Pick a record kind first, then a line of that kind: the image is mostly
+  // buffered-update and state lines, and the rare structural ones (counts,
+  // alarm log header) are where a bad value does the most damage.
+  std::map<std::string, std::vector<std::size_t>> by_tag;
+  for (std::size_t k = 0; k < lines.size(); ++k) {
+    by_tag[lines[k].substr(0, lines[k].find(' '))].push_back(k);
+  }
+  auto kind = by_tag.begin();
+  std::advance(kind, static_cast<std::ptrdiff_t>(rng.index(by_tag.size())));
+  const std::size_t at = kind->second[rng.index(kind->second.size())];
+  if (rng.chance(0.1)) {
+    // Truncation: a writer that died mid-structure, then sealed.
+    lines.resize(at);
+    what = "truncate to " + std::to_string(at) + " lines";
+    return reseal(lines);
+  }
+  std::vector<std::string> tokens = util::split(lines[at], ' ');
+  const std::size_t i = rng.index(tokens.size());
+  std::string& token = tokens[i];
+  static const char* const kCounts[] = {"0", "1", "2", "3", "4", "9", "255", "65536",
+                                        "4294967296", "1000000000", "4611686018427387904",
+                                        "18446744073709551615"};
+  switch (rng.index(4)) {
+    case 0:  // one digit
+      token[rng.index(token.size())] = static_cast<char>('0' + rng.index(10));
+      break;
+    case 1:  // a count, small or absurd
+      token = kCounts[rng.index(std::size(kCounts))];
+      break;
+    case 2:  // an enum value just past or far past its range
+      token = std::to_string(rng.index(16));
+      break;
+    default:  // drop the rest of the line
+      tokens.resize(i);
+      break;
+  }
+  lines[at] = util::join(tokens, " ");
+  what = "line " + std::to_string(at) + " -> '" + lines[at] + "'";
+  return reseal(lines);
+}
+
+class CheckpointFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CheckpointFuzz, ResealedMutationsRestoreOrReject) {
+  static const std::string image = fuzz_image();
+  ASSERT_FALSE(image.empty());
+  const std::vector<std::string> lines = payload_lines(image);
+  ASSERT_EQ(reseal(lines), image);  // re-sealing an untouched image is the identity
+  util::Rng rng(GetParam());
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string what;
+    const std::string mutated = mutate(lines, rng, what);
+    const std::string outcome = restore_outcome(mutated);
+    ASSERT_EQ(outcome, "") << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzz, ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace moas::stream

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <set>
 
-#include "moas/topo/io.h"
+#include "moas/topo/route_views.h"
 
 namespace moas::topo {
 namespace {
@@ -125,38 +125,17 @@ TEST(AsGraph, InducedSubgraphKeepsAnnotations) {
   EXPECT_TRUE(sub.is_stub(3));
 }
 
-TEST(AsGraphIo, SaveLoadRoundTrip) {
-  const AsGraph g = triangle();
-  std::stringstream buffer;
-  save_graph(g, buffer);
-  const AsGraph loaded = load_graph(buffer);
-  EXPECT_EQ(loaded.node_count(), g.node_count());
-  EXPECT_EQ(loaded.edge_count(), g.edge_count());
-  EXPECT_EQ(loaded.kind(3), AsKind::Stub);
-  EXPECT_EQ(loaded.relationship(2, 3), bgp::Relationship::Customer);
-  EXPECT_EQ(loaded.relationship(1, 2), bgp::Relationship::Peer);
-}
-
-TEST(AsGraphIo, IgnoresCommentsAndBlankLines) {
-  std::stringstream buffer("# comment\n\nnode 1 stub\nnode 2 transit\nedge 1 2 peer\n");
-  const AsGraph g = load_graph(buffer);
-  EXPECT_EQ(g.node_count(), 2u);
-  EXPECT_TRUE(g.has_edge(1, 2));
-}
-
-TEST(AsGraphIo, RejectsMalformedRecords) {
-  {
-    std::stringstream buffer("node 1 bogus\n");
-    EXPECT_THROW(load_graph(buffer), std::invalid_argument);
+TEST(RouteViews, PrefixForAsnIsInjective) {
+  // One /20 per ASN inside 10.0.0.0/8: 4,096 distinct prefixes, after which
+  // the assignment wraps.
+  std::set<net::Prefix> seen;
+  for (bgp::Asn asn = 0; asn < 4096; ++asn) {
+    const net::Prefix prefix = prefix_for_asn(asn);
+    EXPECT_EQ(prefix.length(), 20u);
+    EXPECT_TRUE(net::Prefix::parse("10.0.0.0/8")->contains(prefix));
+    EXPECT_TRUE(seen.insert(prefix).second) << asn;
   }
-  {
-    std::stringstream buffer("frobnicate 1 2\n");
-    EXPECT_THROW(load_graph(buffer), std::invalid_argument);
-  }
-  {
-    std::stringstream buffer("edge 1 2 peer\n");  // endpoints undeclared
-    EXPECT_THROW(load_graph(buffer), std::invalid_argument);
-  }
+  EXPECT_EQ(prefix_for_asn(4006), prefix_for_asn(4006 + 4096));
 }
 
 }  // namespace
