@@ -8,6 +8,12 @@
 //     digest of its converged Loc-RIBs; each point prints its SweepPoint
 //     summary at %.17g plus its merged metrics manifest.
 //   - run_multi_prefix on 630 ASes × 16 prefixes under Full and Partial.
+//   - The default-calibrated Section 3 trace through MoasObserver: every
+//     TraceSummary field, the Fig 4 daily counts and the Fig 5 duration
+//     histogram.
+//   - A 60-day stream replay with churn, planned attacks and a FaultyFeed:
+//     the alarm log, the metrics manifest, the false-alarm count and every
+//     AttackOutcome.
 // The determinism and event-vs-wave tests compare the program with
 // itself; these files pin it against recorded numbers, so a shift in draw
 // order, a tie-break, an interning detail or alarm classification fails
@@ -17,6 +23,7 @@
 // MOAS_GOLDEN_UPDATE=1), so every drift lands as a reviewed diff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -28,6 +35,11 @@
 
 #include "moas/core/experiment.h"
 #include "moas/core/multi_prefix.h"
+#include "moas/measure/observer.h"
+#include "moas/measure/trace_gen.h"
+#include "moas/stream/detector.h"
+#include "moas/stream/feed.h"
+#include "moas/stream/replay.h"
 #include "moas/topo/gen_internet.h"
 #include "moas/topo/sampler.h"
 #include "moas/util/thread_pool.h"
@@ -300,6 +312,115 @@ TEST(GoldenMultiPrefix, FullDeploymentMatchesExpected) { check_multi_prefix(Depl
 
 TEST(GoldenMultiPrefix, PartialDeploymentMatchesExpected) {
   check_multi_prefix(Deployment::Partial);
+}
+
+TEST(GoldenTrace, MatchesExpected) {
+  // The trace sec3_moas_stats, fig4_moas_timeseries and
+  // fig5_duration_histogram measure.
+  util::Rng rng(1997);
+  const measure::SyntheticTrace trace = measure::generate_trace(measure::TraceConfig{}, rng);
+  measure::MoasObserver observer;
+  observer.ingest_all(trace);
+  const measure::TraceSummary s = observer.summarize();
+  std::ostringstream os;
+  os << "summary total_cases=" << s.total_cases << " one_day_cases=" << s.one_day_cases
+     << " one_day_fraction=" << num(s.one_day_fraction)
+     << " one_day_spike_share=" << num(s.one_day_spike_share)
+     << " spike_day=" << s.spike_day << '\n'
+     << "  two_origin_fraction=" << num(s.two_origin_fraction)
+     << " three_origin_fraction=" << num(s.three_origin_fraction) << '\n'
+     << "  max_daily_count=" << s.max_daily_count
+     << " max_daily_count_day=" << s.max_daily_count_day
+     << " median_daily_1998=" << num(s.median_daily_1998)
+     << " median_daily_2001=" << num(s.median_daily_2001) << '\n';
+  const std::vector<std::size_t>& daily = observer.daily_counts();
+  os << "daily_counts days=" << daily.size() << '\n';
+  for (std::size_t day = 0; day < daily.size(); ++day) {
+    os << "  " << day << ' ' << daily[day] << '\n';
+  }
+  const util::Histogram durations = observer.duration_histogram();
+  os << "duration_histogram total=" << durations.total() << '\n';
+  for (const auto& [days, cases] : durations.bins()) {
+    os << "  " << days << ' ' << cases << '\n';
+  }
+  check_golden("trace_sec3", os.str());
+}
+
+TEST(GoldenStream, MatchesExpected) {
+  // The faulted scenario of stream_replay --smoke, on one worker.
+  measure::TraceConfig trace_config;
+  trace_config.days = 60;
+  trace_config.active_start = 40;
+  trace_config.active_end = 50;
+  trace_config.faults_per_day = 5.0;
+  trace_config.include_spike_1998 = false;
+  trace_config.include_spike_2001 = false;
+  util::Rng rng(trace_config.days);
+  const measure::SyntheticTrace trace = measure::generate_trace(trace_config, rng);
+
+  stream::ChurnConfig churn_config;
+  churn_config.seed = 11;
+  churn_config.share = 0.1;
+  churn_config.min_active_days = 30;
+  const std::vector<stream::OriginOverride> churn = stream::plan_churn(trace, churn_config);
+  stream::AttackConfig attack_config;
+  attack_config.seed = 13;
+  attack_config.attacks = 4;
+  const std::vector<stream::AttackPlan> plans =
+      stream::plan_attacks(trace, attack_config, churn);
+  std::vector<stream::OriginOverride> overrides = churn;
+  for (const stream::AttackPlan& p : plans) overrides.push_back(p.inject);
+
+  chaos::FeedFaultConfig fault_config;
+  fault_config.seed = 97;
+  fault_config.horizon_days = trace.days;
+  fault_config.gaps = 2.0;
+  fault_config.gap_mean_days = 2.0;
+  fault_config.duplicate_prob = 0.01;
+  fault_config.reorder_prob = 0.02;
+  fault_config.reorder_max_skew = 8;
+  fault_config.garble_prob = 0.005;
+  const chaos::FeedFaultSchedule faults = chaos::compile_feed_faults(fault_config);
+
+  stream::StreamConfig config;
+  config.shards = 8;
+  config.jobs = 1;
+  config.flush_margin = 16;
+  config.shard.alarm_retention = 512;
+  config.shard.memory_budget_bytes = 128 * 1024;
+  config.shard.evict_idle_days = 30;
+
+  stream::TraceReplaySource source(trace, overrides);
+  stream::FaultyFeed feed(source, faults);
+  stream::StreamDetector detector(config);
+  detector.run(feed);
+
+  // A false alarm is one no planned attack explains: the churn stressor.
+  const std::vector<core::MoasAlarm> alarms = detector.merged_alarms();
+  std::size_t false_alarms = 0;
+  for (const core::MoasAlarm& alarm : alarms) {
+    const bool attack = std::any_of(plans.begin(), plans.end(), [&](const auto& p) {
+      return p.inject.prefix == alarm.prefix &&
+             alarm.offending_origins.contains(p.inject.add_origin);
+    });
+    if (!attack) ++false_alarms;
+  }
+  std::ostringstream os;
+  os << "alarm_log\n" << detector.alarm_log_text() << "metrics\n"
+     << detector.metrics().to_json() << '\n'
+     << "alarms=" << alarms.size() << " false_alarms=" << false_alarms << '\n';
+  for (const stream::AttackOutcome& o : stream::evaluate_attacks(plans, alarms, &faults)) {
+    const stream::OriginOverride& inject = o.plan.inject;
+    os << "attack prefix=" << inject.prefix.to_string() << " add_origin=" << inject.add_origin
+       << " days=" << inject.first_day << ".." << inject.last_day
+       << " injected_at=" << num(o.plan.injected_at) << '\n'
+       << "  observable=" << o.observable << " alarmed=" << o.alarmed
+       << " first_alarm_at=" << num(o.first_alarm_at)
+       << " latency_days=" << num(o.latency_days)
+       << " final_state=" << core::to_string(o.final_state)
+       << " all_settled=" << o.all_settled << '\n';
+  }
+  check_golden("stream_faulted", os.str());
 }
 
 }  // namespace
