@@ -142,36 +142,12 @@ void write_run_traces(std::ostream& out, const std::vector<core::RunResult>& res
   }
 }
 
-void write_metrics_manifest(
-    const std::string& path, const std::string& bench,
-    const std::vector<std::pair<std::string, const obs::MetricsRegistry*>>& rows) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"" << bench << "\",\n  \"rows\": {\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    MOAS_REQUIRE(rows[i].second != nullptr, "manifest row needs a registry");
-    out << "    \"" << rows[i].first << "\": " << rows[i].second->to_json()
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  }\n}\n";
-  out.close();
-  std::cout << "wrote metrics manifest " << path << "\n";
-}
-
-std::vector<core::SweepPoint> run_curve(const topo::AsGraph& graph,
-                                        const core::ExperimentConfig& config,
-                                        std::uint64_t seed, std::size_t attacker_sets,
-                                        std::size_t jobs) {
-  core::Experiment experiment(graph, config);
-  util::Rng rng(seed);
-  return experiment.sweep(paper_attacker_fractions(), kOriginSets, attacker_sets, rng, jobs);
-}
-
 std::vector<Curve> run_curves(const std::vector<CurveSpec>& specs, std::size_t jobs,
                               const TraceOptions& trace) {
   // Plan every curve serially (each from its own seed), then interleave
   // ALL runs through one pool: the slow tail of one curve overlaps the
   // next curve's head. Reduction stays per-curve in plan order, so each
-  // curve is exactly what run_curve() would have produced.
+  // curve is exactly what its own Experiment::sweep would have produced.
   std::vector<core::Experiment> experiments;
   experiments.reserve(specs.size());
   std::vector<core::SweepPlan> plans;

@@ -59,25 +59,9 @@ TraceOptions bench_trace(int argc, char** argv);
 /// results are given (plan order for execute_plan output).
 void write_run_traces(std::ostream& out, const std::vector<core::RunResult>& results);
 
-/// Write labeled registry snapshots as one JSON metrics manifest:
-/// {"bench": <name>, "rows": {<label>: <registry>, ...}}. Keys are sorted
-/// inside each registry, so equal inputs give byte-equal manifests.
-void write_metrics_manifest(const std::string& path, const std::string& bench,
-                            const std::vector<std::pair<std::string, const obs::MetricsRegistry*>>& rows);
-
 /// The paper's per-point run budget: 3 origin sets x 5 attacker sets.
 inline constexpr std::size_t kOriginSets = 3;
 inline constexpr std::size_t kAttackerSets = 5;
-
-/// Run one curve: a sweep over paper_attacker_fractions(). The paper uses
-/// 3 origin sets x 5 attacker sets = 15 runs per point; figure benches pass
-/// `attacker_sets` = 10 (30 runs) for tighter error bars. `jobs` workers
-/// execute the runs; the curve is bit-identical for any job count.
-std::vector<core::SweepPoint> run_curve(const topo::AsGraph& graph,
-                                        const core::ExperimentConfig& config,
-                                        std::uint64_t seed,
-                                        std::size_t attacker_sets = kAttackerSets,
-                                        std::size_t jobs = 1);
 
 /// Label -> curve, printed as one table with a column per curve (mirrors
 /// the multi-series figures).
@@ -98,8 +82,11 @@ struct CurveSpec {
 
 /// Run several curves' planned runs through ONE worker pool, so the tail
 /// of one curve overlaps the head of the next instead of each curve
-/// draining its own pool. Each curve's points are identical to running
-/// run_curve() with the same seed, for any job count. When `trace` is
+/// draining its own pool. Each curve's points are identical to a lone
+/// Experiment::sweep over paper_attacker_fractions() with the same seed, for
+/// any job count. The paper uses 3 origin sets x 5 attacker sets = 15 runs
+/// per point; figure benches pass `attacker_sets` = 10 (30 runs) for
+/// tighter error bars. When `trace` is
 /// enabled, every run records events at (at least) trace.level and the
 /// streams are dumped to trace.path curve-major in plan order.
 std::vector<Curve> run_curves(const std::vector<CurveSpec>& specs, std::size_t jobs,

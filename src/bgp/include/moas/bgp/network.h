@@ -1,11 +1,11 @@
 // A network of BGP routers coupled through the discrete-event engine.
 //
-// The Network owns one Router per AS, delivers updates over links with
-// configurable delay (plus seeded jitter so message races are explored), and
-// runs the whole system to quiescence. Fault injection happens here: links
-// fail and recover, sessions reset, routers crash and cold-restart, and a
-// message tap (chaos::ChaosEngine) may drop, duplicate, delay or corrupt
-// every update handed to the transport.
+// The Network owns one Router per AS, delivers updates over links with a
+// fixed delay (plus seeded jitter so message races are explored), and runs
+// the whole system to quiescence. Fault injection happens here: links fail
+// and recover, sessions reset, routers crash and cold-restart, and a
+// message tap (chaos::ChaosEngine) may drop, delay or corrupt every update
+// handed to the transport.
 #pragma once
 
 #include <cstdint>
@@ -29,15 +29,11 @@ namespace moas::bgp {
 
 class Network {
  public:
+  /// Base one-way propagation + processing delay per link (seconds).
+  static constexpr double kLinkDelay = 0.05;
+
   struct Config {
     PolicyMode mode = PolicyMode::ShortestPath;
-    /// Base one-way propagation + processing delay per link (seconds).
-    double link_delay = 0.05;
-    /// Uniform extra delay in [0, jitter) added per message.
-    double jitter = 0.02;
-    /// How long a torn-down session takes to re-establish (reset_session
-    /// and tap-triggered resets).
-    double session_reestablish_delay = 1.0;
     /// RFC 4724 graceful restart, negotiated network-wide: router crashes
     /// leave peers' learned routes in use (marked stale) for up to
     /// `gr_restart_time` seconds, and session establishment ends with an
@@ -57,14 +53,14 @@ class Network {
   /// Verdict a message tap returns for one in-flight update.
   struct TapVerdict {
     enum class Action {
-      Deliver,       // pass through (possibly rewritten / duplicated)
+      Deliver,       // pass through (possibly rewritten)
       Drop,          // lose the message silently
       ResetSession,  // receiver detects garbage: NOTIFICATION + session reset
     };
     Action action = Action::Deliver;
     /// When Action::Deliver: what actually goes on the wire. Empty means
-    /// "the original update, unchanged"; several entries model duplication
-    /// or a corrupted message that decoded into different routes.
+    /// "the original update, unchanged"; otherwise the updates a damaged
+    /// message decoded into.
     std::vector<Update> deliveries;
     /// Extra latency for this message only.
     double extra_delay = 0.0;
@@ -118,12 +114,12 @@ class Network {
   void set_link_up(Asn a, Asn b, bool up);
   bool link_up(Asn a, Asn b) const;
 
-  /// Tear the session between a and b down now and re-establish it after
-  /// `reestablish_delay` (<= 0 uses the configured default). Both routers
-  /// flush and later replay their tables — the BGP session-reset fault.
-  /// No-op if the link is already down; the re-establishment yields to any
-  /// longer-lived link failure injected in the meantime.
-  void reset_session(Asn a, Asn b, double reestablish_delay = 0.0);
+  /// Tear the session between a and b down now and re-establish it a fixed
+  /// delay later. Both routers flush and later replay their tables — the
+  /// BGP session-reset fault. No-op if the link is already down; the
+  /// re-establishment yields to any longer-lived link failure injected in
+  /// the meantime.
+  void reset_session(Asn a, Asn b);
 
   /// Crash `asn`: every session to it drops and the router loses all
   /// protocol state (local originations survive as configuration).

@@ -8,13 +8,21 @@
 
 namespace moas::bgp {
 
+namespace {
+
+/// Uniform extra delay in [0, kJitter) added per message, so message races
+/// are explored.
+constexpr double kJitter = 0.02;
+
+/// How long a torn-down session takes to re-establish (reset_session and
+/// tap-triggered resets).
+constexpr double kSessionReestablishDelay = 1.0;
+
+}  // namespace
+
 Network::Network() : Network(Config()) {}
 
 Network::Network(Config config) : config_(config), rng_(config.seed) {
-  MOAS_REQUIRE(config_.link_delay >= 0.0, "link delay must be non-negative");
-  MOAS_REQUIRE(config_.jitter >= 0.0, "jitter must be non-negative");
-  MOAS_REQUIRE(config_.session_reestablish_delay > 0.0,
-               "session re-establishment delay must be positive");
   MOAS_REQUIRE(!config_.graceful_restart || config_.gr_restart_time > 0.0,
                "graceful restart needs a positive restart time");
 }
@@ -118,7 +126,7 @@ bool Network::link_up(Asn a, Asn b) const {
   return !failed_links_.contains(std::minmax(a, b));
 }
 
-void Network::reset_session(Asn a, Asn b, double reestablish_delay) {
+void Network::reset_session(Asn a, Asn b) {
   MOAS_REQUIRE(router(a).has_peer(b), "no such peering");
   // std::minmax returns a pair of references into the parameters; the
   // re-establish lambda below outlives this frame, so the key must be a
@@ -126,12 +134,11 @@ void Network::reset_session(Asn a, Asn b, double reestablish_delay) {
   // a garbage epoch lookup, leaving the session down forever).
   const std::pair<Asn, Asn> key = std::minmax(a, b);
   if (failed_links_.contains(key)) return;  // already down; nothing to reset
-  if (reestablish_delay <= 0.0) reestablish_delay = config_.session_reestablish_delay;
   set_link_up(a, b, false);
   // Only restore if no *newer* failure hit the link while we were waiting:
   // a longer-lived link flap injected after this reset owns the recovery.
   const std::uint64_t epoch = link_down_epoch_[key];
-  clock_.schedule_after(reestablish_delay, [this, key, epoch] {
+  clock_.schedule_after(kSessionReestablishDelay, [this, key, epoch] {
     if (link_down_epoch_[key] != epoch) return;
     set_link_up(key.first, key.second, true);
   });
@@ -214,8 +221,7 @@ void Network::deliver(Asn from, Asn to, Update update) {
 
 void Network::schedule_delivery(Asn from, Asn to, Update update, double extra_delay,
                                 bool allow_reorder) {
-  const double delay = config_.link_delay + extra_delay +
-                       (config_.jitter > 0.0 ? rng_.uniform01() * config_.jitter : 0.0);
+  const double delay = kLinkDelay + extra_delay + rng_.uniform01() * kJitter;
   // FIFO per directed link: a BGP session is a TCP stream, so a later
   // update must never overtake an earlier one (an overtaken stale
   // announcement would act as a bogus implicit withdraw at the receiver).

@@ -5,7 +5,6 @@
 #include "moas/obs/metrics.h"
 #include "moas/obs/trace.h"
 #include "moas/util/assert.h"
-#include "moas/util/log.h"
 
 namespace moas::bgp {
 

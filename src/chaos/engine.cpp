@@ -26,6 +26,12 @@ bool same_update(const Update& a, const Update& b) {
   return a.kind == b.kind && a.prefix == b.prefix && a.route == b.route;
 }
 
+/// A reordered message is held back by uniform [0, kReorderJitter) seconds.
+constexpr sim::Time kReorderJitter = 0.5;
+
+/// A scheduled attribute corruption flips 1..kMaxCorruptFlips bits.
+constexpr int kMaxCorruptFlips = 3;
+
 }  // namespace
 
 ChaosEngine::ChaosEngine(bgp::Network& network, FaultSchedule schedule)
@@ -107,11 +113,7 @@ void ChaosEngine::collect_metrics(obs::MetricsRegistry& registry) const {
   registry.count("chaos.restarts", stats_.restarts);
   registry.count("chaos.msgs_seen", stats_.msgs_seen);
   registry.count("chaos.msgs_dropped", stats_.msgs_dropped);
-  registry.count("chaos.msgs_duplicated", stats_.msgs_duplicated);
   registry.count("chaos.msgs_reordered", stats_.msgs_reordered);
-  registry.count("chaos.corruptions_detected", stats_.corruptions_detected);
-  registry.count("chaos.corruptions_undetected", stats_.corruptions_undetected);
-  registry.count("chaos.corruptions_harmless", stats_.corruptions_harmless);
   registry.count("chaos.attr_corruptions_applied", stats_.attr_corruptions_applied);
   registry.count("chaos.corrupt_session_resets", stats_.corrupt_session_resets);
   registry.count("chaos.treat_as_withdraws", stats_.treat_as_withdraws);
@@ -195,76 +197,6 @@ bgp::Network::TapVerdict ChaosEngine::tap(Asn from, Asn to, const Update& update
     return verdict;
   }
 
-  bool corrupted = false;
-  if (cfg.msg_corrupt > 0.0 && tap_rng_.chance(cfg.msg_corrupt)) {
-    // Damage the real RFC 4271 encoding and let the receiver's decoder
-    // judge it, exactly as a corrupted TCP payload would be handled.
-    std::vector<std::uint8_t> bytes;
-    bool encodable = true;
-    try {
-      bytes = bgp::wire::encode_sim_update(update);
-    } catch (const std::invalid_argument&) {
-      encodable = false;  // e.g. 4-octet ASN topology; skip corruption
-    }
-    if (encodable) {
-      corrupted = true;
-      if (tap_rng_.chance(0.5) && bytes.size() > 1) {
-        bytes.resize(tap_rng_.uniform(1, bytes.size() - 1));  // truncate
-      } else {
-        const int flips = 1 + static_cast<int>(tap_rng_.uniform(
-                                  0, cfg.max_corrupt_flips > 0 ? cfg.max_corrupt_flips - 1 : 0));
-        for (int i = 0; i < flips; ++i) {
-          const std::size_t bit = tap_rng_.uniform(0, bytes.size() * 8 - 1);
-          bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-        }
-      }
-      try {
-        const bgp::wire::UpdateMessage decoded = bgp::wire::decode_update(bytes);
-        std::vector<Update> updates = bgp::wire::to_sim_updates(decoded);
-        if (updates.size() == 1 && same_update(updates.front(), update)) {
-          ++stats_.corruptions_harmless;  // damage hit padding-equivalent bits
-        } else if (updates.size() == 1 &&
-                   updates.front().kind == Update::Kind::EndOfRib &&
-                   update.kind != Update::Kind::EndOfRib) {
-          // Decoded to an empty UPDATE (the End-of-RIB wire form): the
-          // content is gone, same as a drop. Delivering it would forge a
-          // graceful-restart End-of-RIB the sender never emitted.
-          ++stats_.corruptions_undetected;
-          dirty_.insert({from, to});
-          log_.push_back(msg_log_line(now, "msg-corrupt-empty", from, to));
-          trace_fault("msg-corrupt-empty", from, to);
-          verdict.action = Verdict::Action::Drop;
-          return verdict;
-        } else {
-          // The checksum-free nightmare: valid wire form, different routes.
-          ++stats_.corruptions_undetected;
-          dirty_.insert({from, to});
-          log_.push_back(msg_log_line(now, "msg-corrupt-undetected", from, to));
-          trace_fault("msg-corrupt-undetected", from, to);
-          verdict.deliveries = std::move(updates);
-        }
-      } catch (const bgp::wire::WireError&) {
-        // Receiver sends a NOTIFICATION and resets the session; the flush +
-        // replay restores consistency, so the link is not dirty.
-        ++stats_.corruptions_detected;
-        clean_direction_pair(from, to);
-        log_.push_back(msg_log_line(now, "msg-corrupt-reset", from, to));
-        trace_fault("msg-corrupt-reset", from, to);
-        verdict.action = Verdict::Action::ResetSession;
-        return verdict;
-      }
-    }
-  }
-
-  if (!corrupted && cfg.msg_duplicate > 0.0 && tap_rng_.chance(cfg.msg_duplicate)) {
-    // Duplicate delivery is idempotent at the receiver (same route replaces
-    // itself), so no dirt.
-    ++stats_.msgs_duplicated;
-    log_.push_back(msg_log_line(now, "msg-duplicate", from, to));
-    trace_fault("msg-duplicate", from, to);
-    verdict.deliveries = {update, update};
-  }
-
   if (cfg.msg_reorder > 0.0 && tap_rng_.chance(cfg.msg_reorder)) {
     // Let this message fall behind later traffic: an overtaken stale
     // announcement can clobber a newer one, so the direction is dirty.
@@ -272,7 +204,7 @@ bgp::Network::TapVerdict ChaosEngine::tap(Asn from, Asn to, const Update& update
     dirty_.insert({from, to});
     log_.push_back(msg_log_line(now, "msg-reorder", from, to));
     trace_fault("msg-reorder", from, to);
-    verdict.extra_delay = tap_rng_.uniform01() * cfg.reorder_jitter;
+    verdict.extra_delay = tap_rng_.uniform01() * kReorderJitter;
     verdict.allow_reorder = true;
   }
 
@@ -282,7 +214,6 @@ bgp::Network::TapVerdict ChaosEngine::tap(Asn from, Asn to, const Update& update
 bgp::Network::TapVerdict ChaosEngine::apply_attr_corruption(Asn from, Asn to,
                                                             const Update& update) {
   using Verdict = bgp::Network::TapVerdict;
-  const ScheduleConfig& cfg = schedule_.config;
   Verdict verdict;
 
   std::vector<std::uint8_t> original;
@@ -311,8 +242,7 @@ bgp::Network::TapVerdict ChaosEngine::apply_attr_corruption(Asn from, Asn to,
   bool rejected = false;
   for (int attempt = 0; attempt < 32 && !rejected; ++attempt) {
     bytes = original;
-    const int max_flips = cfg.max_corrupt_flips > 0 ? cfg.max_corrupt_flips : 1;
-    const int flips = 1 + static_cast<int>(tap_rng_.uniform(0, max_flips - 1));
+    const int flips = 1 + static_cast<int>(tap_rng_.uniform(0, kMaxCorruptFlips - 1));
     for (int i = 0; i < flips; ++i) {
       const std::size_t bit =
           tap_rng_.uniform(attrs_begin * 8, (attrs_begin + attrs_len) * 8 - 1);
@@ -369,7 +299,7 @@ bgp::Network::TapVerdict ChaosEngine::apply_attr_corruption(Asn from, Asn to,
     // error-withdraw to land plus one for the REFRESH to travel back; the
     // re-announcement then crosses the tap like any other message.
     {
-      const double rtt = 2.0 * network_.config().link_delay;
+      const double rtt = 2.0 * bgp::Network::kLinkDelay;
       const bgp::Asn sender = from;
       const bgp::Asn receiver = to;
       const net::Prefix prefix = update.prefix;

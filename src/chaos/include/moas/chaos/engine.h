@@ -48,16 +48,7 @@ class ChaosEngine {
     std::uint64_t restarts = 0;
     std::uint64_t msgs_seen = 0;
     std::uint64_t msgs_dropped = 0;
-    std::uint64_t msgs_duplicated = 0;
     std::uint64_t msgs_reordered = 0;
-    /// Corruptions the receiver's wire decoder rejected (NOTIFICATION +
-    /// session reset — the fault was detected and contained).
-    std::uint64_t corruptions_detected = 0;
-    /// Corruptions that decoded into *different* routes — the dangerous
-    /// case; the touched link is marked dirty for the invariant checker.
-    std::uint64_t corruptions_undetected = 0;
-    /// Damaged bytes that still decoded to the original message.
-    std::uint64_t corruptions_harmless = 0;
     // Scheduled AttrCorrupt events (directed, attribute-section-only damage).
     /// Corruption events that found an announcement to damage. The fate of
     /// each splits by the network's error-handling mode:
@@ -93,11 +84,6 @@ class ChaosEngine {
   std::size_t apply_batch(std::size_t max_events);
   bool exhausted() const { return next_event_ >= schedule_.events.size(); }
 
-  /// Install / remove the message tap independently of arm() (batch-mode
-  /// tests that want message faults call install_tap themselves).
-  void install_tap();
-  void remove_tap();
-
   const FaultSchedule& schedule() const { return schedule_; }
   const Stats& stats() const { return stats_; }
 
@@ -128,6 +114,8 @@ class ChaosEngine {
   }
 
  private:
+  void install_tap();
+  void remove_tap();
   void apply(const FaultEvent& event);
   bgp::Network::TapVerdict tap(bgp::Asn from, bgp::Asn to, const bgp::Update& update);
   bgp::Network::TapVerdict apply_attr_corruption(bgp::Asn from, bgp::Asn to,

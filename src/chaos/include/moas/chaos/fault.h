@@ -2,9 +2,9 @@
 //
 // A fault schedule is a flat, time-sorted list of these events, compiled
 // ahead of a run from a seed (see schedule.h) and replayed through the
-// simulation clock by the ChaosEngine. Message-level faults (drop,
-// duplicate, reorder, corrupt) are not discrete events — they are sampled
-// per message by the engine's tap — so they do not appear here.
+// simulation clock by the ChaosEngine. The sampled message faults (drop,
+// reorder) are not discrete events — the engine's tap draws them per
+// message — so they do not appear here.
 #pragma once
 
 #include <string>

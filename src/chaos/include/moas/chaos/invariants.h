@@ -6,7 +6,21 @@
 // advertised-state bookkeeping matches what its current Loc-RIB and export
 // policy say it should have on the wire. The checker walks the whole
 // network and reports every violation with enough context to debug it;
-// require_clean() turns any violation into a fatal error.
+// require_clean() turns any violation into a fatal error. Four families
+// always run:
+//   - loc-rib liveness: every Loc-RIB best route was learned over a link
+//     that is up from a peer whose session is up (or is local);
+//   - adj-rib mirror: each Adj-RIB-In entry matches the sender's
+//     outstanding advertisement; entries the sender never advertised are
+//     stale;
+//   - advertised consistency: a router's advertised-state bookkeeping
+//     equals what its Loc-RIB + export policy would put on the wire right
+//     now (skipped for routers with an export filter — deliberately lying
+//     routers exist in the threat model);
+//   - graceful-restart stale-route hygiene (RFC 4724): at quiescence no
+//     Adj-RIB-In entry may still carry a stale mark. The restart timer has
+//     drained, so a leftover mark means the End-of-RIB sweep or the timer
+//     flush lost a route.
 //
 // The checks only hold at quiescence — while messages are in flight the
 // RIBs legitimately disagree — so callers must run_to_quiescence() first.
@@ -32,28 +46,6 @@ class NetworkInvariantChecker {
     std::string to_string() const { return invariant + ": " + detail; }
   };
 
-  struct Options {
-    /// Every Loc-RIB best route must have been learned over a link that is
-    /// currently up from a peer whose session is up (or be local).
-    bool check_loc_rib_liveness = true;
-    /// Each Adj-RIB-In entry must match the sender's outstanding
-    /// advertisement; entries the sender never advertised are stale.
-    bool check_adj_rib_mirror = true;
-    /// A router's advertised-state bookkeeping must equal what its Loc-RIB
-    /// + export policy would put on the wire right now (skipped for routers
-    /// with an export filter — deliberately lying routers exist in the
-    /// threat model).
-    bool check_advertised_consistency = true;
-    /// Graceful-restart stale-route hygiene (RFC 4724): at quiescence no
-    /// Adj-RIB-In entry may still carry a stale mark. The restart timer has
-    /// drained, so a leftover mark means the End-of-RIB sweep or the timer
-    /// flush lost a route.
-    bool check_stale_hygiene = true;
-  };
-
-  NetworkInvariantChecker();
-  explicit NetworkInvariantChecker(Options options);
-
   /// Extra, caller-supplied checks (the core layer registers its MOAS/alarm
   /// invariants here — the chaos library cannot see those types).
   using CustomCheck = std::function<void(const bgp::Network&, std::vector<Violation>&)>;
@@ -62,17 +54,14 @@ class NetworkInvariantChecker {
   /// Exclude the directed link from mirror checks: a lossy fault made the
   /// receiver's view of `from` unreliable until the next session reset.
   void exclude_direction(bgp::Asn from, bgp::Asn to);
-  void clear_exclusions();
-  const std::set<std::pair<bgp::Asn, bgp::Asn>>& exclusions() const { return excluded_; }
 
-  /// Run every enabled check; returns all violations found (empty = clean).
+  /// Run every check; returns all violations found (empty = clean).
   std::vector<Violation> check(const bgp::Network& network) const;
 
   /// Fatal variant: throws std::runtime_error listing every violation.
   void require_clean(const bgp::Network& network) const;
 
  private:
-  Options options_;
   std::vector<CustomCheck> custom_;
   std::set<std::pair<bgp::Asn, bgp::Asn>> excluded_;  // directed (from, to)
 };

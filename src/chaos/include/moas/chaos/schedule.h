@@ -23,8 +23,7 @@ namespace moas::chaos {
 struct ScheduleConfig {
   std::uint64_t seed = 1;
 
-  /// Faults are placed in [start, start + horizon).
-  sim::Time start = 0.0;
+  /// Faults are placed in [0, horizon).
   sim::Time horizon = 600.0;
 
   // --- link flaps ----------------------------------------------------------
@@ -44,19 +43,13 @@ struct ScheduleConfig {
   sim::Time restart_delay_mean = 10.0;
 
   // --- message-level faults (sampled per update by the engine tap) ---------
-  double msg_drop = 0.0;       // lose the message silently
-  double msg_duplicate = 0.0;  // deliver it twice
-  double msg_reorder = 0.0;    // delay it and let later traffic overtake
-  sim::Time reorder_jitter = 0.5;
-  /// Probability an announcement's encoded wire form is damaged (truncation
-  /// or bit flips) before the receiver decodes it.
-  double msg_corrupt = 0.0;
-  int max_corrupt_flips = 3;
+  double msg_drop = 0.0;     // lose the message silently
+  double msg_reorder = 0.0;  // delay it and let later traffic overtake
 
   // --- scheduled attribute corruption (discrete AttrCorrupt events) --------
   /// Mean number of attribute-corruption events per link over the horizon
-  /// (Poisson). Unlike msg_corrupt this compiles into discrete, directed
-  /// AttrCorrupt events: each arms one corruption that hits the next
+  /// (Poisson). Unlike the sampled faults this compiles into discrete,
+  /// directed AttrCorrupt events: each arms one corruption that hits the next
   /// announcement crossing its direction, and only the attribute section is
   /// damaged (the NLRI stays parseable). Because the events — not the
   /// per-message outcomes — are what the replay log records, the log is
@@ -66,8 +59,7 @@ struct ScheduleConfig {
   double attr_corruptions_per_link = 0.0;
 
   bool has_message_faults() const {
-    return msg_drop > 0.0 || msg_duplicate > 0.0 || msg_reorder > 0.0 || msg_corrupt > 0.0 ||
-           attr_corruptions_per_link > 0.0;
+    return msg_drop > 0.0 || msg_reorder > 0.0 || attr_corruptions_per_link > 0.0;
   }
 };
 

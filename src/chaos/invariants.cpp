@@ -25,10 +25,6 @@ std::string link_name(Asn from, Asn to) {
 
 }  // namespace
 
-NetworkInvariantChecker::NetworkInvariantChecker() : NetworkInvariantChecker(Options()) {}
-
-NetworkInvariantChecker::NetworkInvariantChecker(Options options) : options_(options) {}
-
 void NetworkInvariantChecker::add_custom(CustomCheck check) {
   custom_.push_back(std::move(check));
 }
@@ -36,8 +32,6 @@ void NetworkInvariantChecker::add_custom(CustomCheck check) {
 void NetworkInvariantChecker::exclude_direction(Asn from, Asn to) {
   excluded_.insert({from, to});
 }
-
-void NetworkInvariantChecker::clear_exclusions() { excluded_.clear(); }
 
 std::vector<NetworkInvariantChecker::Violation> NetworkInvariantChecker::check(
     const Network& network) const {
@@ -47,82 +41,76 @@ std::vector<NetworkInvariantChecker::Violation> NetworkInvariantChecker::check(
     const Router& router = network.router(asn);
     if (network.router_crashed(asn)) continue;  // no state to audit
 
-    if (options_.check_loc_rib_liveness) {
-      // Every selected route must be reachable: learned locally, or from a
-      // live peer over a live link. A best route pointing across a failed
-      // link means a session-down flush was missed somewhere.
-      for (const net::Prefix& prefix : router.loc_rib().prefixes()) {
-        const bgp::RibEntry* entry = router.loc_rib().best(prefix);
-        if (entry->learned_from == asn) continue;  // local origination
-        const Asn via = entry->learned_from;
-        if (!network.link_up(asn, via)) {
-          violations.push_back({"loc-rib-live-link",
-                                std::to_string(asn) + " selects " + entry->route.to_string() +
-                                    " learned over failed link " + link_name(via, asn)});
-        } else if (network.router_crashed(via)) {
-          violations.push_back({"loc-rib-live-peer",
-                                std::to_string(asn) + " selects " + entry->route.to_string() +
-                                    " from crashed router " + std::to_string(via)});
-        } else if (!router.peer_session_up(via)) {
-          violations.push_back({"loc-rib-live-session",
-                                std::to_string(asn) + " selects " + entry->route.to_string() +
-                                    " from " + std::to_string(via) +
-                                    " whose session is down"});
+    // Every selected route must be reachable: learned locally, or from a
+    // live peer over a live link. A best route pointing across a failed
+    // link means a session-down flush was missed somewhere.
+    for (const net::Prefix& prefix : router.loc_rib().prefixes()) {
+      const bgp::RibEntry* entry = router.loc_rib().best(prefix);
+      if (entry->learned_from == asn) continue;  // local origination
+      const Asn via = entry->learned_from;
+      if (!network.link_up(asn, via)) {
+        violations.push_back({"loc-rib-live-link",
+                              std::to_string(asn) + " selects " + entry->route.to_string() +
+                                  " learned over failed link " + link_name(via, asn)});
+      } else if (network.router_crashed(via)) {
+        violations.push_back({"loc-rib-live-peer",
+                              std::to_string(asn) + " selects " + entry->route.to_string() +
+                                  " from crashed router " + std::to_string(via)});
+      } else if (!router.peer_session_up(via)) {
+        violations.push_back({"loc-rib-live-session",
+                              std::to_string(asn) + " selects " + entry->route.to_string() +
+                                  " from " + std::to_string(via) +
+                                  " whose session is down"});
+      }
+    }
+
+    // This router is the *receiver*; audit its view of each sender.
+    for (Asn sender : router.peers()) {
+      for (const net::Prefix& prefix : router.adj_rib_in().prefixes()) {
+        const bgp::RibEntry* held = router.adj_rib_in().from_peer(prefix, sender);
+        if (!held) continue;
+        if (!router.peer_session_up(sender)) {
+          violations.push_back({"adj-rib-dead-session",
+                                std::to_string(asn) + " still holds " +
+                                    held->route.to_string() + " from " +
+                                    std::to_string(sender) +
+                                    " although that session is down"});
+          continue;
         }
-      }
-    }
-
-    if (options_.check_adj_rib_mirror) {
-      // This router is the *receiver*; audit its view of each sender.
-      for (Asn sender : router.peers()) {
-        for (const net::Prefix& prefix : router.adj_rib_in().prefixes()) {
-          const bgp::RibEntry* held = router.adj_rib_in().from_peer(prefix, sender);
-          if (!held) continue;
-          if (!router.peer_session_up(sender)) {
-            violations.push_back({"adj-rib-dead-session",
-                                  std::to_string(asn) + " still holds " +
-                                      held->route.to_string() + " from " +
-                                      std::to_string(sender) +
-                                      " although that session is down"});
-            continue;
-          }
-          if (excluded_.contains({sender, asn})) continue;  // lossy link: view unreliable
-          if (network.router_crashed(sender)) continue;     // flush arrives via peer_down
-          const Route* advertised = network.router(sender).advertised_to(asn, prefix);
-          if (!advertised) {
-            violations.push_back({"adj-rib-stale",
-                                  std::to_string(asn) + " holds " + held->route.to_string() +
-                                      " but " + std::to_string(sender) +
-                                      " has no outstanding advertisement for it"});
-          } else if (!same_on_wire(held->route, *advertised)) {
-            violations.push_back({"adj-rib-mismatch",
-                                  std::to_string(asn) + " holds " + held->route.to_string() +
-                                      " but " + std::to_string(sender) + " last sent " +
-                                      advertised->to_string()});
-          }
-          // The converse — sender advertised, receiver holds nothing — is
-          // legal: the receiver's validator may have vetoed the route or
-          // discarded it for an AS-path loop.
+        if (excluded_.contains({sender, asn})) continue;  // lossy link: view unreliable
+        if (network.router_crashed(sender)) continue;     // flush arrives via peer_down
+        const Route* advertised = network.router(sender).advertised_to(asn, prefix);
+        if (!advertised) {
+          violations.push_back({"adj-rib-stale",
+                                std::to_string(asn) + " holds " + held->route.to_string() +
+                                    " but " + std::to_string(sender) +
+                                    " has no outstanding advertisement for it"});
+        } else if (!same_on_wire(held->route, *advertised)) {
+          violations.push_back({"adj-rib-mismatch",
+                                std::to_string(asn) + " holds " + held->route.to_string() +
+                                    " but " + std::to_string(sender) + " last sent " +
+                                    advertised->to_string()});
         }
+        // The converse — sender advertised, receiver holds nothing — is
+        // legal: the receiver's validator may have vetoed the route or
+        // discarded it for an AS-path loop.
       }
     }
 
-    if (options_.check_stale_hygiene) {
-      // Stale-route hygiene (RFC 4724): quiescence means every restart
-      // timer fired and every re-established peer delivered its End-of-RIB,
-      // so any surviving stale mark escaped both sweep paths. The sender's
-      // session state tells us which path lost it.
-      for (const auto& [prefix, sender] : router.adj_rib_in().stale_entries()) {
-        const char* name = router.peer_session_up(sender) ? "stale-route-after-eor"
-                                                          : "stale-route-past-timer";
-        violations.push_back({name,
-                              std::to_string(asn) + " still marks " + prefix.to_string() +
-                                  " from " + std::to_string(sender) +
-                                  " stale at quiescence"});
-      }
+    // Stale-route hygiene (RFC 4724): quiescence means every restart
+    // timer fired and every re-established peer delivered its End-of-RIB,
+    // so any surviving stale mark escaped both sweep paths. The sender's
+    // session state tells us which path lost it.
+    for (const auto& [prefix, sender] : router.adj_rib_in().stale_entries()) {
+      const char* name = router.peer_session_up(sender) ? "stale-route-after-eor"
+                                                        : "stale-route-past-timer";
+      violations.push_back({name,
+                            std::to_string(asn) + " still marks " + prefix.to_string() +
+                                " from " + std::to_string(sender) +
+                                " stale at quiescence"});
     }
 
-    if (options_.check_advertised_consistency && !router.has_export_filter()) {
+    if (!router.has_export_filter()) {
       // Sender-side audit: bookkeeping vs. what export policy would emit.
       for (Asn peer : router.peers()) {
         if (!router.peer_session_up(peer)) continue;

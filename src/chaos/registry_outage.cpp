@@ -20,26 +20,24 @@ sim::Time exponential(util::Rng& rng, sim::Time mean) {
 
 std::vector<RegistryOutageSchedule::Window> sample_windows(
     util::Rng& rng, unsigned count, const RegistryOutageConfig& config,
-    sim::Time mean_duration, int source, double factor) {
+    sim::Time mean_duration, double factor) {
   std::vector<RegistryOutageSchedule::Window> windows;
   windows.reserve(count);
-  const sim::Time end = config.start + config.horizon;
   for (unsigned i = 0; i < count; ++i) {
     // Leave headroom so the recovery fits strictly inside the horizon: a
     // completed schedule always ends with every source back up, which lets
     // the harness demand explicit settlement of every alarm at quiescence.
-    const sim::Time down = config.start + rng.uniform01() * config.horizon * 0.9;
+    const sim::Time down = rng.uniform01() * config.horizon * 0.9;
     sim::Time up = down + exponential(rng, mean_duration);
-    if (up >= end) up = end - 1e-3;
+    if (up >= config.horizon) up = config.horizon - 1e-3;
     if (up <= down) continue;  // degenerate; drop it
-    windows.push_back({down, up, source, factor});
+    windows.push_back({down, up, factor});
   }
   std::sort(windows.begin(), windows.end());
-  // Merge overlapping same-source windows into a clean train.
+  // Merge overlapping windows into a clean train.
   std::vector<RegistryOutageSchedule::Window> merged;
   for (const auto& w : windows) {
-    if (!merged.empty() && merged.back().source == w.source &&
-        w.start <= merged.back().end) {
+    if (!merged.empty() && w.start <= merged.back().end) {
       merged.back().end = std::max(merged.back().end, w.end);
       merged.back().factor = std::max(merged.back().factor, w.factor);
     } else {
@@ -52,24 +50,20 @@ std::vector<RegistryOutageSchedule::Window> sample_windows(
 std::string window_line(const char* kind, const RegistryOutageSchedule::Window& w) {
   char buf[128];
   if (w.factor != 1.0) {
-    std::snprintf(buf, sizeof(buf), "t=%.6f..%.6f %s %s x%.3f", w.start, w.end, kind,
-                  w.source < 0 ? "all" : ("src" + std::to_string(w.source)).c_str(),
+    std::snprintf(buf, sizeof(buf), "t=%.6f..%.6f %s all x%.3f", w.start, w.end, kind,
                   w.factor);
   } else {
-    std::snprintf(buf, sizeof(buf), "t=%.6f..%.6f %s %s", w.start, w.end, kind,
-                  w.source < 0 ? "all" : ("src" + std::to_string(w.source)).c_str());
+    std::snprintf(buf, sizeof(buf), "t=%.6f..%.6f %s all", w.start, w.end, kind);
   }
   return buf;
 }
 
 }  // namespace
 
-bool RegistryOutageSchedule::down(std::size_t source, sim::Time t) const {
+bool RegistryOutageSchedule::down(sim::Time t) const {
   for (const Window& w : outages) {
     if (t < w.start) break;  // sorted by start; nothing later can cover t
-    if (t < w.end && (w.source < 0 || static_cast<std::size_t>(w.source) == source)) {
-      return true;
-    }
+    if (t < w.end) return true;
   }
   return false;
 }
@@ -96,27 +90,22 @@ std::string RegistryOutageSchedule::to_string() const {
   return out;
 }
 
-RegistryOutageSchedule compile_registry_outages(const RegistryOutageConfig& config,
-                                                std::size_t num_sources) {
+RegistryOutageSchedule compile_registry_outages(const RegistryOutageConfig& config) {
   MOAS_REQUIRE(config.horizon > 0.0, "registry outage horizon must be positive");
   MOAS_REQUIRE(config.outage_mean > 0.0 && config.spike_mean > 0.0,
                "registry outage/spike durations must be positive");
   MOAS_REQUIRE(config.spike_factor >= 1.0, "a latency spike cannot speed lookups up");
-  MOAS_REQUIRE(config.scope != RegistryOutageConfig::Scope::PrimaryOnly || num_sources >= 1,
-               "primary-only scope needs at least one source");
 
   RegistryOutageSchedule schedule;
   schedule.config = config;
   util::Rng rng(config.seed);
   if (config.outages > 0.0) {
-    const int source =
-        config.scope == RegistryOutageConfig::Scope::PrimaryOnly ? 0 : -1;
     schedule.outages = sample_windows(rng, rng.poisson(config.outages), config,
-                                      config.outage_mean, source, 1.0);
+                                      config.outage_mean, 1.0);
   }
   if (config.spikes > 0.0) {
     schedule.spikes = sample_windows(rng, rng.poisson(config.spikes), config,
-                                     config.spike_mean, -1, config.spike_factor);
+                                     config.spike_mean, config.spike_factor);
   }
   return schedule;
 }

@@ -23,18 +23,17 @@ struct Interval {
   sim::Time up;
 };
 
-/// Sample `count` down/up intervals inside [start, start+horizon), merging
-/// overlaps so the result is a clean alternating down/up train.
-std::vector<Interval> sample_intervals(util::Rng& rng, unsigned count, sim::Time start,
-                                       sim::Time horizon, sim::Time mean_downtime) {
+/// Sample `count` down/up intervals inside [0, horizon), merging overlaps
+/// so the result is a clean alternating down/up train.
+std::vector<Interval> sample_intervals(util::Rng& rng, unsigned count, sim::Time horizon,
+                                       sim::Time mean_downtime) {
   std::vector<Interval> intervals;
   intervals.reserve(count);
-  const sim::Time end = start + horizon;
   for (unsigned i = 0; i < count; ++i) {
     // Leave headroom so the recovery fits strictly inside the horizon.
-    const sim::Time down = start + rng.uniform01() * horizon * 0.9;
+    const sim::Time down = rng.uniform01() * horizon * 0.9;
     sim::Time up = down + exponential(rng, mean_downtime);
-    if (up >= end) up = end - 1e-3;
+    if (up >= horizon) up = horizon - 1e-3;
     if (up <= down) continue;  // degenerate; drop it
     intervals.push_back({down, up});
   }
@@ -94,9 +93,7 @@ FaultSchedule compile_schedule(const ScheduleConfig& config,
                    config.crashes_per_router >= 0.0 && config.attr_corruptions_per_link >= 0.0,
                "fault rates must be non-negative");
   MOAS_REQUIRE(config.msg_drop >= 0.0 && config.msg_drop <= 1.0 &&
-                   config.msg_duplicate >= 0.0 && config.msg_duplicate <= 1.0 &&
-                   config.msg_reorder >= 0.0 && config.msg_reorder <= 1.0 &&
-                   config.msg_corrupt >= 0.0 && config.msg_corrupt <= 1.0,
+                   config.msg_reorder >= 0.0 && config.msg_reorder <= 1.0,
                "message fault probabilities must lie in [0, 1]");
 
   FaultSchedule schedule;
@@ -109,8 +106,8 @@ FaultSchedule compile_schedule(const ScheduleConfig& config,
   for (const auto& [a, b] : links) {
     if (config.flaps_per_link > 0.0) {
       for (const Interval& iv :
-           sample_intervals(rng, rng.poisson(config.flaps_per_link), config.start,
-                            config.horizon, config.downtime_mean)) {
+           sample_intervals(rng, rng.poisson(config.flaps_per_link), config.horizon,
+                            config.downtime_mean)) {
         schedule.events.push_back({iv.down, FaultKind::LinkDown, a, b});
         schedule.events.push_back({iv.up, FaultKind::LinkUp, a, b});
       }
@@ -118,14 +115,14 @@ FaultSchedule compile_schedule(const ScheduleConfig& config,
     if (config.session_resets_per_link > 0.0) {
       const unsigned resets = rng.poisson(config.session_resets_per_link);
       for (unsigned i = 0; i < resets; ++i) {
-        const sim::Time at = config.start + rng.uniform01() * config.horizon * 0.9;
+        const sim::Time at = rng.uniform01() * config.horizon * 0.9;
         schedule.events.push_back({at, FaultKind::SessionReset, a, b});
       }
     }
     if (config.attr_corruptions_per_link > 0.0) {
       const unsigned corruptions = rng.poisson(config.attr_corruptions_per_link);
       for (unsigned i = 0; i < corruptions; ++i) {
-        const sim::Time at = config.start + rng.uniform01() * config.horizon * 0.9;
+        const sim::Time at = rng.uniform01() * config.horizon * 0.9;
         // Directed: pick which side's announcements get damaged.
         const bool a_sends = rng.chance(0.5);
         schedule.events.push_back(
@@ -137,8 +134,8 @@ FaultSchedule compile_schedule(const ScheduleConfig& config,
   if (config.crashes_per_router > 0.0) {
     for (bgp::Asn asn : asns) {
       for (const Interval& iv :
-           sample_intervals(rng, rng.poisson(config.crashes_per_router), config.start,
-                            config.horizon, config.restart_delay_mean)) {
+           sample_intervals(rng, rng.poisson(config.crashes_per_router), config.horizon,
+                            config.restart_delay_mean)) {
         schedule.events.push_back({iv.down, FaultKind::RouterCrash, asn, 0});
         schedule.events.push_back({iv.up, FaultKind::RouterRestart, asn, 0});
       }

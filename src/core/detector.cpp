@@ -29,11 +29,7 @@ bool subset(const AsnSet& a, const AsnSet& b) {
 
 MoasDetector::MoasDetector(std::shared_ptr<AlarmLog> alarms,
                            std::shared_ptr<OriginResolver> resolver)
-    : MoasDetector(std::move(alarms), std::move(resolver), Config()) {}
-
-MoasDetector::MoasDetector(std::shared_ptr<AlarmLog> alarms,
-                           std::shared_ptr<OriginResolver> resolver, Config config)
-    : alarms_(std::move(alarms)), resolver_(std::move(resolver)), config_(config) {
+    : alarms_(std::move(alarms)), resolver_(std::move(resolver)) {
   MOAS_REQUIRE(alarms_ != nullptr, "detector needs an alarm log");
 }
 
@@ -48,16 +44,11 @@ bool MoasDetector::accept(const bgp::Route& route, bgp::Asn from_peer,
 
   // Fast path: the origin was already identified as false. The rejected
   // peer is one more witness asserting the banned origin — remember it so
-  // the ban outlives the peer that originally triggered it.
+  // the ban outlives the peer that originally triggered it. No new alarm:
+  // the first detection already flagged the origin.
   if (intersects(origins, state.banned)) {
     for (Asn asn : origins) {
       if (state.banned.contains(asn)) state.banned_support[asn].insert(from_peer);
-    }
-    if (config_.alarm_on_banned_repeat) {
-      // Needs no investigation — the rejection below *is* the response.
-      const std::size_t id = raise(ctx, prefix, state.reference, incoming_list, origins,
-                                   MoasAlarm::Cause::BannedOriginSeen);
-      alarms_->settle(id, MoasAlarm::State::Resolved, ctx.current_time());
     }
     ++stats_.rejections;
     return false;
@@ -65,8 +56,7 @@ bool MoasDetector::accept(const bgp::Route& route, bgp::Asn from_peer,
 
   // Self-consistency: a route carrying an explicit list must include its
   // own origin; otherwise it is bogus on its face.
-  if (config_.check_origin_in_list && has_explicit_moas_list(route) &&
-      !origins.empty() && !subset(origins, incoming_list)) {
+  if (has_explicit_moas_list(route) && !origins.empty() && !subset(origins, incoming_list)) {
     const std::size_t id = raise(ctx, prefix, state.reference, incoming_list, origins,
                                  MoasAlarm::Cause::OriginNotInList);
     alarms_->settle(id, MoasAlarm::State::Resolved, ctx.current_time());

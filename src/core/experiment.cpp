@@ -172,7 +172,7 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
       chaos::RegistryOutageConfig outage = *config_.registry_outage;
       outage.seed ^= seed;  // same mixing rule as churn
       outage_schedule = std::make_shared<chaos::RegistryOutageSchedule>(
-          chaos::compile_registry_outages(outage, async->source_count()));
+          chaos::compile_registry_outages(outage));
       async->set_outage_schedule(outage_schedule);
     }
     if (tracing) async->set_trace(&bus);
@@ -278,11 +278,9 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   if (engine) {
     result.fault_events = engine->schedule().events.size();
     const obs::MetricsRegistry& m = result.metrics;
-    result.message_faults =
-        m.counter("chaos.msgs_dropped") + m.counter("chaos.msgs_duplicated") +
-        m.counter("chaos.msgs_reordered") + m.counter("chaos.corruptions_detected") +
-        m.counter("chaos.corruptions_undetected") + m.counter("chaos.corruptions_harmless") +
-        m.counter("chaos.attr_corruptions_applied");
+    result.message_faults = m.counter("chaos.msgs_dropped") +
+                            m.counter("chaos.msgs_reordered") +
+                            m.counter("chaos.attr_corruptions_applied");
     result.attr_corruptions = m.counter("chaos.attr_corruptions_applied");
     result.corrupt_session_resets = m.counter("chaos.corrupt_session_resets");
     result.treat_as_withdraws = m.counter("chaos.treat_as_withdraws");
@@ -360,9 +358,7 @@ RunResult Experiment::run_wave(const bgp::AsnSet& origins, const bgp::AsnSet& at
   // same capable set under either engine.
   scenario::Run run(*graph_, config_, origins, attackers, rng);
 
-  sim::WaveEngine::Config wave_config;
-  wave_config.mode = config_.policy;
-  sim::WaveEngine wave(*graph_, wave_config);
+  sim::WaveEngine wave(*graph_, config_.policy);
   const scenario::RouterAt router_at = [&wave](bgp::Asn asn) -> bgp::Router& {
     return wave.router(asn);
   };

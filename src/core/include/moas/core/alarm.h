@@ -21,7 +21,10 @@ struct MoasAlarm {
   enum class Cause : std::uint8_t {
     ListMismatch,      // two announcements carry different MOAS lists
     OriginNotInList,   // a route's own origin is missing from its list
-    BannedOriginSeen,  // a route from an origin already identified as false
+    /// A route from an origin already identified as false. MoasDetector
+    /// does not raise it; it stays so AlarmLog's per-cause tallies and the
+    /// stream checkpoint keep their layout.
+    BannedOriginSeen,
   };
 
   /// Alarm lifecycle. Every alarm must reach a terminal state: Resolved

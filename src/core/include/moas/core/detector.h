@@ -32,21 +32,10 @@ namespace moas::core {
 
 class MoasDetector final : public bgp::ImportValidator {
  public:
-  struct Config {
-    /// Check that a route carrying an explicit list includes its own origin
-    /// (a self-inconsistent announcement is rejected on sight).
-    bool check_origin_in_list = true;
-    /// Re-raise an alarm when a banned origin shows up again (noisy; off by
-    /// default — the first detection already flagged it).
-    bool alarm_on_banned_repeat = false;
-  };
-
   /// `alarms` collects alarms across routers (shared per experiment);
   /// `resolver` may be null — then the detector only raises alarms and never
   /// filters (the "off-line monitoring only" deployment).
   MoasDetector(std::shared_ptr<AlarmLog> alarms, std::shared_ptr<OriginResolver> resolver);
-  MoasDetector(std::shared_ptr<AlarmLog> alarms, std::shared_ptr<OriginResolver> resolver,
-               Config config);
 
   /// Switch conflict investigation to the clock-driven fault-tolerant path:
   /// list mismatches raise a Pending alarm and enter degraded mode instead
@@ -155,7 +144,6 @@ class MoasDetector final : public bgp::ImportValidator {
   std::shared_ptr<AlarmLog> alarms_;
   std::shared_ptr<OriginResolver> resolver_;
   std::shared_ptr<AsyncResolver> async_;
-  Config config_;
   std::map<net::Prefix, PrefixState> state_;
   std::map<net::Prefix, PendingConflict> pending_;
   std::uint64_t next_generation_ = 1;

@@ -107,9 +107,7 @@ MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
     plans.push_back(std::move(plan));
   }
 
-  sim::WaveEngine::Config wave_config;
-  wave_config.mode = config.policy;
-  sim::WaveEngine wave(graph, wave_config);
+  sim::WaveEngine wave(graph, config.policy);
 
   // Detector deployment — the single-prefix wave-run wiring: capable ASes
   // get an import validator against the oracle, attackers never do. The

@@ -64,13 +64,9 @@ struct TraceConfig {
   // Baseline of concurrently active (mostly valid) cases.
   double active_start = 500.0;  // target active valid cases on day 0
   double active_end = 1290.0;   // target active valid cases on the last day
-  double permanent_share = 0.25;       // valid cases that never end
-  double valid_mean_duration = 300.0;  // mean days for the others
 
   // Ordinary fault churn.
   double faults_per_day = 12.0;
-  double fault_one_day_share = 0.126;  // rest last 2+ days
-  double fault_mean_extra_days = 3.0;
 
   // The two headline events.
   bool include_spike_1998 = true;
@@ -78,12 +74,6 @@ struct TraceConfig {
   bool include_spike_2001 = true;
   std::size_t spike_2001_pair_cases = 5532;   // involving (3561, 15412)
   std::size_t spike_2001_other_cases = 1095;  // the rest of that day's 6627
-
-  // Origin-set sizes. Faults are two-origin by nature (victim + faulty AS)
-  // unless they overlay an existing MOAS.
-  double valid_three_origin_share = 0.08;
-  double valid_four_origin_share = 0.004;
-  double fault_three_origin_share = 0.045;
 
   std::uint64_t seed = 42;
 };

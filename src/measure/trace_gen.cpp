@@ -16,6 +16,20 @@ constexpr bgp::Asn kAs8584 = 8584;    // the 4/7/1998 event
 constexpr bgp::Asn kAs15412 = 15412;  // the 4/6/2001 event
 constexpr bgp::Asn kAs3561 = 3561;    // its upstream in the observed pair
 
+// Baseline lifetimes.
+constexpr double kPermanentShare = 0.25;      // valid cases that never end
+constexpr double kValidMeanDuration = 300.0;  // mean days for the others
+
+// Ordinary fault churn.
+constexpr double kFaultOneDayShare = 0.126;  // rest last 2+ days
+constexpr double kFaultMeanExtraDays = 3.0;
+
+// Origin-set sizes. Faults are two-origin by nature (victim + faulty AS)
+// unless they overlay an existing MOAS.
+constexpr double kValidThreeOriginShare = 0.08;
+constexpr double kValidFourOriginShare = 0.004;
+constexpr double kFaultThreeOriginShare = 0.045;
+
 /// Distinct prefixes for synthetic cases: /24s carved sequentially out of
 /// 24.0.0.0/6 (plenty for ~250k cases).
 net::Prefix case_prefix(std::size_t index) {
@@ -113,16 +127,16 @@ SyntheticTrace generate_trace(const TraceConfig& config, util::Rng& rng) {
     const auto target = static_cast<std::size_t>(
         std::lround(config.active_start + t * (config.active_end - config.active_start)));
     while (active_valid < target) {
-      const bool permanent = rng.chance(config.permanent_share);
+      const bool permanent = rng.chance(kPermanentShare);
       const int duration =
-          permanent ? (last_day - day + 1) : exp_duration(config.valid_mean_duration, 2, rng);
+          permanent ? (last_day - day + 1) : exp_duration(kValidMeanDuration, 2, rng);
       const int end = std::min(day + duration - 1, last_day);
 
       std::size_t n_origins = 2;
       const double roll = rng.uniform01();
-      if (roll < config.valid_four_origin_share) {
+      if (roll < kValidFourOriginShare) {
         n_origins = 4;
-      } else if (roll < config.valid_four_origin_share + config.valid_three_origin_share) {
+      } else if (roll < kValidFourOriginShare + kValidThreeOriginShare) {
         n_origins = 3;
       }
       // Kind mix: mostly static-config multi-homing, some ASE, a sliver of
@@ -146,10 +160,10 @@ SyntheticTrace generate_trace(const TraceConfig& config, util::Rng& rng) {
     const unsigned n = rng.poisson(config.faults_per_day);
     for (unsigned i = 0; i < n; ++i) {
       int duration = 1;
-      if (!rng.chance(config.fault_one_day_share)) {
-        duration = 2 + static_cast<int>(rng.poisson(config.fault_mean_extra_days));
+      if (!rng.chance(kFaultOneDayShare)) {
+        duration = 2 + static_cast<int>(rng.poisson(kFaultMeanExtraDays));
       }
-      const std::size_t n_origins = rng.chance(config.fault_three_origin_share) ? 3 : 2;
+      const std::size_t n_origins = rng.chance(kFaultThreeOriginShare) ? 3 : 2;
       add_case(random_origin_set(n_origins, rng),
                contiguous_days(day, duration, last_day), CaseKind::Fault);
     }

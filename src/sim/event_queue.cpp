@@ -4,48 +4,29 @@
 
 namespace moas::sim {
 
-EventId EventQueue::schedule_at(Time t, std::function<void()> fn) {
+void EventQueue::schedule_at(Time t, std::function<void()> fn) {
   MOAS_REQUIRE(t >= now_, "cannot schedule into the past");
   MOAS_REQUIRE(static_cast<bool>(fn), "event callback must be callable");
-  const EventId id = next_id_++;
-  heap_.push(Entry{t, id, std::move(fn)});
-  pending_ids_.insert(id);
-  return id;
+  heap_.push(Entry{t, next_seq_++, std::move(fn)});
 }
 
-EventId EventQueue::schedule_after(Time delay, std::function<void()> fn) {
+void EventQueue::schedule_after(Time delay, std::function<void()> fn) {
   MOAS_REQUIRE(delay >= 0.0, "delay must be non-negative");
-  return schedule_at(now_ + delay, std::move(fn));
+  schedule_at(now_ + delay, std::move(fn));
 }
 
-bool EventQueue::cancel(EventId id) {
-  if (pending_ids_.erase(id) == 0) return false;
-  cancelled_.insert(id);  // lazily dropped when it reaches the heap top
-  return true;
-}
-
-bool EventQueue::pop_live(Entry& out) {
-  while (!heap_.empty()) {
-    // priority_queue::top() is const&; the entry is logically owned by us,
-    // so move the callback out before popping.
-    Entry& top = const_cast<Entry&>(heap_.top());
-    if (cancelled_.erase(top.id) > 0) {
-      heap_.pop();
-      continue;
-    }
-    out.at = top.at;
-    out.id = top.id;
-    out.fn = std::move(top.fn);
-    heap_.pop();
-    pending_ids_.erase(out.id);
-    return true;
-  }
-  return false;
+EventQueue::Entry EventQueue::pop() {
+  // priority_queue::top() is const&; the entry is logically owned by us,
+  // so move the callback out before popping.
+  Entry& top = const_cast<Entry&>(heap_.top());
+  Entry out{top.at, top.seq, std::move(top.fn)};
+  heap_.pop();
+  return out;
 }
 
 bool EventQueue::step() {
-  Entry e;
-  if (!pop_live(e)) return false;
+  if (heap_.empty()) return false;
+  Entry e = pop();
   now_ = e.at;
   ++executed_;
   e.fn();
@@ -61,14 +42,9 @@ std::size_t EventQueue::run(std::size_t max_events) {
 std::size_t EventQueue::run_until(Time until) {
   MOAS_REQUIRE(until >= now_, "cannot run backwards");
   std::size_t n = 0;
-  Entry e;
-  while (pop_live(e)) {
-    if (e.at > until) {
-      // Too early to run: requeue unchanged (same id keeps FIFO order).
-      pending_ids_.insert(e.id);
-      heap_.push(std::move(e));
-      break;
-    }
+  // Too-late entries stay queued untouched (same seq keeps FIFO order).
+  while (!heap_.empty() && heap_.top().at <= until) {
+    Entry e = pop();
     now_ = e.at;
     ++executed_;
     ++n;

@@ -2,8 +2,8 @@
 //
 // A single-threaded event queue with a virtual clock. Events scheduled for
 // the same instant run in scheduling order (stable), which makes simulations
-// deterministic for a fixed seed. Events may schedule and cancel further
-// events while running.
+// deterministic for a fixed seed. Events may schedule further events while
+// running.
 #pragma once
 
 #include <cstddef>
@@ -11,7 +11,6 @@
 #include <functional>
 #include <limits>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace moas::sim {
@@ -19,23 +18,16 @@ namespace moas::sim {
 /// Virtual time in seconds.
 using Time = double;
 
-/// Handle for cancelling a scheduled event.
-using EventId = std::uint64_t;
-
 class EventQueue {
  public:
   /// Current virtual time; advances as events are executed.
   Time now() const { return now_; }
 
   /// Schedule `fn` at absolute time `t` (must be >= now()).
-  EventId schedule_at(Time t, std::function<void()> fn);
+  void schedule_at(Time t, std::function<void()> fn);
 
   /// Schedule `fn` at now() + delay (delay must be >= 0).
-  EventId schedule_after(Time delay, std::function<void()> fn);
-
-  /// Cancel a pending event. Returns false if it already ran, was already
-  /// cancelled, or never existed.
-  bool cancel(EventId id);
+  void schedule_after(Time delay, std::function<void()> fn);
 
   /// Run the earliest pending event. Returns false if the queue is empty.
   bool step();
@@ -49,8 +41,8 @@ class EventQueue {
   /// queued and now() advances to `until`.
   std::size_t run_until(Time until);
 
-  bool empty() const { return pending_ids_.empty(); }
-  std::size_t pending() const { return pending_ids_.size(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
 
   /// Total number of events executed over the queue's lifetime.
   std::uint64_t executed() const { return executed_; }
@@ -58,24 +50,22 @@ class EventQueue {
  private:
   struct Entry {
     Time at;
-    EventId id;
+    std::uint64_t seq;  // scheduling order
     std::function<void()> fn;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;  // FIFO among same-time events
+      return a.seq > b.seq;  // FIFO among same-time events
     }
   };
 
-  /// Pops the earliest non-cancelled entry; false if none.
-  bool pop_live(Entry& out);
+  /// Pops the earliest entry, moving its callback out.
+  Entry pop();
 
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_set<EventId> pending_ids_;  // scheduled, not cancelled, not run
-  std::unordered_set<EventId> cancelled_;    // cancelled but still in heap_
   Time now_ = 0.0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
 };
 

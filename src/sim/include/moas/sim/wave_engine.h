@@ -48,18 +48,10 @@ namespace moas::sim {
 
 class WaveEngine {
  public:
-  struct Config {
-    bgp::PolicyMode mode = bgp::PolicyMode::ShortestPath;
-    /// Fixpoint guard: maximum up/across/down cycles before the engine
-    /// declares non-convergence (MOAS_ENSURE). 0 = node_count + 16, far
-    /// beyond any propagation diameter.
-    std::size_t max_cycles = 0;
-  };
-
-  /// Builds one router per AS and registers every peering. `graph` must
-  /// outlive the engine; its customer-provider relationships must be
-  /// acyclic (rank_by_customer_cone rejects the rest).
-  WaveEngine(const topo::AsGraph& graph, Config config);
+  /// Builds one router per AS, under `mode`, and registers every peering.
+  /// `graph` must outlive the engine; its customer-provider relationships
+  /// must be acyclic (rank_by_customer_cone rejects the rest).
+  WaveEngine(const topo::AsGraph& graph, bgp::PolicyMode mode);
 
   /// The per-AS router — configure validators, export filters, community
   /// stripping, and originations through it exactly like on a Network
@@ -132,7 +124,10 @@ class WaveEngine {
   }
 
   const topo::AsGraph* graph_;
-  Config config_;
+  /// Fixpoint guard: maximum up/across/down cycles before the engine
+  /// declares non-convergence (MOAS_ENSURE) — node_count + 16, far beyond
+  /// any propagation diameter.
+  std::size_t cycle_cap_;
   topo::RankAssignment ranks_;
   /// Routers in a flat array with an O(1) ASN index: enqueue runs once per
   /// message, and a rank-9752 std::map walk per message was the single

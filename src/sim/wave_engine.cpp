@@ -8,9 +8,10 @@
 
 namespace moas::sim {
 
-WaveEngine::WaveEngine(const topo::AsGraph& graph, Config config)
-    : graph_(&graph), config_(config), ranks_(topo::rank_by_customer_cone(graph)) {
-  if (config_.max_cycles == 0) config_.max_cycles = graph.node_count() + 16;
+WaveEngine::WaveEngine(const topo::AsGraph& graph, bgp::PolicyMode mode)
+    : graph_(&graph),
+      cycle_cap_(graph.node_count() + 16),
+      ranks_(topo::rank_by_customer_cone(graph)) {
   nodes_.reserve(graph.node_count());
   index_.reserve(graph.node_count());
   for (const auto& level : ranks_.levels) {
@@ -22,7 +23,7 @@ WaveEngine::WaveEngine(const topo::AsGraph& graph, Config config)
       Node& node = nodes_.emplace_back();
       node.rank = ranks_.rank.at(asn);
       node.router = std::make_unique<bgp::Router>(
-          asn, config_.mode,
+          asn, mode,
           [this](bgp::Asn from, bgp::Asn to, bgp::Update update) {
             enqueue(from, to, std::move(update));
           },
@@ -158,7 +159,7 @@ void WaveEngine::sweep(bgp::Relationship from_rel, bool descending) {
 
 void WaveEngine::propagate() {
   while (pending_ > 0) {
-    MOAS_ENSURE(cycles_ < config_.max_cycles,
+    MOAS_ENSURE(cycles_ < cycle_cap_,
                 "wave propagation failed to converge within the cycle cap — "
                 "the policy mode admits a persistent oscillation?");
     ++cycles_;

@@ -48,14 +48,9 @@ struct AttackConfig {
   /// Attack length: 1 + Poisson(duration_mean_days - 1) active days.
   double duration_mean_days = 3.0;
   /// Victim must have been stably announced this many days before the
-  /// attack starts (the reference list is warm) ...
+  /// attack starts (the reference list is warm), and keep announcing a few
+  /// days after it ends.
   int lead_days = 5;
-  /// ... and keep announcing this many days after it ends (so the alarm can
-  /// observe the conflict clear and resolve).
-  int margin_days = 3;
-  /// Restrict planning to cases fully active before this day (0 = whole
-  /// trace). Lets short replays host attacks they can actually finish.
-  int max_day = 0;
 };
 
 /// Plan `attacks` false originations against long-lived valid cases, at

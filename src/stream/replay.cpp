@@ -10,16 +10,19 @@ namespace moas::stream {
 
 namespace {
 
-/// Long-lived valid cases whose whole active window fits before `max_day`
-/// (0 = no limit) and spans at least `min_span` days. Trace active days are
-/// contiguous for valid cases, so indexing into active_days is safe.
-std::vector<std::size_t> eligible_cases(const measure::SyntheticTrace& trace, int max_day,
+/// The victim keeps announcing this many days after an attack ends, so the
+/// alarm can observe the conflict clear and resolve.
+constexpr int kMarginDays = 3;
+
+/// Long-lived valid cases whose active window spans at least `min_span`
+/// days. Trace active days are contiguous for valid cases, so indexing into
+/// active_days is safe.
+std::vector<std::size_t> eligible_cases(const measure::SyntheticTrace& trace,
                                         std::size_t min_span) {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < trace.cases.size(); ++i) {
     const auto& c = trace.cases[i];
     if (!c.valid() || c.active_days.size() < min_span) continue;
-    if (max_day > 0 && c.active_days.back() >= max_day) continue;
     out.push_back(i);
   }
   return out;
@@ -30,13 +33,12 @@ std::vector<std::size_t> eligible_cases(const measure::SyntheticTrace& trace, in
 std::vector<AttackPlan> plan_attacks(const measure::SyntheticTrace& trace,
                                      const AttackConfig& config,
                                      const std::vector<OriginOverride>& avoid) {
-  MOAS_REQUIRE(config.lead_days >= 0 && config.margin_days >= 0,
-               "attack lead/margin must be non-negative");
+  MOAS_REQUIRE(config.lead_days >= 0, "attack lead must be non-negative");
   MOAS_REQUIRE(config.duration_mean_days >= 1.0, "attacks last at least one day");
 
   const std::size_t min_span = static_cast<std::size_t>(config.lead_days) +
-                               static_cast<std::size_t>(config.margin_days) + 1;
-  std::vector<std::size_t> candidates = eligible_cases(trace, config.max_day, min_span);
+                               static_cast<std::size_t>(kMarginDays) + 1;
+  std::vector<std::size_t> candidates = eligible_cases(trace, min_span);
 
   std::set<net::Prefix> taken;
   for (const auto& o : avoid) taken.insert(o.prefix);
@@ -52,9 +54,9 @@ std::vector<AttackPlan> plan_attacks(const measure::SyntheticTrace& trace,
     const std::size_t span = c.active_days.size();
     std::size_t duration = 1 + rng.poisson(config.duration_mean_days - 1.0);
     const std::size_t room = span - static_cast<std::size_t>(config.lead_days) -
-                             static_cast<std::size_t>(config.margin_days);
+                             static_cast<std::size_t>(kMarginDays);
     duration = std::min(duration, room);
-    const std::size_t last_start = span - static_cast<std::size_t>(config.margin_days) - duration;
+    const std::size_t last_start = span - static_cast<std::size_t>(kMarginDays) - duration;
     const std::size_t start = rng.uniform(static_cast<std::uint64_t>(config.lead_days),
                                           static_cast<std::uint64_t>(last_start));
 

@@ -8,6 +8,17 @@ namespace moas::topo {
 
 namespace {
 
+constexpr double kTier1PeerProb = 0.9;   // fraction of core pairs that peer
+constexpr double kTier2PeerProb = 0.08;  // same-tier peering probability
+constexpr double kTier3PeerProb = 0.02;
+
+/// Probability that a stub buys transit directly from a tier-1 backbone
+/// instead of a regional/local ISP. Real edge networks overwhelmingly
+/// attach to lower tiers; keeping this small is what makes *sampled*
+/// topologies thin out at small sizes (the paper's size-robustness effect
+/// depends on it).
+constexpr double kStubTier1Bias = 0.08;
+
 /// Degree-weighted provider choice (preferential attachment, +1 smoothing so
 /// fresh nodes can be picked). `pool` must be non-empty.
 Asn pick_provider(const AsGraph& g, const std::vector<Asn>& pool, util::Rng& rng,
@@ -77,7 +88,7 @@ AsGraph generate_internet(const InternetConfig& config, util::Rng& rng) {
   for (std::size_t i = 0; i < tier1.size(); ++i) {
     for (std::size_t j = i + 1; j < tier1.size(); ++j) {
       const bool ring = (j == i + 1) || (i == 0 && j == tier1.size() - 1);
-      if (ring || rng.chance(config.tier1_peer_prob)) {
+      if (ring || rng.chance(kTier1PeerProb)) {
         g.add_edge(tier1[i], tier1[j], bgp::Relationship::Peer);
       }
     }
@@ -92,7 +103,7 @@ AsGraph generate_internet(const InternetConfig& config, util::Rng& rng) {
   }
   for (std::size_t i = 0; i < tier2.size(); ++i) {
     for (std::size_t j = i + 1; j < tier2.size(); ++j) {
-      if (rng.chance(config.tier2_peer_prob)) {
+      if (rng.chance(kTier2PeerProb)) {
         g.add_edge(tier2[i], tier2[j], bgp::Relationship::Peer);
       }
     }
@@ -110,7 +121,7 @@ AsGraph generate_internet(const InternetConfig& config, util::Rng& rng) {
   }
   for (std::size_t i = 0; i < tier3.size(); ++i) {
     for (std::size_t j = i + 1; j < tier3.size(); ++j) {
-      if (rng.chance(config.tier3_peer_prob)) {
+      if (rng.chance(kTier3PeerProb)) {
         g.add_edge(tier3[i], tier3[j], bgp::Relationship::Peer);
       }
     }
@@ -133,7 +144,7 @@ AsGraph generate_internet(const InternetConfig& config, util::Rng& rng) {
     AsnSet chosen;
     while (chosen.size() < n_providers) {
       const std::vector<Asn>& pool =
-          (tier23.empty() || rng.chance(config.stub_tier1_bias)) ? tier1 : tier23;
+          (tier23.empty() || rng.chance(kStubTier1Bias)) ? tier1 : tier23;
       const Asn provider = pick_provider(g, pool, rng, chosen);
       chosen.insert(provider);
       g.add_edge(provider, next, bgp::Relationship::Customer);

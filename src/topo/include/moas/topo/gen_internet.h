@@ -29,21 +29,10 @@ struct InternetConfig {
   std::size_t tier3 = 500;   // local transit
   std::size_t stubs = 9000;  // edge networks
 
-  double tier1_peer_prob = 0.9;   // fraction of core pairs that peer
-  double tier2_peer_prob = 0.08;  // same-tier peering probability
-  double tier3_peer_prob = 0.02;
-
   /// Stub multi-homing mix: P(2 providers), P(3 providers); remainder is
   /// single-homed.
   double stub_two_provider_prob = 0.55;
   double stub_three_provider_prob = 0.30;
-
-  /// Probability that a stub buys transit directly from a tier-1 backbone
-  /// instead of a regional/local ISP. Real edge networks overwhelmingly
-  /// attach to lower tiers; keeping this small is what makes *sampled*
-  /// topologies thin out at small sizes (the paper's size-robustness
-  /// effect depends on it).
-  double stub_tier1_bias = 0.08;
 
   /// ASNs are assigned sequentially from here.
   Asn first_asn = 1;

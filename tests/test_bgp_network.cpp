@@ -166,11 +166,5 @@ TEST(Network, QuiescenceCapDetected) {
   EXPECT_FALSE(network.run_to_quiescence(100));
 }
 
-TEST(Network, RejectsBadConfig) {
-  Network::Config config;
-  config.link_delay = -1.0;
-  EXPECT_THROW(Network network(config), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace moas::bgp

@@ -20,8 +20,8 @@ RegistryOutageConfig busy_config() {
 }
 
 TEST(RegistryOutage, CompileIsDeterministic) {
-  const auto a = compile_registry_outages(busy_config(), 2);
-  const auto b = compile_registry_outages(busy_config(), 2);
+  const auto a = compile_registry_outages(busy_config());
+  const auto b = compile_registry_outages(busy_config());
   EXPECT_EQ(a.outages, b.outages);
   EXPECT_EQ(a.spikes, b.spikes);
   EXPECT_EQ(a.to_string(), b.to_string());
@@ -29,27 +29,27 @@ TEST(RegistryOutage, CompileIsDeterministic) {
 
 TEST(RegistryOutage, DifferentSeedsDiffer) {
   auto config = busy_config();
-  const auto a = compile_registry_outages(config, 2);
+  const auto a = compile_registry_outages(config);
   config.seed = 8;
-  const auto b = compile_registry_outages(config, 2);
+  const auto b = compile_registry_outages(config);
   EXPECT_NE(a.to_string(), b.to_string());
 }
 
 TEST(RegistryOutage, EmptyConfigCompilesToNothing) {
-  const auto schedule = compile_registry_outages(RegistryOutageConfig{}, 2);
+  const auto schedule = compile_registry_outages(RegistryOutageConfig{});
   EXPECT_TRUE(schedule.empty());
-  EXPECT_FALSE(schedule.down(0, 100.0));
+  EXPECT_FALSE(schedule.down(100.0));
   EXPECT_DOUBLE_EQ(schedule.latency_factor(100.0), 1.0);
   EXPECT_TRUE(schedule.to_string().empty());
 }
 
 TEST(RegistryOutage, WindowsStayInsideHorizonAndSorted) {
-  const auto schedule = compile_registry_outages(busy_config(), 3);
+  const auto schedule = compile_registry_outages(busy_config());
   const auto check = [&](const std::vector<RegistryOutageSchedule::Window>& windows) {
     for (std::size_t i = 0; i < windows.size(); ++i) {
       EXPECT_GE(windows[i].start, 0.0);
       EXPECT_LT(windows[i].start, busy_config().horizon);
-      EXPECT_LE(windows[i].end, busy_config().horizon + busy_config().start);
+      EXPECT_LE(windows[i].end, busy_config().horizon);
       EXPECT_LT(windows[i].start, windows[i].end);
       if (i > 0) EXPECT_LE(windows[i - 1].start, windows[i].start);
     }
@@ -58,33 +58,19 @@ TEST(RegistryOutage, WindowsStayInsideHorizonAndSorted) {
   check(schedule.spikes);
 }
 
-TEST(RegistryOutage, PrimaryOnlyScopePinsToSourceZero) {
-  auto config = busy_config();
-  config.scope = RegistryOutageConfig::Scope::PrimaryOnly;
-  const auto schedule = compile_registry_outages(config, 3);
-  ASSERT_FALSE(schedule.outages.empty());
-  for (const auto& window : schedule.outages) {
-    EXPECT_EQ(window.source, 0);
-    const sim::Time mid = (window.start + window.end) / 2.0;
-    EXPECT_TRUE(schedule.down(0, mid));
-    EXPECT_FALSE(schedule.down(1, mid)) << "mirrors stay reachable";
-    EXPECT_FALSE(schedule.down(2, mid));
-  }
-}
-
 TEST(RegistryOutage, DownRespectsHalfOpenWindows) {
   RegistryOutageSchedule schedule;
-  schedule.outages.push_back({10.0, 20.0, -1, 1.0});
-  EXPECT_FALSE(schedule.down(0, 9.999));
-  EXPECT_TRUE(schedule.down(0, 10.0));
-  EXPECT_TRUE(schedule.down(1, 19.999));
-  EXPECT_FALSE(schedule.down(0, 20.0)) << "end is exclusive";
+  schedule.outages.push_back({10.0, 20.0, 1.0});
+  EXPECT_FALSE(schedule.down(9.999));
+  EXPECT_TRUE(schedule.down(10.0));
+  EXPECT_TRUE(schedule.down(19.999));
+  EXPECT_FALSE(schedule.down(20.0)) << "end is exclusive";
 }
 
 TEST(RegistryOutage, LatencyFactorMultipliesOverlappingSpikes) {
   RegistryOutageSchedule schedule;
-  schedule.spikes.push_back({0.0, 10.0, -1, 4.0});
-  schedule.spikes.push_back({5.0, 15.0, -1, 3.0});
+  schedule.spikes.push_back({0.0, 10.0, 4.0});
+  schedule.spikes.push_back({5.0, 15.0, 3.0});
   EXPECT_DOUBLE_EQ(schedule.latency_factor(2.0), 4.0);
   EXPECT_DOUBLE_EQ(schedule.latency_factor(7.0), 12.0) << "overlap compounds";
   EXPECT_DOUBLE_EQ(schedule.latency_factor(12.0), 3.0);
@@ -92,7 +78,7 @@ TEST(RegistryOutage, LatencyFactorMultipliesOverlappingSpikes) {
 }
 
 TEST(RegistryOutage, ReplayLogMentionsEveryWindow) {
-  const auto schedule = compile_registry_outages(busy_config(), 2);
+  const auto schedule = compile_registry_outages(busy_config());
   const std::string log = schedule.to_string();
   std::size_t lines = 0;
   for (char c : log) lines += (c == '\n') ? 1 : 0;
@@ -104,16 +90,13 @@ TEST(RegistryOutage, ReplayLogMentionsEveryWindow) {
 TEST(RegistryOutage, Validation) {
   auto config = busy_config();
   config.horizon = 0.0;
-  EXPECT_THROW(compile_registry_outages(config, 2), std::invalid_argument);
+  EXPECT_THROW(compile_registry_outages(config), std::invalid_argument);
   config = busy_config();
   config.outage_mean = 0.0;
-  EXPECT_THROW(compile_registry_outages(config, 2), std::invalid_argument);
+  EXPECT_THROW(compile_registry_outages(config), std::invalid_argument);
   config = busy_config();
   config.spike_factor = 0.5;
-  EXPECT_THROW(compile_registry_outages(config, 2), std::invalid_argument);
-  config = busy_config();
-  config.scope = RegistryOutageConfig::Scope::PrimaryOnly;
-  EXPECT_THROW(compile_registry_outages(config, 0), std::invalid_argument);
+  EXPECT_THROW(compile_registry_outages(config), std::invalid_argument);
 }
 
 }  // namespace

@@ -47,8 +47,8 @@ TEST(ChaosSchedule, EventsAreSortedAndInsideHorizon) {
     EXPECT_LE(schedule.events[i - 1].at, schedule.events[i].at);
   }
   for (const FaultEvent& event : schedule.events) {
-    EXPECT_GE(event.at, config.start);
-    EXPECT_LT(event.at, config.start + config.horizon);
+    EXPECT_GE(event.at, 0.0);
+    EXPECT_LT(event.at, config.horizon);
   }
 }
 

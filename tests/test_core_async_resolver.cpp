@@ -268,69 +268,6 @@ TEST(AsyncResolver, FallsBackToSecondSource) {
   EXPECT_EQ(counter(clock_resolver, "resolver.fallbacks"), 1u);
 }
 
-TEST(AsyncResolver, QuorumAgreementResolves) {
-  Harness h;
-  h.backend->answer = bgp::AsnSet{1};
-  auto irr = std::make_shared<ScriptedResolver>("irr");
-  irr->answer = bgp::AsnSet{1};
-  AsyncResolver::Config config;
-  config.quorum = 2;
-  AsyncResolver resolver(h.clock, config);
-  resolver.add_source(h.backend, fast_source());
-  resolver.add_source(irr, fast_source());
-
-  resolver.request(kPrefix, h.collect());
-  h.clock.run();
-  ASSERT_EQ(h.outcomes.size(), 1u);
-  EXPECT_EQ(h.outcomes[0].fate, AsyncResolver::Fate::Resolved);
-  EXPECT_EQ(h.outcomes[0].answer, bgp::AsnSet{1});
-  EXPECT_EQ(h.outcomes[0].source, "dns") << "the first source to assert the winning value";
-}
-
-TEST(AsyncResolver, QuorumConflictWhenSourcesDisagree) {
-  Harness h;
-  h.backend->answer = bgp::AsnSet{1};
-  auto irr = std::make_shared<ScriptedResolver>("irr");
-  irr->answer = bgp::AsnSet{666};  // stale record asserts the attacker
-  AsyncResolver::Config config;
-  config.quorum = 2;
-  config.stale_cache = false;
-  AsyncResolver resolver(h.clock, config);
-  resolver.add_source(h.backend, fast_source());
-  resolver.add_source(irr, fast_source());
-
-  resolver.request(kPrefix, h.collect());
-  h.clock.run();
-  ASSERT_EQ(h.outcomes.size(), 1u);
-  EXPECT_EQ(h.outcomes[0].fate, AsyncResolver::Fate::QuorumConflict);
-  EXPECT_FALSE(h.outcomes[0].answer.has_value())
-      << "conflicting data must not be coin-flipped into an answer";
-  EXPECT_EQ(counter(resolver, "resolver.quorum_conflicts"), 1u);
-}
-
-TEST(AsyncResolver, QuorumConflictNotMaskedByStaleCache) {
-  Harness h;
-  h.backend->answer = bgp::AsnSet{1};
-  auto irr = std::make_shared<ScriptedResolver>("irr");
-  irr->answer = bgp::AsnSet{1};
-  AsyncResolver::Config config;
-  config.quorum = 2;  // stale cache stays enabled
-  AsyncResolver resolver(h.clock, config);
-  resolver.add_source(h.backend, fast_source());
-  resolver.add_source(irr, fast_source());
-
-  resolver.request(kPrefix, h.collect());  // agreement: deposits a stale answer
-  h.clock.run();
-  irr->answer = bgp::AsnSet{666};  // the registry record turns attacker-era
-  resolver.request(kPrefix, h.collect());
-  h.clock.run();
-  ASSERT_EQ(h.outcomes.size(), 2u);
-  EXPECT_EQ(h.outcomes[1].fate, AsyncResolver::Fate::QuorumConflict)
-      << "live disagreement must surface, never be papered over by the stale store";
-  EXPECT_EQ(counter(resolver, "resolver.quorum_conflicts"), 1u);
-  EXPECT_EQ(counter(resolver, "resolver.stale_served"), 0u);
-}
-
 TEST(AsyncResolver, StaleCacheServesWhenAllSourcesFail) {
   Harness h;
   h.backend->answer = bgp::AsnSet{1, 2};
@@ -364,7 +301,7 @@ TEST(AsyncResolver, DeadlineExpiresRequestDuringOutage) {
   auto resolver = h.make(config, source);
 
   auto schedule = std::make_shared<chaos::RegistryOutageSchedule>();
-  schedule->outages.push_back({0.0, 1000.0, -1, 1.0});  // everything down, forever
+  schedule->outages.push_back({0.0, 1000.0, 1.0});  // everything down, forever
   resolver.set_outage_schedule(schedule);
 
   resolver.request(kPrefix, h.collect());
@@ -393,7 +330,7 @@ TEST(AsyncResolver, RetriesRideOutAnOutageWindow) {
   auto resolver = h.make(config, source);
 
   auto schedule = std::make_shared<chaos::RegistryOutageSchedule>();
-  schedule->outages.push_back({0.0, 5.0, -1, 1.0});
+  schedule->outages.push_back({0.0, 5.0, 1.0});
   resolver.set_outage_schedule(schedule);
 
   resolver.request(kPrefix, h.collect());
@@ -445,7 +382,7 @@ TEST(AsyncResolver, DeterministicForEqualSeeds) {
 TEST(AsyncResolver, Validation) {
   sim::EventQueue clock;
   AsyncResolver::Config bad;
-  bad.quorum = 0;
+  bad.request_deadline = 0.0;
   EXPECT_THROW(AsyncResolver(clock, bad), std::invalid_argument);
   AsyncResolver resolver(clock, {});
   EXPECT_THROW(resolver.add_source(nullptr), std::invalid_argument);

@@ -119,7 +119,7 @@ TEST(DegradedMode, RidesOutAnOutageWithoutEvicting) {
   h.truth->set(kPrefix, {1});
   auto detector = h.make();
   auto schedule = std::make_shared<chaos::RegistryOutageSchedule>();
-  schedule->outages.push_back({0.0, 5.0, -1, 1.0});
+  schedule->outages.push_back({0.0, 5.0, 1.0});
   h.async->set_outage_schedule(schedule);
 
   detector.accept(route_from({9, 1}), 9, h.ctx);
@@ -152,7 +152,7 @@ TEST(DegradedMode, DeadlineExpiryIsExplicitNeverSilent) {
   source.backoff_cap = 0.1;
   auto detector = h.make(config, source);
   auto schedule = std::make_shared<chaos::RegistryOutageSchedule>();
-  schedule->outages.push_back({0.0, 100.0, -1, 1.0});
+  schedule->outages.push_back({0.0, 100.0, 1.0});
   h.async->set_outage_schedule(schedule);
 
   detector.accept(route_from({9, 1}), 9, h.ctx);

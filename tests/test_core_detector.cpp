@@ -134,15 +134,6 @@ TEST(MoasDetector, OriginNotInListRejectedOnItsFace) {
   EXPECT_EQ(h.alarms->alarms()[0].cause, MoasAlarm::Cause::OriginNotInList);
 }
 
-TEST(MoasDetector, OriginInListCheckCanBeDisabled) {
-  Harness h;
-  MoasDetector::Config config;
-  config.check_origin_in_list = false;
-  h.resolver = std::make_shared<OracleResolver>(h.truth);
-  MoasDetector detector(h.alarms, h.resolver, config);
-  EXPECT_TRUE(detector.accept(route_from({3}, {1, 2}), 3, h.ctx));
-}
-
 TEST(MoasDetector, StrippedListRaisesFalseAlarmButAccepts) {
   // Section 4.3: a router dropped the communities; the origin-only implicit
   // list conflicts with the full list, but resolution shows both origins
@@ -175,21 +166,6 @@ TEST(MoasDetector, UnregisteredPrefixResolvesToFailure) {
   detector.accept(route_from({9, 1}), 9, h.ctx);
   EXPECT_TRUE(detector.accept(route_from({52}), 52, h.ctx));
   EXPECT_EQ(detector.stats().resolutions_failed, 1u);
-}
-
-TEST(MoasDetector, BannedRepeatAlarmOptIn) {
-  Harness h;
-  h.truth->set(kPrefix, {1});
-  MoasDetector::Config config;
-  config.alarm_on_banned_repeat = true;
-  h.resolver = std::make_shared<OracleResolver>(h.truth);
-  MoasDetector detector(h.alarms, h.resolver, config);
-  detector.accept(route_from({9, 1}), 9, h.ctx);
-  detector.accept(route_from({52}), 52, h.ctx);
-  EXPECT_EQ(h.alarms->size(), 1u);
-  detector.accept(route_from({8, 52}), 8, h.ctx);
-  EXPECT_EQ(h.alarms->size(), 2u);
-  EXPECT_EQ(h.alarms->alarms()[1].cause, MoasAlarm::Cause::BannedOriginSeen);
 }
 
 TEST(MoasDetector, TracksPrefixesIndependently) {

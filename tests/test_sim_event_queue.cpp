@@ -51,48 +51,6 @@ TEST(EventQueue, RejectsEmptyCallback) {
   EXPECT_THROW(queue.schedule_at(1.0, std::function<void()>()), std::invalid_argument);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue queue;
-  bool ran = false;
-  const EventId id = queue.schedule_at(1.0, [&] { ran = true; });
-  EXPECT_TRUE(queue.cancel(id));
-  queue.run();
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(queue.executed(), 0u);
-}
-
-TEST(EventQueue, CancelTwiceFails) {
-  EventQueue queue;
-  const EventId id = queue.schedule_at(1.0, [] {});
-  EXPECT_TRUE(queue.cancel(id));
-  EXPECT_FALSE(queue.cancel(id));
-}
-
-TEST(EventQueue, CancelAfterRunFails) {
-  EventQueue queue;
-  const EventId id = queue.schedule_at(1.0, [] {});
-  queue.run();
-  EXPECT_FALSE(queue.cancel(id));
-}
-
-TEST(EventQueue, CancelUnknownFails) {
-  EventQueue queue;
-  EXPECT_FALSE(queue.cancel(0));
-  EXPECT_FALSE(queue.cancel(12345));
-}
-
-TEST(EventQueue, PendingCountTracksCancellation) {
-  EventQueue queue;
-  const EventId a = queue.schedule_at(1.0, [] {});
-  queue.schedule_at(2.0, [] {});
-  EXPECT_EQ(queue.pending(), 2u);
-  queue.cancel(a);
-  EXPECT_EQ(queue.pending(), 1u);
-  queue.run();
-  EXPECT_EQ(queue.pending(), 0u);
-  EXPECT_TRUE(queue.empty());
-}
-
 TEST(EventQueue, EventsCanScheduleMoreEvents) {
   EventQueue queue;
   int depth = 0;
@@ -139,16 +97,6 @@ TEST(EventQueue, RunUntilAdvancesClockOnEmptyQueue) {
   EventQueue queue;
   queue.run_until(9.0);
   EXPECT_DOUBLE_EQ(queue.now(), 9.0);
-}
-
-TEST(EventQueue, CancelDuringExecution) {
-  EventQueue queue;
-  bool second_ran = false;
-  EventId second = 0;
-  queue.schedule_at(1.0, [&] { queue.cancel(second); });
-  second = queue.schedule_at(2.0, [&] { second_ran = true; });
-  queue.run();
-  EXPECT_FALSE(second_ran);
 }
 
 TEST(EventQueue, ExecutedCounterAccumulates) {

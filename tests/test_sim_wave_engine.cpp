@@ -31,7 +31,7 @@ AsGraph peered_pair() {
 
 TEST(WaveEngine, StubOriginationReachesEveryoneShortestPath) {
   const AsGraph g = peered_pair();
-  WaveEngine wave(g, {});
+  WaveEngine wave(g, bgp::PolicyMode::ShortestPath);
   const net::Prefix prefix = topo::prefix_for_asn(3);
   wave.router(3).originate(prefix);
   wave.propagate();
@@ -48,9 +48,7 @@ TEST(WaveEngine, GaoRexfordCrossesThePeerEdge) {
   // Valley-free: the customer route climbs to 1, crosses the 1-2 peer edge
   // exactly once, and descends to 2's customer — one up/across/down cycle.
   const AsGraph g = peered_pair();
-  WaveEngine::Config config;
-  config.mode = bgp::PolicyMode::GaoRexford;
-  WaveEngine wave(g, config);
+  WaveEngine wave(g, bgp::PolicyMode::GaoRexford);
   const net::Prefix prefix = topo::prefix_for_asn(3);
   wave.router(3).originate(prefix);
   wave.propagate();
@@ -62,7 +60,7 @@ TEST(WaveEngine, GaoRexfordCrossesThePeerEdge) {
 
 TEST(WaveEngine, PropagateIsIncremental) {
   const AsGraph g = peered_pair();
-  WaveEngine wave(g, {});
+  WaveEngine wave(g, bgp::PolicyMode::ShortestPath);
   const net::Prefix first = topo::prefix_for_asn(3);
   const net::Prefix second = topo::prefix_for_asn(4);
   wave.router(3).originate(first);
@@ -82,7 +80,7 @@ TEST(WaveEngine, RejectsCyclicCustomerProviderGraph) {
   g.add_edge(1, 2, bgp::Relationship::Customer);
   g.add_edge(2, 3, bgp::Relationship::Customer);
   g.add_edge(3, 1, bgp::Relationship::Customer);
-  EXPECT_THROW(WaveEngine(g, {}), std::invalid_argument);
+  EXPECT_THROW(WaveEngine(g, bgp::PolicyMode::ShortestPath), std::invalid_argument);
 }
 
 TEST(WaveEngine, DeterministicAcrossInstances) {
@@ -116,7 +114,7 @@ TEST(WaveEngine, DeterministicAcrossInstances) {
 
 TEST(WaveEngine, CollectMetricsMapsEngineCounters) {
   const AsGraph g = peered_pair();
-  WaveEngine wave(g, {});
+  WaveEngine wave(g, bgp::PolicyMode::ShortestPath);
   wave.router(3).originate(topo::prefix_for_asn(3));
   wave.propagate();
   obs::MetricsRegistry metrics;
@@ -130,7 +128,7 @@ TEST(WaveEngine, CollectMetricsMapsEngineCounters) {
 
 TEST(WaveEngine, UnknownRouterIsRejected) {
   const AsGraph g = peered_pair();
-  WaveEngine wave(g, {});
+  WaveEngine wave(g, bgp::PolicyMode::ShortestPath);
   EXPECT_TRUE(wave.has_router(1));
   EXPECT_FALSE(wave.has_router(99));
   EXPECT_THROW(wave.router(99), std::invalid_argument);
