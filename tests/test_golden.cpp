@@ -7,6 +7,11 @@
 //     deterministic RunResult field (false_alarms pinned explicitly) and a
 //     digest of its converged Loc-RIBs; each point prints its SweepPoint
 //     summary at %.17g plus its merged metrics manifest.
+//   - An event sweep under churn (flaps, resets, crashes, lossy links,
+//     attribute corruption; graceful restart, resolver cache, invariant
+//     audit), once with strict RFC 4271 and once with RFC 7606 error
+//     handling: every run, its fault log and invariant report, and the
+//     point summary.
 //   - run_multi_prefix on 630 ASes × 16 prefixes under Full and Partial.
 //   - The default-calibrated Section 3 trace through MoasObserver: every
 //     TraceSummary field, the Fig 4 daily counts and the Fig 5 duration
@@ -313,6 +318,56 @@ TEST(GoldenMultiPrefix, FullDeploymentMatchesExpected) { check_multi_prefix(Depl
 TEST(GoldenMultiPrefix, PartialDeploymentMatchesExpected) {
   check_multi_prefix(Deployment::Partial);
 }
+
+void check_churn(bool revised_error_handling) {
+  // ablation_churn's moderate regime plus its corruption arm, in one
+  // schedule: flaps, session resets, crashes, lossy links and scheduled
+  // attribute corruption, with graceful restart and a resolver cache on.
+  chaos::ScheduleConfig churn;
+  churn.seed = 0xc0ffee;
+  churn.horizon = 120.0;
+  churn.flaps_per_link = 0.2;
+  churn.downtime_mean = 4.0;
+  churn.session_resets_per_link = 0.1;
+  churn.crashes_per_router = 0.05;
+  churn.restart_delay_mean = 8.0;
+  churn.msg_drop = 0.005;
+  churn.msg_reorder = 0.005;
+  churn.attr_corruptions_per_link = 0.1;
+
+  ExperimentConfig config;
+  config.churn = churn;
+  config.graceful_restart = true;
+  config.gr_restart_time = 30.0;
+  config.revised_error_handling = revised_error_handling;
+  config.resolver_cache_ttl = 30.0;
+  config.check_invariants = true;
+  config.trace_level = obs::TraceLevel::Summary;
+  config.keep_final_ribs = true;
+  config.max_events = kMaxEvents;
+  const Experiment experiment(sampled(kSweepTopologySize), config);
+  util::Rng rng(42);
+  const SweepPlan plan = experiment.plan_sweep({0.05}, 2, 2, rng);
+  util::ThreadPool pool(1);
+  const std::vector<RunResult> results = experiment.execute_plan(plan, pool);
+  std::ostringstream os;
+  for (std::size_t i = 0; i < plan.runs.size(); ++i) {
+    print_run(os, plan.runs[i], results[i]);
+    os << "    fault_log\n" << results[i].fault_log << "    invariant_report "
+       << results[i].invariant_report.size() << '\n';
+    for (const std::string& violation : results[i].invariant_report) {
+      os << "      " << violation << '\n';
+    }
+  }
+  for (const SweepPoint& point : experiment.reduce_plan(plan, results)) {
+    print_point(os, point);
+  }
+  check_golden(revised_error_handling ? "churn_revised" : "churn_strict", os.str());
+}
+
+TEST(GoldenChurn, StrictErrorHandlingMatchesExpected) { check_churn(false); }
+
+TEST(GoldenChurn, RevisedErrorHandlingMatchesExpected) { check_churn(true); }
 
 TEST(GoldenTrace, MatchesExpected) {
   // The trace sec3_moas_stats, fig4_moas_timeseries and
