@@ -12,8 +12,6 @@
 
 #include "bench_util.h"
 #include "moas/chaos/schedule.h"
-#include "moas/core/monitor.h"
-#include "moas/util/stats.h"
 #include "moas/util/strings.h"
 
 using namespace moas;
@@ -51,31 +49,19 @@ chaos::ScheduleConfig churn_regime(double flaps_per_link, double msg_fault_rate)
   return config;
 }
 
+/// One table cell: the shared sweep reducer's point, which holds the means,
+/// the stuck-run count and the merged registry every summed counter is read
+/// from, plus the per-run fault bookkeeping the registry does not hold.
 struct Cell {
-  double adopted_false = 0.0;  // mean fraction of non-attacker ASes
-  double no_route = 0.0;
-  double alarms = 0.0;
+  core::SweepPoint point;
   std::size_t fault_events = 0;
-  std::uint64_t message_faults = 0;
   std::size_t violations = 0;
-  std::uint64_t withdrawals = 0;  // summed over runs: wire churn
-  std::uint64_t routes_withdrawn = 0;  // receiver-side route loss (incl. flushes)
-  std::uint64_t announcements = 0;
-  std::uint64_t stale_retained = 0;
-  std::uint64_t resolver_queries = 0;  // backend (registry) load
-  std::uint64_t cache_hits = 0;
   std::string first_fault_log;  // replay log of the cell's first run
-  core::ErrorHandlingSummary error_handling;  // typed view over `metrics`
-  /// Per-run registries merged in plan order, plus the cell's alarm-latency
-  /// histograms under the same names the sweep reducer uses.
-  obs::MetricsRegistry metrics;
-  std::size_t stuck_runs = 0;  // false route still installed at quiescence
 };
 
-/// Mirrors Experiment::run_point (3 origin sets x 5 attacker sets), but
-/// keeps the churn bookkeeping run_point's SweepPoint drops. Uses the same
-/// plan → execute → reduce shape as Experiment::sweep, so the Rng stream
-/// and every run result match the historical serial loop for any `jobs`.
+/// Experiment::run_point's plan → execute → reduce (3 origin sets x 5
+/// attacker sets), so the Rng stream and every result match it for any
+/// `jobs`; the per-run walk only gathers what the SweepPoint drops.
 Cell run_cell(const core::Experiment& experiment, double attacker_fraction,
               util::Rng& rng, std::size_t jobs) {
   const core::SweepPlan plan =
@@ -84,45 +70,16 @@ Cell run_cell(const core::Experiment& experiment, double attacker_fraction,
   const std::vector<core::RunResult> results = experiment.execute_plan(plan, pool);
 
   Cell cell;
-  util::Accumulator adopted, no_route, alarms;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const core::RunResult& run = results[i];
-    adopted.add(run.adopted_false_fraction());
-    no_route.add(run.no_route_fraction());
-    alarms.add(static_cast<double>(run.alarms));
+  cell.point = experiment.reduce_plan(plan, results).front();
+  cell.first_fault_log = results.front().fault_log;
+  for (const core::RunResult& run : results) {
     cell.fault_events += run.fault_events;
-    cell.message_faults += run.message_faults;
     cell.violations += run.invariant_report.size();
-    cell.withdrawals += run.withdrawals;
-    cell.routes_withdrawn += run.routes_withdrawn;
-    cell.announcements += run.announcements;
-    cell.stale_retained += run.stale_retained;
-    cell.resolver_queries += run.resolver_queries;
-    cell.cache_hits += run.resolver_cache_hits;
-    cell.metrics.merge(run.metrics);
-    if (run.first_alarm_latency >= 0.0) {
-      cell.metrics.histogram("detector.first_alarm_latency", core::kAlarmLatencySpec)
-          .add(run.first_alarm_latency);
-    }
-    if (run.eviction_latency >= 0.0) {
-      cell.metrics.histogram("detector.eviction_latency", core::kAlarmLatencySpec)
-          .add(run.eviction_latency);
-    }
-    if (run.false_route_stuck) ++cell.stuck_runs;
-    if (i == 0) cell.first_fault_log = run.fault_log;
     for (const std::string& violation : run.invariant_report) {
       std::cerr << "invariant violation: " << violation << "\n";
     }
   }
   if (g_trace_out.is_open()) write_run_traces(g_trace_out, results);
-  cell.metrics.histogram("detector.first_alarm_latency", core::kAlarmLatencySpec);
-  cell.metrics.histogram("detector.eviction_latency", core::kAlarmLatencySpec);
-  // The summary table is a typed read of the merged registry — the chaos
-  // and router counters feeding it have no separate bookkeeping path.
-  cell.error_handling = core::ErrorHandlingSummary::from_metrics(cell.metrics);
-  cell.adopted_false = adopted.mean();
-  cell.no_route = no_route.mean();
-  cell.alarms = alarms.mean();
   return cell;
 }
 
@@ -173,25 +130,29 @@ int main(int argc, char** argv) {
     util::Rng rng(42);  // same workload draws per regime
     for (std::size_t f = 0; f < fractions.size(); ++f) {
       const Cell cell = run_cell(experiment, fractions[f], rng, jobs);
-      const obs::FixedHistogram* alarm_lat =
-          cell.metrics.find_histogram("detector.first_alarm_latency");
-      const obs::FixedHistogram* evict_lat =
-          cell.metrics.find_histogram("detector.eviction_latency");
+      const core::SweepPoint& point = cell.point;
+      const obs::MetricsRegistry& m = point.metrics;
+      const std::uint64_t msg_faults = m.counter("chaos.msgs_dropped") +
+                                       m.counter("chaos.msgs_reordered") +
+                                       m.counter("chaos.attr_corruptions_applied");
       table.add_row({regime.label, util::fmt_double(fractions[f] * 100.0, 0),
-                     util::fmt_double(cell.adopted_false * 100.0, 2),
-                     util::fmt_double(cell.no_route * 100.0, 2),
-                     util::fmt_double(cell.alarms, 1),
-                     util::fmt_double(alarm_lat->quantile(0.5), 2),
-                     util::fmt_double(evict_lat->quantile(0.9), 2),
-                     std::to_string(cell.stuck_runs), std::to_string(cell.fault_events),
-                     std::to_string(cell.message_faults), std::to_string(cell.violations)});
+                     util::fmt_double(point.mean_adopted_false * 100.0, 2),
+                     util::fmt_double(point.mean_no_route * 100.0, 2),
+                     util::fmt_double(point.mean_alarms, 1),
+                     util::fmt_double(
+                         m.find_histogram("detector.first_alarm_latency")->quantile(0.5), 2),
+                     util::fmt_double(
+                         m.find_histogram("detector.eviction_latency")->quantile(0.9), 2),
+                     std::to_string(point.runs_false_route_stuck),
+                     std::to_string(cell.fault_events), std::to_string(msg_faults),
+                     std::to_string(cell.violations)});
       if (cell.violations > 0) {
         ok = false;
         std::cerr << "FAIL: " << cell.violations << " invariant violations under '"
                   << regime.label << "' churn\n";
       }
       if (regime.churn == std::nullopt) {
-        baseline[f] = cell.adopted_false;
+        baseline[f] = point.mean_adopted_false;
       } else if (regime.gated) {
         // Churn may cost some adoption (flapped-away valid paths let a false
         // route in), but full deployment must stay within ~2x the fault-free
@@ -201,9 +162,9 @@ int main(int argc, char** argv) {
         // and false alike — survive churn than when a reset could leave a
         // session down for the rest of the run.
         const double allowed = std::max(2.25 * baseline[f], 0.011);
-        if (cell.adopted_false > allowed) {
+        if (point.mean_adopted_false > allowed) {
           ok = false;
-          std::cerr << "FAIL: adoption " << cell.adopted_false << " under '" << regime.label
+          std::cerr << "FAIL: adoption " << point.mean_adopted_false << " under '" << regime.label
                     << "' churn exceeds 2x baseline " << baseline[f] << "\n";
         }
       }
@@ -243,38 +204,45 @@ int main(int argc, char** argv) {
 
   util::TablePrinter restart_table({"restart_mode", "withdrawals", "announcements",
                                     "stale_retained", "adopting_false_pct", "violations"});
-  restart_table.add_row({"cold", std::to_string(cold.withdrawals),
-                         std::to_string(cold.announcements),
-                         std::to_string(cold.stale_retained),
-                         util::fmt_double(cold.adopted_false * 100.0, 2),
-                         std::to_string(cold.violations)});
-  restart_table.add_row({"graceful", std::to_string(graceful.withdrawals),
-                         std::to_string(graceful.announcements),
-                         std::to_string(graceful.stale_retained),
-                         util::fmt_double(graceful.adopted_false * 100.0, 2),
-                         std::to_string(graceful.violations)});
+  for (const auto& [label, cell] : {std::pair<const char*, const Cell*>{"cold", &cold},
+                                    {"graceful", &graceful}}) {
+    const obs::MetricsRegistry& m = cell->point.metrics;
+    restart_table.add_row({label, std::to_string(m.counter("router.withdrawals_sent")),
+                           std::to_string(m.counter("router.announcements_sent")),
+                           std::to_string(m.counter("router.stale_retained")),
+                           util::fmt_double(cell->point.mean_adopted_false * 100.0, 2),
+                           std::to_string(cell->violations)});
+  }
   restart_table.print(std::cout);
 
+  const std::uint64_t cold_withdrawals = cold.point.metrics.counter("router.withdrawals_sent");
+  const std::uint64_t graceful_withdrawals =
+      graceful.point.metrics.counter("router.withdrawals_sent");
+  const std::uint64_t cold_announcements =
+      cold.point.metrics.counter("router.announcements_sent");
+  const std::uint64_t graceful_announcements =
+      graceful.point.metrics.counter("router.announcements_sent");
   if (cold.violations + graceful.violations > 0) {
     ok = false;
     std::cerr << "FAIL: invariant violations in the restart-mode comparison\n";
   }
-  if (graceful.withdrawals >= cold.withdrawals) {
+  if (graceful_withdrawals >= cold_withdrawals) {
     ok = false;
-    std::cerr << "FAIL: graceful restart sent " << graceful.withdrawals
-              << " withdrawals, cold restart " << cold.withdrawals
+    std::cerr << "FAIL: graceful restart sent " << graceful_withdrawals
+              << " withdrawals, cold restart " << cold_withdrawals
               << " — GR must strictly reduce withdraw churn\n";
   }
-  if (graceful.announcements >= cold.announcements) {
+  if (graceful_announcements >= cold_announcements) {
     ok = false;
-    std::cerr << "FAIL: graceful restart sent " << graceful.announcements
-              << " announcements, cold restart " << cold.announcements
+    std::cerr << "FAIL: graceful restart sent " << graceful_announcements
+              << " announcements, cold restart " << cold_announcements
               << " — GR must strictly reduce re-announce churn\n";
   }
-  if (graceful.adopted_false > cold.adopted_false + 1e-9) {
+  if (graceful.point.mean_adopted_false > cold.point.mean_adopted_false + 1e-9) {
     ok = false;
     std::cerr << "FAIL: graceful restart worsened false adoption ("
-              << graceful.adopted_false << " vs cold " << cold.adopted_false << ")\n";
+              << graceful.point.mean_adopted_false << " vs cold "
+              << cold.point.mean_adopted_false << ")\n";
   }
   if (graceful.first_fault_log != cold.first_fault_log) {
     ok = false;
@@ -282,7 +250,7 @@ int main(int argc, char** argv) {
                  "must not depend on GR\n";
   }
   if (graceful.first_fault_log != graceful_rerun.first_fault_log ||
-      graceful.withdrawals != graceful_rerun.withdrawals) {
+      graceful_withdrawals != graceful_rerun.point.metrics.counter("router.withdrawals_sent")) {
     ok = false;
     std::cerr << "FAIL: GR run is not deterministic for a fixed seed\n";
   }
@@ -307,23 +275,28 @@ int main(int argc, char** argv) {
   const Cell uncached = run_cache_cell(0.0);
   const Cell cached = run_cache_cell(30.0);
 
+  const std::uint64_t uncached_queries = uncached.point.metrics.counter("resolver.queries");
+  const std::uint64_t cached_queries = cached.point.metrics.counter("resolver.queries");
+  const std::uint64_t cache_hits = cached.point.metrics.counter("resolver.cache_hits") +
+                                   cached.point.metrics.counter("resolver.cache_negative_hits");
   util::TablePrinter cache_table(
       {"resolver", "registry_queries", "cache_hits", "alarms_per_run", "adopting_false_pct"});
-  cache_table.add_row({"oracle", std::to_string(uncached.resolver_queries), "0",
-                       util::fmt_double(uncached.alarms, 1),
-                       util::fmt_double(uncached.adopted_false * 100.0, 2)});
-  cache_table.add_row({"oracle+cache", std::to_string(cached.resolver_queries),
-                       std::to_string(cached.cache_hits), util::fmt_double(cached.alarms, 1),
-                       util::fmt_double(cached.adopted_false * 100.0, 2)});
+  cache_table.add_row({"oracle", std::to_string(uncached_queries), "0",
+                       util::fmt_double(uncached.point.mean_alarms, 1),
+                       util::fmt_double(uncached.point.mean_adopted_false * 100.0, 2)});
+  cache_table.add_row({"oracle+cache", std::to_string(cached_queries),
+                       std::to_string(cache_hits), util::fmt_double(cached.point.mean_alarms, 1),
+                       util::fmt_double(cached.point.mean_adopted_false * 100.0, 2)});
   cache_table.print(std::cout);
 
-  if (cached.resolver_queries >= uncached.resolver_queries) {
+  if (cached_queries >= uncached_queries) {
     ok = false;
-    std::cerr << "FAIL: cache did not reduce registry load (" << cached.resolver_queries
-              << " vs " << uncached.resolver_queries << ")\n";
+    std::cerr << "FAIL: cache did not reduce registry load (" << cached_queries << " vs "
+              << uncached_queries << ")\n";
   }
-  if (cached.adopted_false != uncached.adopted_false || cached.alarms != uncached.alarms ||
-      cached.no_route != uncached.no_route) {
+  if (cached.point.mean_adopted_false != uncached.point.mean_adopted_false ||
+      cached.point.mean_alarms != uncached.point.mean_alarms ||
+      cached.point.mean_no_route != uncached.point.mean_no_route) {
     ok = false;
     std::cerr << "FAIL: resolver cache changed detection outcomes\n";
   }
@@ -358,61 +331,74 @@ int main(int argc, char** argv) {
   const Cell revised = run_error_cell(true);
   const Cell revised_rerun = run_error_cell(true);
 
-  std::cout << core::error_handling_table_from_metrics(
-      {{"rfc4271", legacy.metrics}, {"rfc7606", revised.metrics}});
-
+  // Which degradation mode absorbed the damage, one row per arm.
+  util::TablePrinter handling_table({"arm", "corruptions", "treat-as-withdraw",
+                                     "attr-discard", "resets-avoided", "session-resets",
+                                     "error-withdraws", "poisoned-blocked"});
   util::TablePrinter error_table({"error_handling", "session_resets", "routes_withdrawn",
                                   "wire_withdrawals", "adopting_false_pct", "violations"});
-  error_table.add_row({"rfc4271",
-                       std::to_string(legacy.error_handling.corrupt_session_resets),
-                       std::to_string(legacy.routes_withdrawn),
-                       std::to_string(legacy.withdrawals),
-                       util::fmt_double(legacy.adopted_false * 100.0, 2),
-                       std::to_string(legacy.violations)});
-  error_table.add_row({"rfc7606",
-                       std::to_string(revised.error_handling.corrupt_session_resets),
-                       std::to_string(revised.routes_withdrawn),
-                       std::to_string(revised.withdrawals),
-                       util::fmt_double(revised.adopted_false * 100.0, 2),
-                       std::to_string(revised.violations)});
+  for (const auto& [label, cell] : {std::pair<const char*, const Cell*>{"rfc4271", &legacy},
+                                    {"rfc7606", &revised}}) {
+    const obs::MetricsRegistry& m = cell->point.metrics;
+    const std::uint64_t treat_as_withdraws = m.counter("chaos.treat_as_withdraws");
+    const std::uint64_t attr_discards = m.counter("chaos.attr_discards");
+    handling_table.add_row({label, std::to_string(m.counter("chaos.attr_corruptions_applied")),
+                            std::to_string(treat_as_withdraws), std::to_string(attr_discards),
+                            std::to_string(treat_as_withdraws + attr_discards),
+                            std::to_string(m.counter("chaos.corrupt_session_resets")),
+                            std::to_string(m.counter("router.error_withdraws")),
+                            std::to_string(m.counter("chaos.poisoned_blocked"))});
+    error_table.add_row({label, std::to_string(m.counter("chaos.corrupt_session_resets")),
+                         std::to_string(m.counter("router.routes_withdrawn")),
+                         std::to_string(m.counter("router.withdrawals_sent")),
+                         util::fmt_double(cell->point.mean_adopted_false * 100.0, 2),
+                         std::to_string(cell->violations)});
+  }
+  handling_table.print(std::cout);
   error_table.print(std::cout);
 
+  const obs::MetricsRegistry& legacy_m = legacy.point.metrics;
+  const obs::MetricsRegistry& revised_m = revised.point.metrics;
+  const obs::MetricsRegistry& rerun_m = revised_rerun.point.metrics;
+  const std::uint64_t legacy_resets = legacy_m.counter("chaos.corrupt_session_resets");
+  const std::uint64_t revised_resets = revised_m.counter("chaos.corrupt_session_resets");
+  const std::uint64_t legacy_withdrawn = legacy_m.counter("router.routes_withdrawn");
+  const std::uint64_t revised_withdrawn = revised_m.counter("router.routes_withdrawn");
   if (legacy.violations + revised.violations > 0) {
     ok = false;
     std::cerr << "FAIL: invariant violations in the error-handling comparison\n";
   }
-  if (legacy.error_handling.attr_corruptions == 0) {
+  if (legacy_m.counter("chaos.attr_corruptions_applied") == 0) {
     ok = false;
     std::cerr << "FAIL: corruption schedule landed no attribute corruptions — "
                  "the comparison is vacuous\n";
   }
-  if (revised.error_handling.corrupt_session_resets != 0) {
+  if (revised_resets != 0) {
     ok = false;
-    std::cerr << "FAIL: RFC 7606 arm reset " << revised.error_handling.corrupt_session_resets
+    std::cerr << "FAIL: RFC 7606 arm reset " << revised_resets
               << " sessions — attribute damage must never reset a session\n";
   }
-  if (revised.error_handling.corrupt_session_resets >=
-      legacy.error_handling.corrupt_session_resets) {
+  if (revised_resets >= legacy_resets) {
     ok = false;
     std::cerr << "FAIL: revised handling did not strictly reduce session resets ("
-              << revised.error_handling.corrupt_session_resets << " vs "
-              << legacy.error_handling.corrupt_session_resets << ")\n";
+              << revised_resets << " vs " << legacy_resets << ")\n";
   }
   // The withdrawal gate counts receiver-side route loss, not wire messages:
   // a reset session sends *fewer* updates precisely because it is dead —
   // its damage is the implicit withdrawal of every Adj-RIB-In entry the
   // flush evicts, which routes_withdrawn captures and withdrawals_sent
   // cannot see.
-  if (revised.routes_withdrawn >= legacy.routes_withdrawn) {
+  if (revised_withdrawn >= legacy_withdrawn) {
     ok = false;
-    std::cerr << "FAIL: revised handling withdrew " << revised.routes_withdrawn
-              << " routes, strict 4271 " << legacy.routes_withdrawn
+    std::cerr << "FAIL: revised handling withdrew " << revised_withdrawn
+              << " routes, strict 4271 " << legacy_withdrawn
               << " — 7606 must strictly reduce withdrawn routes\n";
   }
-  if (revised.adopted_false > legacy.adopted_false + 1e-9) {
+  if (revised.point.mean_adopted_false > legacy.point.mean_adopted_false + 1e-9) {
     ok = false;
     std::cerr << "FAIL: revised handling worsened false adoption ("
-              << revised.adopted_false << " vs 4271 " << legacy.adopted_false << ")\n";
+              << revised.point.mean_adopted_false << " vs 4271 "
+              << legacy.point.mean_adopted_false << ")\n";
   }
   if (revised.first_fault_log != legacy.first_fault_log) {
     ok = false;
@@ -420,10 +406,11 @@ int main(int argc, char** argv) {
                  "replay must not depend on the receiver's handling\n";
   }
   if (revised.first_fault_log != revised_rerun.first_fault_log ||
-      revised.withdrawals != revised_rerun.withdrawals ||
-      revised.routes_withdrawn != revised_rerun.routes_withdrawn ||
-      revised.error_handling.treat_as_withdraws !=
-          revised_rerun.error_handling.treat_as_withdraws) {
+      revised_m.counter("router.withdrawals_sent") !=
+          rerun_m.counter("router.withdrawals_sent") ||
+      revised_withdrawn != rerun_m.counter("router.routes_withdrawn") ||
+      revised_m.counter("chaos.treat_as_withdraws") !=
+          rerun_m.counter("chaos.treat_as_withdraws")) {
     ok = false;
     std::cerr << "FAIL: RFC 7606 run is not deterministic for a fixed seed\n";
   }

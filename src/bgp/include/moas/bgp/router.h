@@ -50,7 +50,6 @@ class Router final : public RouterContext {
   Router(Asn asn, PolicyMode mode, SendFn send, sim::EventQueue* clock);
 
   Asn asn() const { return asn_; }
-  PolicyMode policy_mode() const { return mode_; }
 
   // --- configuration -------------------------------------------------------
 
@@ -70,7 +69,6 @@ class Router final : public RouterContext {
   /// Section 4.3 discusses. Locally originated routes keep their
   /// communities.
   void set_strip_communities(bool strip) { strip_communities_ = strip; }
-  bool strips_communities() const { return strip_communities_; }
 
   /// Minimum route advertisement interval per (peer, prefix); 0 disables.
   /// Requires a clock.
@@ -82,15 +80,12 @@ class Router final : public RouterContext {
   /// implementations apply before the router-id tie-break). On by default;
   /// turning it off makes equal-key contests deterministic by neighbor ASN.
   void set_prefer_established(bool prefer) { prefer_established_ = prefer; }
-  bool prefers_established() const { return prefer_established_; }
 
   /// Enable RFC 2439 route flap damping on import. Flapping (peer, prefix)
   /// pairs accumulate penalty; suppressed routes are excluded from the
   /// decision process until their penalty decays below the reuse
   /// threshold (a re-decide is scheduled automatically). Requires a clock.
   void enable_flap_damping(FlapDamper::Config config);
-  bool flap_damping_enabled() const { return damper_.has_value(); }
-  const FlapDamper* flap_damper() const { return damper_ ? &*damper_ : nullptr; }
 
   /// Enable RFC 4724 graceful restart with the given restart time (seconds;
   /// 0 disables). When enabled, peer_restarting() retains the restarting
@@ -99,8 +94,6 @@ class Router final : public RouterContext {
   /// marker, and a restart timer flushes stale routes whose peer never came
   /// back. Requires a clock when non-zero.
   void set_graceful_restart(sim::Time restart_time);
-  bool graceful_restart_enabled() const { return gr_restart_time_ > 0.0; }
-  sim::Time graceful_restart_time() const { return gr_restart_time_; }
 
   // --- protocol operations --------------------------------------------------
 

@@ -103,7 +103,6 @@ class ChaosEngine {
   /// per-message outcome, whose timing depends on traffic — so the log
   /// stays byte-identical between the RFC 4271 and RFC 7606 arms of an
   /// ablation run under the same schedule.
-  const std::vector<std::string>& log_lines() const { return log_; }
   std::string log_text() const;
 
   /// Communities sets that corruption manufactured and the engine refused

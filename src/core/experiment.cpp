@@ -277,15 +277,6 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
 
   if (engine) {
     result.fault_events = engine->schedule().events.size();
-    const obs::MetricsRegistry& m = result.metrics;
-    result.message_faults = m.counter("chaos.msgs_dropped") +
-                            m.counter("chaos.msgs_reordered") +
-                            m.counter("chaos.attr_corruptions_applied");
-    result.attr_corruptions = m.counter("chaos.attr_corruptions_applied");
-    result.corrupt_session_resets = m.counter("chaos.corrupt_session_resets");
-    result.treat_as_withdraws = m.counter("chaos.treat_as_withdraws");
-    result.attr_discards = m.counter("chaos.attr_discards");
-    result.poisoned_blocked = m.counter("chaos.poisoned_blocked");
     result.fault_log = engine->log_text();
   }
   if (config_.check_invariants) {

@@ -103,7 +103,6 @@ class AsyncResolver {
   /// Returns the source index.
   std::size_t add_source(std::shared_ptr<OriginResolver> backend);
   std::size_t add_source(std::shared_ptr<OriginResolver> backend, SourceConfig config);
-  std::size_t source_count() const { return sources_.size(); }
 
   /// Attach the seeded outage/latency-spike schedule (may be null). The
   /// schedule must outlive the resolver.

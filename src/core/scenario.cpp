@@ -181,24 +181,17 @@ double Run::finish(RunResult& result, const RouterAt& at) const {
     }
   }
 
-  // The registry is the source of truth: every scalar counter RunResult
-  // reports is read back out of it, so a drifting name or a missed collect
-  // shows up in the run results, not just in an exporter nobody looks at.
-  // The resolver names exist even for resolver-less runs, so manifest
-  // consumers can rely on them unconditionally.
+  // The registry is the one copy of the run's counters; the five RunResult
+  // copies below exist for the benchmark harness (experiment.h). The
+  // resolver names exist even for resolver-less runs, so manifest consumers
+  // can rely on them unconditionally.
+  m.count("resolver.queries", 0);
+  m.count("resolver.cache_hits", 0);
   result.rejections = static_cast<std::size_t>(m.counter("detector.rejections"));
   result.messages = m.counter("network.messages_sent");
   result.withdrawals = m.counter("router.withdrawals_sent");
   result.announcements = m.counter("router.announcements_sent");
-  result.stale_retained = m.counter("router.stale_retained");
-  result.stale_swept = m.counter("router.stale_swept");
-  result.routes_withdrawn = m.counter("router.routes_withdrawn");
-  result.error_withdraws = m.counter("router.error_withdraws");
-  m.count("resolver.queries", 0);
-  m.count("resolver.cache_hits", 0);
   result.resolver_queries = m.counter("resolver.queries");
-  result.resolver_cache_hits =
-      m.counter("resolver.cache_hits") + m.counter("resolver.cache_negative_hits");
 
   if (!attackers.empty()) {
     result.structural_cutoff = topo::fraction_cut_off(graph, origins, attackers);

@@ -1,9 +1,9 @@
 // Typed trace events for the observability bus.
 //
 // One TraceEvent records one protocol- or harness-level occurrence with its
-// simulated-time timestamp: a session FSM transition, an UPDATE crossing a
-// link, a best-route change, a detector alarm, a chaos fault, an RFC 7606
-// degradation. Events are plain data — actor/peer are raw AS numbers
+// simulated-time timestamp: an UPDATE crossing a link, a best-route change,
+// a detector alarm, a chaos fault, an RFC 7606 degradation, a resolver
+// attempt, a stream shard shedding or evicting state. Events are plain data — actor/peer are raw AS numbers
 // (std::uint32_t, the same representation as bgp::Asn) so this layer sits
 // *below* bgp and everything above can emit onto one bus.
 //
@@ -23,7 +23,6 @@
 namespace moas::obs {
 
 enum class EventKind : std::uint8_t {
-  SessionTransition,  // FSM state change; note = "OpenSent->Established"
   UpdateSent,         // router handed an UPDATE to the transport
   UpdateReceived,     // announcement processed at the receiver
   WithdrawReceived,   // withdrawal processed (note = "error-withdraw" if RFC 7606)
@@ -52,7 +51,7 @@ const char* to_string(EventKind kind);
 
 struct TraceEvent {
   sim::Time at = 0.0;
-  EventKind kind = EventKind::SessionTransition;
+  EventKind kind = EventKind::UpdateSent;
   std::uint32_t actor = 0;  // the AS where the event happened
   std::uint32_t peer = 0;   // the other side, when there is one (0 = none)
   bool has_prefix = false;

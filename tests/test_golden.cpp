@@ -4,8 +4,9 @@
 //   - Experiment sweeps under both engines (mrai 0, prefer_established
 //     off), crossed over deployment × resolver × attacker strategy ×
 //     origin count × converge_before_attack. Each run prints every
-//     deterministic RunResult field (false_alarms pinned explicitly) and a
-//     digest of its converged Loc-RIBs; each point prints its SweepPoint
+//     deterministic RunResult field (false_alarms pinned explicitly), its
+//     churn, error-handling and cache counters read from its registry, and
+//     a digest of its converged Loc-RIBs; each point prints its SweepPoint
 //     summary at %.17g plus its merged metrics manifest.
 //   - An event sweep under churn (flaps, resets, crashes, lossy links,
 //     attribute corruption; graceful restart, resolver cache, invariant
@@ -110,6 +111,7 @@ std::uint64_t rib_digest(const std::vector<FinalRoute>& ribs) {
 }
 
 void print_run(std::ostream& os, const PlannedRun& plan, const RunResult& r) {
+  const obs::MetricsRegistry& m = r.metrics;
   os << "  run point=" << plan.point << " seed=" << plan.seed
      << " origins=" << asns(r.origin_set) << " attackers=" << asns(r.attacker_set) << '\n'
      << "    total_ases=" << r.total_ases << " attackers=" << r.attackers
@@ -120,16 +122,21 @@ void print_run(std::ostream& os, const PlannedRun& plan, const RunResult& r) {
      << " expired=" << r.alarms_expired << " rejections=" << r.rejections << '\n'
      << "    messages=" << r.messages << " quiesced=" << r.quiesced
      << " withdrawals=" << r.withdrawals << " announcements=" << r.announcements
-     << " stale_retained=" << r.stale_retained << " stale_swept=" << r.stale_swept
-     << " routes_withdrawn=" << r.routes_withdrawn
-     << " error_withdraws=" << r.error_withdraws << '\n'
-     << "    attr_corruptions=" << r.attr_corruptions
-     << " corrupt_session_resets=" << r.corrupt_session_resets
-     << " treat_as_withdraws=" << r.treat_as_withdraws
-     << " attr_discards=" << r.attr_discards << " poisoned_blocked=" << r.poisoned_blocked
-     << " fault_events=" << r.fault_events << " message_faults=" << r.message_faults << '\n'
-     << "    resolver_queries=" << r.resolver_queries
-     << " resolver_cache_hits=" << r.resolver_cache_hits
+     << " stale_retained=" << m.counter("router.stale_retained")
+     << " stale_swept=" << m.counter("router.stale_swept")
+     << " routes_withdrawn=" << m.counter("router.routes_withdrawn")
+     << " error_withdraws=" << m.counter("router.error_withdraws") << '\n'
+     << "    attr_corruptions=" << m.counter("chaos.attr_corruptions_applied")
+     << " corrupt_session_resets=" << m.counter("chaos.corrupt_session_resets")
+     << " treat_as_withdraws=" << m.counter("chaos.treat_as_withdraws")
+     << " attr_discards=" << m.counter("chaos.attr_discards")
+     << " poisoned_blocked=" << m.counter("chaos.poisoned_blocked")
+     << " fault_events=" << r.fault_events << " message_faults="
+     << m.counter("chaos.msgs_dropped") + m.counter("chaos.msgs_reordered") +
+            m.counter("chaos.attr_corruptions_applied")
+     << '\n'
+     << "    resolver_queries=" << r.resolver_queries << " resolver_cache_hits="
+     << m.counter("resolver.cache_hits") + m.counter("resolver.cache_negative_hits")
      << " structural_cutoff=" << num(r.structural_cutoff) << '\n'
      << "    attack_injected_at=" << num(r.attack_injected_at)
      << " first_alarm_latency=" << num(r.first_alarm_latency)

@@ -80,7 +80,6 @@ TEST(ObsLatency, RunResultCountersComeFromTheRegistry) {
   EXPECT_EQ(run.messages, m.counter("network.messages_sent"));
   EXPECT_EQ(run.withdrawals, m.counter("router.withdrawals_sent"));
   EXPECT_EQ(run.announcements, m.counter("router.announcements_sent"));
-  EXPECT_EQ(run.error_withdraws, m.counter("router.error_withdraws"));
   EXPECT_EQ(run.rejections, m.counter("detector.rejections"));
   EXPECT_EQ(run.resolver_queries, m.counter("resolver.queries"));
   EXPECT_GT(m.counter("router.decisions"), 0u);
