@@ -7,10 +7,13 @@
 //  - a small, densely meshed tier-1 core,
 //  - regional and local transit tiers attached by preferential attachment
 //    (yielding a heavy-tailed degree distribution, cf. Huston's analysis),
+//    drawn through a Fenwick tree in O(log pool) per pick,
 //  - a large population (~85%) of stub ASes, many of them multi-homed.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "moas/topo/graph.h"
@@ -44,12 +47,46 @@ AsGraph generate_internet(const InternetConfig& config, util::Rng& rng);
 
 namespace detail {
 
-/// The degree-weighted provider draw behind generate_internet's
-/// preferential attachment, exposed with the roll made explicit so tests
-/// can pin the boundary behavior. `roll01` in [0, 1] selects from the
-/// cumulative (degree + 1) weights over the non-excluded pool entries;
-/// floating-point slack at roll01 == 1 resolves to the last candidate the
-/// weighted scan visited. The eligible pool must be non-empty.
+/// One provider pool of generate_internet's preferential attachment: a
+/// Fenwick tree over the members' (degree + 1) weights, indexed by pool
+/// position, so a draw and a weight update each cost O(log pool).
+class ProviderPool {
+ public:
+  /// Snapshot the members' current degrees in `g`. Members must be distinct
+  /// nodes of `g`.
+  ProviderPool(const AsGraph& g, std::vector<Asn> members);
+
+  std::size_t size() const { return members_.size(); }
+
+  /// `asn` gained one edge; a no-op for non-members.
+  void bump(Asn asn);
+
+  /// True when every member is in `exclude`.
+  bool exhausted_by(const AsnSet& exclude) const;
+
+  /// The degree-weighted draw. `roll01` in [0, 1] selects the first
+  /// non-excluded member, in pool order, whose integer prefix sum of
+  /// eligible weights is >= roll01 · total. That is exactly the member a
+  /// sequential `target -= weight` scan returns: the weights are integers
+  /// and every total is far below 2^53, so each subtraction before the one
+  /// that crosses zero is exact, and rounding keeps that step's sign. As
+  /// roll01 · total <= total, the draw always lands on an eligible member.
+  /// Throws InvariantError when every member is excluded.
+  Asn pick(double roll01, const AsnSet& exclude);
+
+ private:
+  void add(std::size_t pos, std::int64_t delta);
+
+  std::vector<Asn> members_;
+  std::unordered_map<Asn, std::size_t> position_;
+  std::vector<std::int64_t> weight_;  // by position
+  std::vector<std::int64_t> tree_;    // 1-based Fenwick tree over weight_
+  std::int64_t total_ = 0;
+};
+
+/// A single draw from a fresh ProviderPool over `pool`, with the roll made
+/// explicit so tests can pin the boundary behavior. The eligible pool must
+/// be non-empty.
 Asn pick_weighted_provider(const AsGraph& g, const std::vector<Asn>& pool, double roll01,
                            const AsnSet& exclude);
 
