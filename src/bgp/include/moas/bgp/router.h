@@ -16,7 +16,6 @@
 #include <set>
 #include <vector>
 
-#include "moas/bgp/damping.h"
 #include "moas/bgp/policy.h"
 #include "moas/bgp/rib.h"
 #include "moas/bgp/route.h"
@@ -80,12 +79,6 @@ class Router final : public RouterContext {
   /// implementations apply before the router-id tie-break). On by default;
   /// turning it off makes equal-key contests deterministic by neighbor ASN.
   void set_prefer_established(bool prefer) { prefer_established_ = prefer; }
-
-  /// Enable RFC 2439 route flap damping on import. Flapping (peer, prefix)
-  /// pairs accumulate penalty; suppressed routes are excluded from the
-  /// decision process until their penalty decays below the reuse
-  /// threshold (a re-decide is scheduled automatically). Requires a clock.
-  void enable_flap_damping(FlapDamper::Config config);
 
   /// Enable RFC 4724 graceful restart with the given restart time (seconds;
   /// 0 disables). When enabled, peer_restarting() retains the restarting
@@ -172,7 +165,7 @@ class Router final : public RouterContext {
   void refresh_route(Asn peer, const net::Prefix& prefix);
 
   /// Crash: lose every piece of protocol state — Adj-RIB-In, Loc-RIB,
-  /// per-peer advertisement bookkeeping, damping history, validator memory
+  /// per-peer advertisement bookkeeping, validator memory
   /// (ImportValidator::on_reset). Local originations are configuration and
   /// survive; restart() re-announces them cold. All sessions drop.
   void crash();
@@ -228,7 +221,6 @@ class Router final : public RouterContext {
     std::uint64_t loops_detected = 0;
     std::uint64_t decisions = 0;
     std::uint64_t best_changes = 0;
-    std::uint64_t candidates_damped = 0;  // suppressed by flap damping
     // Graceful restart (RFC 4724).
     std::uint64_t eor_sent = 0;
     std::uint64_t eor_received = 0;
@@ -335,7 +327,6 @@ class Router final : public RouterContext {
   std::set<Asn> gr_eor_deferred_to_;    // peers owed our End-of-RIB
   std::set<Asn> gr_awaiting_eor_from_;  // peers whose End-of-RIB we await
   std::uint64_t gr_defer_generation_ = 0;
-  std::optional<FlapDamper> damper_;
   obs::TraceBus* trace_ = nullptr;
 
   Stats stats_;

@@ -43,11 +43,6 @@ void Router::set_mrai(sim::Time seconds) {
   mrai_ = seconds;
 }
 
-void Router::enable_flap_damping(FlapDamper::Config config) {
-  MOAS_REQUIRE(clock_ != nullptr, "flap damping requires a clock");
-  damper_.emplace(config);
-}
-
 void Router::set_graceful_restart(sim::Time restart_time) {
   MOAS_REQUIRE(restart_time >= 0.0, "restart time must be non-negative");
   MOAS_REQUIRE(restart_time == 0.0 || clock_ != nullptr,
@@ -110,7 +105,6 @@ bool Router::import_update(Asn from, Update&& update) {
     }
     const bool had = adj_in_.erase(from, update.prefix);
     if (had) ++stats_.routes_withdrawn;
-    if (had && damper_) damper_->on_withdrawal(from, update.prefix, current_time());
     if (update.error_withdraw) {
       // RFC 7606 treat-as-withdraw: the peer's announcement arrived damaged
       // and was revoked by error handling, not by the peer. Record it so
@@ -152,15 +146,6 @@ bool Router::import_update(Asn from, Update&& update) {
   // Import policy: LOCAL_PREF is assigned locally by relationship.
   route.attrs.local_pref = import_local_pref(mode_, peer.rel);
 
-  // Flap accounting: a replacement announcement with different attributes
-  // is a flap (RFC 2439's attribute-change event).
-  if (damper_) {
-    const RibEntry* prior = adj_in_.from_peer(route.prefix, from);
-    if (prior && !(prior->route == route)) {
-      damper_->on_attribute_change(from, route.prefix, current_time());
-    }
-  }
-
   // Validation (e.g. MOAS-list checking). The validator may purge
   // previously installed routes through RouterContext::invalidate_origins.
   if (!validator_->accept(route, from, *this)) {
@@ -177,7 +162,6 @@ void Router::peer_down(Asn peer) {
   if (!it->second.session_up) return;  // already down
   it->second.session_up = false;
   ++it->second.gr_generation;  // a cold loss supersedes any restart window
-  if (damper_) damper_->clear_peer(peer);
   it->second.advertised.clear();
   it->second.pending.clear();
   it->second.next_allowed.clear();
@@ -344,14 +328,13 @@ void Router::refresh_route(Asn peer, const net::Prefix& prefix) {
 }
 
 void Router::crash() {
-  for (auto& [peer, state] : peers_) {
+  for (auto& [_, state] : peers_) {
     state.session_up = false;
     state.advertised.clear();
     state.pending.clear();
     state.next_allowed.clear();
     state.error_withdrawn.clear();
     ++state.gr_generation;  // crashing forgets any helper-side restart window
-    if (damper_) damper_->clear_peer(peer);
   }
   adj_in_ = AdjRibIn();
   loc_rib_ = LocRib();
@@ -431,23 +414,6 @@ void Router::decide(const net::Prefix& prefix) {
   ++stats_.decisions;
 
   std::vector<const RibEntry*> candidates = adj_in_.candidates(prefix);
-
-  // Flap damping: suppressed candidates sit out the decision; a re-decide
-  // is scheduled for when the earliest of them becomes reusable.
-  if (damper_) {
-    const sim::Time now = current_time();
-    sim::Time earliest_reuse = 0.0;
-    std::erase_if(candidates, [&](const RibEntry* entry) {
-      if (!damper_->suppressed(entry->learned_from, prefix, now)) return false;
-      ++stats_.candidates_damped;
-      const sim::Time reuse = damper_->reuse_time(entry->learned_from, prefix, now);
-      if (earliest_reuse == 0.0 || reuse < earliest_reuse) earliest_reuse = reuse;
-      return true;
-    });
-    if (earliest_reuse > now && clock_) {
-      clock_->schedule_at(earliest_reuse + 1e-6, [this, prefix] { decide(prefix); });
-    }
-  }
 
   RibEntry local_entry;
   if (auto it = local_.find(prefix); it != local_.end()) {
@@ -618,7 +584,8 @@ void Router::collect_metrics(obs::MetricsRegistry& registry) const {
   registry.count("router.loops_detected", stats_.loops_detected);
   registry.count("router.decisions", stats_.decisions);
   registry.count("router.best_changes", stats_.best_changes);
-  registry.count("router.candidates_damped", stats_.candidates_damped);
+  // Literal 0: perfbench fingerprints hash every registry; ROADMAP item 6 drops it.
+  registry.count("router.candidates_damped", 0);
   registry.count("router.eor_sent", stats_.eor_sent);
   registry.count("router.eor_received", stats_.eor_received);
   registry.count("router.stale_retained", stats_.stale_retained);

@@ -55,7 +55,7 @@ class WaveEngine {
 
   /// The per-AS router — configure validators, export filters, community
   /// stripping, and originations through it exactly like on a Network
-  /// router. Event-time features (MRAI, damping, graceful restart) need a
+  /// router. Event-time features (MRAI, graceful restart) need a
   /// clock and are rejected by the Router itself.
   bgp::Router& router(bgp::Asn asn);
   const bgp::Router& router(bgp::Asn asn) const;
