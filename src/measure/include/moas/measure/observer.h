@@ -48,18 +48,6 @@ class MoasObserver {
   /// Feed one day's dump; days must arrive in increasing order.
   void ingest(const DailyDump& dump);
 
-  /// Declare feed-gap days: days on which the collector was down. A dump
-  /// "observed" on a gap day is a stale table replay (RouteViews republishes
-  /// the last table it has), not an observation — the paper's duration is
-  /// "the total number of days when the routes ... were announced by more
-  /// than one origin", and an unobserved prefix must not accrue MOAS
-  /// duration. Gap-day dumps are recorded as zero-count days and their
-  /// contents ignored. Call before ingesting the affected days.
-  void set_gap_days(const std::vector<int>& days);
-
-  /// Number of dumps that were ignored because they fell on a gap day.
-  std::size_t gap_dumps_ignored() const { return gap_dumps_ignored_; }
-
   /// Convenience: ingest every day of a synthetic trace.
   void ingest_all(const SyntheticTrace& trace);
 
@@ -79,8 +67,6 @@ class MoasObserver {
  private:
   std::map<net::Prefix, ObservedCase> cases_;
   std::vector<std::size_t> daily_counts_;
-  std::vector<int> gap_days_;  // sorted
-  std::size_t gap_dumps_ignored_ = 0;
   int last_day_ = -1;
 };
 

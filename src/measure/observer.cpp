@@ -7,24 +7,11 @@
 
 namespace moas::measure {
 
-void MoasObserver::set_gap_days(const std::vector<int>& days) {
-  gap_days_ = days;
-  std::sort(gap_days_.begin(), gap_days_.end());
-}
-
 void MoasObserver::ingest(const DailyDump& dump) {
   MOAS_REQUIRE(dump.day > last_day_, "dumps must arrive in increasing day order");
   // Record empty days between dumps as zero-count days.
   while (static_cast<int>(daily_counts_.size()) < dump.day) daily_counts_.push_back(0);
   last_day_ = dump.day;
-
-  if (std::binary_search(gap_days_.begin(), gap_days_.end(), dump.day)) {
-    // Collector outage: whatever arrived under this day's header is a stale
-    // table replay. Nothing was observed, so nothing accrues duration.
-    ++gap_dumps_ignored_;
-    daily_counts_.push_back(0);
-    return;
-  }
 
   std::size_t count = 0;
   for (const auto& [prefix, origins] : dump.origins) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 
 #include "moas/measure/dates.h"
@@ -50,63 +49,6 @@ TEST(Observer, GapDaysCountAsZero) {
   ASSERT_EQ(observer.daily_counts().size(), 4u);
   EXPECT_EQ(observer.daily_counts()[1], 0u);
   EXPECT_EQ(observer.daily_counts()[2], 0u);
-}
-
-TEST(Observer, GapScheduleDaysAccrueNoDuration) {
-  // A dump that falls on a declared feed-gap day is a stale table replay,
-  // not an observation: the prefix was unobserved, so no MOAS-duration day
-  // may accrue and the daily count is zero.
-  MoasObserver observer;
-  observer.set_gap_days({1, 2});
-  observer.ingest(dump_for(0, {{"10.0.0.0/24", {1, 2}}}));
-  observer.ingest(dump_for(1, {{"10.0.0.0/24", {1, 2}}}));  // stale replay
-  observer.ingest(dump_for(2, {{"10.0.0.0/24", {1, 2}}}));  // stale replay
-  observer.ingest(dump_for(3, {{"10.0.0.0/24", {1, 2}}}));
-  EXPECT_EQ(observer.gap_dumps_ignored(), 2u);
-  ASSERT_EQ(observer.daily_counts().size(), 4u);
-  EXPECT_EQ(observer.daily_counts()[1], 0u);
-  EXPECT_EQ(observer.daily_counts()[2], 0u);
-  const auto cases = observer.cases();
-  ASSERT_EQ(cases.size(), 1u);
-  EXPECT_EQ(cases[0].duration_days, 2);  // days 0 and 3 only
-  EXPECT_EQ(cases[0].last_day, 3);
-}
-
-TEST(Observer, GapScheduleMatchesManuallyThinnedFeed) {
-  // Differential: declaring gap days must equal never delivering those
-  // dumps at all, for every per-case statistic.
-  util::Rng rng(7);
-  TraceConfig config;
-  config.days = 50;
-  config.active_start = 10;
-  config.active_end = 12;
-  config.include_spike_1998 = false;
-  config.include_spike_2001 = false;
-  const SyntheticTrace trace = generate_trace(config, rng);
-  const std::vector<int> gaps = {5, 6, 7, 20, 33};
-
-  MoasObserver declared;
-  declared.set_gap_days(gaps);
-  declared.ingest_all(trace);
-
-  MoasObserver thinned;
-  for (int day = 0; day < trace.days; ++day) {
-    if (std::find(gaps.begin(), gaps.end(), day) != gaps.end()) continue;
-    thinned.ingest(trace.day_dump(day));
-  }
-
-  EXPECT_EQ(declared.gap_dumps_ignored(), gaps.size());
-  EXPECT_EQ(declared.case_count(), thinned.case_count());
-  const auto a = declared.cases();
-  const auto b = thinned.cases();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].prefix, b[i].prefix);
-    EXPECT_EQ(a[i].duration_days, b[i].duration_days) << a[i].prefix.to_string();
-    EXPECT_EQ(a[i].first_day, b[i].first_day);
-    EXPECT_EQ(a[i].last_day, b[i].last_day);
-    EXPECT_EQ(a[i].all_origins, b[i].all_origins);
-  }
 }
 
 TEST(Observer, DurationCountsDaysNotSpan) {
