@@ -10,6 +10,13 @@
 
 namespace moas::stream {
 
+namespace {
+
+/// Sliding window of recent sequence numbers for duplicate suppression.
+constexpr std::size_t kDupWindow = 4096;
+
+}  // namespace
+
 StreamDetector::StreamDetector(StreamConfig config) : config_(std::move(config)) {
   MOAS_REQUIRE(config_.shards > 0, "need at least one shard");
   MOAS_REQUIRE(config_.flush_margin > 0, "flush margin must be positive");
@@ -31,17 +38,15 @@ void StreamDetector::ingest(StreamUpdate u) {
     ++front_.malformed_rejected;
     return;
   }
-  if (config_.dup_window > 0) {
-    if (dup_seen_.contains(u.seq)) {
-      ++front_.duplicates_suppressed;
-      return;
-    }
-    dup_seen_.insert(u.seq);
-    dup_order_.push_back(u.seq);
-    if (dup_order_.size() > config_.dup_window) {
-      dup_seen_.erase(dup_order_.front());
-      dup_order_.pop_front();
-    }
+  if (dup_seen_.contains(u.seq)) {
+    ++front_.duplicates_suppressed;
+    return;
+  }
+  dup_seen_.insert(u.seq);
+  dup_order_.push_back(u.seq);
+  if (dup_order_.size() > kDupWindow) {
+    dup_seen_.erase(dup_order_.front());
+    dup_order_.pop_front();
   }
 
   // An update whose day already flushed can't rejoin its batch; it rides
@@ -266,8 +271,8 @@ void StreamDetector::save_checkpoint(std::ostream& os) const {
   CheckpointWriter w(os);
 
   w.line("config " + std::to_string(config_.shards) + ' ' +
-         std::to_string(config_.flush_margin) + ' ' + std::to_string(config_.dup_window) + ' ' +
-         double_bits(config_.shard.conflict_ttl_days) + ' ' +
+         std::to_string(config_.flush_margin) + ' ' + std::to_string(kDupWindow) + ' ' +
+         double_bits(kConflictTtlDays) + ' ' +
          std::to_string(config_.shard.day_capacity) + ' ' +
          std::to_string(config_.shard.memory_budget_bytes) + ' ' +
          std::to_string(config_.shard.evict_idle_days) + ' ' +
@@ -319,9 +324,8 @@ StreamDetector StreamDetector::restore_checkpoint(std::istream& is, StreamConfig
     p.expect("config");
     MOAS_REQUIRE(p.u64() == d.config_.shards, "checkpoint: shard count mismatch");
     MOAS_REQUIRE(p.i64() == d.config_.flush_margin, "checkpoint: flush margin mismatch");
-    MOAS_REQUIRE(p.u64() == d.config_.dup_window, "checkpoint: dup window mismatch");
-    MOAS_REQUIRE(p.f64() == d.config_.shard.conflict_ttl_days,
-                 "checkpoint: conflict TTL mismatch");
+    MOAS_REQUIRE(p.u64() == kDupWindow, "checkpoint: dup window mismatch");
+    MOAS_REQUIRE(p.f64() == kConflictTtlDays, "checkpoint: conflict TTL mismatch");
     MOAS_REQUIRE(p.u64() == d.config_.shard.day_capacity, "checkpoint: day capacity mismatch");
     MOAS_REQUIRE(p.u64() == d.config_.shard.memory_budget_bytes,
                  "checkpoint: memory budget mismatch");
@@ -355,6 +359,7 @@ StreamDetector StreamDetector::restore_checkpoint(std::istream& is, StreamConfig
     LineParser p(r.next());
     p.expect("dup");
     const std::uint64_t n = p.u64();
+    MOAS_REQUIRE(n <= kDupWindow, "checkpoint: dup list exceeds the window");
     for (std::uint64_t i = 0; i < n; ++i) {
       const std::uint64_t seq = p.u64();
       d.dup_order_.push_back(seq);
@@ -408,9 +413,9 @@ StreamDetector StreamDetector::restore_checkpoint(std::istream& is, StreamConfig
 bool StreamDetector::operator==(const StreamDetector& other) const {
   return config_.shards == other.config_.shards &&
          config_.flush_margin == other.config_.flush_margin &&
-         config_.dup_window == other.config_.dup_window &&
          config_.shard == other.config_.shard && shards_ == other.shards_ &&
          consumed_ == other.consumed_ && last_flushed_day_ == other.last_flushed_day_ &&
+         last_checkpoint_day_ == other.last_checkpoint_day_ &&
          finished_ == other.finished_ && front_ == other.front_ &&
          peak_total_bytes_ == other.peak_total_bytes_ && buffered_ == other.buffered_ &&
          later_counts_ == other.later_counts_ && dup_order_ == other.dup_order_;

@@ -48,8 +48,6 @@ struct StreamConfig {
   /// end of feed. Also bounds ingest buffering: at most ~margin updates of
   /// later days sit buffered beyond the open day.
   int flush_margin = 64;
-  /// Sliding window of recent sequence numbers for duplicate suppression.
-  std::size_t dup_window = 4096;
   /// Checkpoint cadence in flushed days (0 = only on demand).
   int checkpoint_every_days = 0;
   ShardConfig shard;

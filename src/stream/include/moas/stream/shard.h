@@ -15,7 +15,7 @@
 //   parking     a mismatch first observed across a feed gap settles the
 //               alarm to Pending: the conflict may predate the gap and
 //               blaming the first post-gap update would be a false story
-//   TTL         a conflict open >= conflict_ttl_days is expired and the
+//   TTL         a conflict open >= kConflictTtlDays is expired and the
 //               observed set adopted as the new reference (long-lived MOAS
 //               churn is legitimate multi-homing, not an attack)
 //   eviction    when the byte estimate exceeds the budget, cold alarm-free
@@ -41,9 +41,10 @@ namespace moas::stream {
 /// ASN; the monitor is an observer, not a routing participant).
 inline constexpr bgp::Asn kStreamObserver = 64512;
 
+/// Expire-and-adopt horizon for open conflicts, in days.
+inline constexpr double kConflictTtlDays = 10.0;
+
 struct ShardConfig {
-  /// Expire-and-adopt horizon for open conflicts, in days.
-  double conflict_ttl_days = 10.0;
   /// Per-day cap on fully processed prefixes without an open alarm
   /// (0 = unlimited). Beyond it the shard degrades to summary-only.
   std::size_t day_capacity = 0;

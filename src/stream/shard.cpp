@@ -94,7 +94,6 @@ DetectorShard::DetectorShard(ShardConfig config)
       latencies_(latency_spec()),
       bytes_held_(kShardBaseBytes),
       peak_bytes_(kShardBaseBytes) {
-  MOAS_REQUIRE(config.conflict_ttl_days > 0.0, "conflict TTL must be positive");
   MOAS_REQUIRE(config.evict_idle_days >= 0, "idle window must be non-negative");
   log_.set_retention(config.alarm_retention);
 }
@@ -191,7 +190,7 @@ void DetectorShard::end_day(const int day) {
   // and adopt the observed origins so the prefix stops alarming.
   for (auto& [prefix, st] : states_) {
     if (st.alarm_id < 0 || st.conflict_day < 0) continue;
-    if (static_cast<double>(day - st.conflict_day) < config_.conflict_ttl_days) continue;
+    if (static_cast<double>(day - st.conflict_day) < kConflictTtlDays) continue;
     log_.settle(static_cast<std::size_t>(st.alarm_id), core::MoasAlarm::State::Expired,
                 static_cast<double>(day) + 1.0);
     ++counters_.alarms_expired;
@@ -411,6 +410,27 @@ void DetectorShard::load(CheckpointReader& r) {
       states_.emplace(prefix, std::move(st));
     }
   }
+
+  // Open alarms and the states naming them must pair up one to one: a
+  // dangling id only surfaces later, when a shard worker settles it.
+  const auto base = static_cast<std::int64_t>(log_.first_retained());
+  const auto is_open = [](const core::MoasAlarm& a) {
+    return a.state == core::MoasAlarm::State::Raised ||
+           a.state == core::MoasAlarm::State::Pending;
+  };
+  std::size_t named = 0;
+  for (const auto& [prefix, st] : states_) {
+    if (st.alarm_id == -1) continue;
+    MOAS_REQUIRE(st.alarm_id >= base && st.alarm_id < static_cast<std::int64_t>(log_.size()),
+                 "checkpoint: state names no retained alarm");
+    const core::MoasAlarm& alarm = log_.alarms()[static_cast<std::size_t>(st.alarm_id - base)];
+    MOAS_REQUIRE(is_open(alarm) && alarm.prefix == prefix,
+                 "checkpoint: state names a settled or foreign alarm");
+    ++named;
+  }
+  MOAS_REQUIRE(named == static_cast<std::size_t>(std::count_if(log_.alarms().begin(),
+                                                               log_.alarms().end(), is_open)),
+               "checkpoint: open alarm named by no state");
 }
 
 bool DetectorShard::operator==(const DetectorShard& other) const {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -122,6 +123,53 @@ std::string fingerprint(const StreamDetector& d) {
   return d.alarm_log_text() + d.metrics().to_json();
 }
 
+/// The payload lines between the version header and the checksum trailer.
+std::vector<std::string> payload_lines(const std::string& image) {
+  std::vector<std::string> lines = util::split(image, '\n');
+  EXPECT_EQ(lines.front(), kCheckpointHeader);
+  lines.erase(lines.begin());
+  while (!lines.empty() && lines.back().rfind("checksum ", 0) != 0) lines.pop_back();
+  lines.pop_back();
+  return lines;
+}
+
+std::string reseal(const std::vector<std::string>& lines) {
+  std::ostringstream os;
+  CheckpointWriter writer(os);
+  for (const auto& line : lines) writer.line(line);
+  writer.finish();
+  return os.str();
+}
+
+/// Restore `image`; returns an empty string when it succeeded or was
+/// rejected with std::invalid_argument, else what went wrong.
+std::string restore_outcome(const std::string& image) {
+  try {
+    std::istringstream is(image);
+    (void)StreamDetector::restore_checkpoint(is, crash_config());
+  } catch (const std::invalid_argument&) {
+  } catch (const std::exception& e) {
+    return std::string("unexpected exception: ") + e.what();
+  }
+  return {};
+}
+
+/// Overwrite token `index` of the first line tagged `tag` and re-seal.
+std::string with_token(const std::string& image, const std::string& tag, std::size_t index,
+                       const std::string& value) {
+  std::vector<std::string> lines = payload_lines(image);
+  for (auto& line : lines) {
+    std::vector<std::string> tokens = util::split(line, ' ');
+    if (tokens.front() != tag) continue;
+    EXPECT_LT(index, tokens.size());
+    tokens.at(index) = value;
+    line = util::join(tokens, " ");
+    return reseal(lines);
+  }
+  ADD_FAILURE() << "no '" << tag << "' line in the image";
+  return image;
+}
+
 TEST(StreamCheckpoint, MidRunSaveRestoreComparesEqual) {
   const auto trace = crash_trace();
   TraceReplaySource source(trace);
@@ -147,6 +195,24 @@ TEST(StreamCheckpoint, MidRunSaveRestoreComparesEqual) {
   EXPECT_EQ(os2.str(), os.str());
 }
 
+TEST(StreamCheckpoint, RestoredLastCheckpointDayIsCompared) {
+  // front <consumed> <last_flushed_day> <last_checkpoint_day>: the last
+  // checkpoint day decides when the next checkpoint fires, so a detector
+  // restored with a different one must not compare equal.
+  const auto trace = crash_trace();
+  TraceReplaySource source(trace);
+  StreamDetector detector(crash_config());
+  for (int i = 0; i < 400; ++i) detector.ingest(std::move(*source.next()));
+  ASSERT_GE(detector.last_flushed_day(), 0);
+  std::ostringstream os;
+  detector.save_checkpoint(os);
+
+  std::istringstream is(
+      with_token(os.str(), "front", 3, std::to_string(detector.last_flushed_day())));
+  StreamDetector restored = StreamDetector::restore_checkpoint(is, crash_config());
+  EXPECT_FALSE(restored == detector);
+}
+
 TEST(StreamCheckpoint, StructuralConfigMismatchIsRejected) {
   const auto trace = crash_trace();
   TraceReplaySource source(trace);
@@ -165,10 +231,10 @@ TEST(StreamCheckpoint, StructuralConfigMismatchIsRejected) {
   std::istringstream b(os.str());
   EXPECT_THROW(StreamDetector::restore_checkpoint(b, wrong), std::invalid_argument);
 
-  wrong = crash_config();
-  wrong.shard.conflict_ttl_days = 5.0;
-  std::istringstream c(os.str());
-  EXPECT_THROW(StreamDetector::restore_checkpoint(c, wrong), std::invalid_argument);
+  // The conflict TTL is a constant, but the image still records it: an
+  // image written under another TTL is refused.
+  std::istringstream c(with_token(os.str(), "config", 4, double_bits(5.0)));
+  EXPECT_THROW(StreamDetector::restore_checkpoint(c, crash_config()), std::invalid_argument);
 
   // jobs and checkpoint cadence are runtime choices, not structure.
   StreamConfig runtime = crash_config();
@@ -246,9 +312,8 @@ TEST(StreamCheckpoint, CrashAtAnyCheckpointBoundaryIsLossless) {
 // std::invalid_argument — never allocate from an absurd count, never accept
 // an enum outside its range, never throw anything else.
 
-/// A real mid-run image: attacked and churned feed, alarms retained in the
-/// log, and days still buffered in the front-end.
-std::string fuzz_image() {
+/// Every weekly checkpoint image of an attacked and churned run.
+std::vector<std::string> weekly_images() {
   const auto trace = crash_trace();
   const auto churn = plan_churn(trace, ChurnConfig{.seed = 5, .share = 0.3});
   const auto plans = plan_attacks(trace, AttackConfig{.seed = 13, .attacks = 4}, churn);
@@ -257,63 +322,25 @@ std::string fuzz_image() {
   TraceReplaySource source(trace, overrides);
   StreamConfig config = crash_config();
   config.checkpoint_every_days = 7;
-  std::string image;
+  std::vector<std::string> images;
   StreamDetector detector(config);
   detector.run(source, [&](const StreamDetector& d, int) {
     std::ostringstream os;
     d.save_checkpoint(os);
-    const std::string text = os.str();
+    images.push_back(os.str());
+  });
+  return images;
+}
+
+/// A real mid-run image: alarms retained in the log, and days still
+/// buffered in the front-end.
+std::string fuzz_image() {
+  std::string image;
+  for (const std::string& text : weekly_images()) {
     if (text.find("\nalarm ") != std::string::npos && text.find("\nbday ") != std::string::npos) {
       image = text;
     }
-  });
-  return image;
-}
-
-/// The payload lines between the version header and the checksum trailer.
-std::vector<std::string> payload_lines(const std::string& image) {
-  std::vector<std::string> lines = util::split(image, '\n');
-  EXPECT_EQ(lines.front(), kCheckpointHeader);
-  lines.erase(lines.begin());
-  while (!lines.empty() && lines.back().rfind("checksum ", 0) != 0) lines.pop_back();
-  lines.pop_back();
-  return lines;
-}
-
-std::string reseal(const std::vector<std::string>& lines) {
-  std::ostringstream os;
-  CheckpointWriter writer(os);
-  for (const auto& line : lines) writer.line(line);
-  writer.finish();
-  return os.str();
-}
-
-/// Restore `image`; returns an empty string when it succeeded or was
-/// rejected with std::invalid_argument, else what went wrong.
-std::string restore_outcome(const std::string& image) {
-  try {
-    std::istringstream is(image);
-    (void)StreamDetector::restore_checkpoint(is, crash_config());
-  } catch (const std::invalid_argument&) {
-  } catch (const std::exception& e) {
-    return std::string("unexpected exception: ") + e.what();
   }
-  return {};
-}
-
-/// Overwrite token `index` of the first line tagged `tag` and re-seal.
-std::string with_token(const std::string& image, const std::string& tag, std::size_t index,
-                       const std::string& value) {
-  std::vector<std::string> lines = payload_lines(image);
-  for (auto& line : lines) {
-    std::vector<std::string> tokens = util::split(line, ' ');
-    if (tokens.front() != tag) continue;
-    EXPECT_LT(index, tokens.size());
-    tokens.at(index) = value;
-    line = util::join(tokens, " ");
-    return reseal(lines);
-  }
-  ADD_FAILURE() << "no '" << tag << "' line in the image";
   return image;
 }
 
@@ -327,6 +354,63 @@ TEST(CheckpointRestore, HugeBufferedCountIsRejected) {
     EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument)
         << n;
   }
+}
+
+TEST(CheckpointRestore, UnpairedOpenAlarmIsRejected) {
+  // state <prefix> <first> <last> <last_moas> <duration> <max_origins>
+  // <alarm_id> ...: a state's alarm id must name a retained open alarm, and
+  // every retained open alarm must be named by its state. Either hole would
+  // only surface later, when a shard worker settles the alarm mid-run.
+
+  // The first weekly image holding both a state with an open alarm and a
+  // state without one.
+  std::vector<std::string> lines;
+  std::size_t open = 0;
+  std::size_t quiet = 0;
+  for (const std::string& image : weekly_images()) {
+    lines = payload_lines(image);
+    open = quiet = lines.size();
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const std::vector<std::string> tokens = util::split(lines[i], ' ');
+      if (tokens.front() != "state") continue;
+      std::size_t& first = tokens.at(7) == "-1" ? quiet : open;
+      if (first == lines.size()) first = i;
+    }
+    if (open < lines.size() && quiet < lines.size()) break;
+  }
+  ASSERT_LT(open, lines.size());
+  ASSERT_LT(quiet, lines.size());
+  const auto with_alarm_id = [&](std::size_t index, const std::string& id) {
+    std::vector<std::string> edited = lines;
+    std::vector<std::string> tokens = util::split(edited[index], ' ');
+    tokens[7] = id;
+    edited[index] = util::join(tokens, " ");
+    return reseal(edited);
+  };
+  {  // a quiet state names an alarm the log never retained
+    std::istringstream is(with_alarm_id(quiet, "1000000"));
+    EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument);
+  }
+  {  // an open alarm loses the state that names it
+    std::istringstream is(with_alarm_id(open, "-1"));
+    EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument);
+  }
+}
+
+TEST(CheckpointRestore, DupListBeyondTheWindowIsRejected) {
+  // dup <n> <seq>...: the front-end never holds more sequence numbers than
+  // its 4,096-entry dedup window, and a longer list would never shrink back.
+  const std::string image = fuzz_image();
+  ASSERT_FALSE(image.empty());
+  std::vector<std::string> lines = payload_lines(image);
+  const auto dup = std::find_if(lines.begin(), lines.end(), [](const std::string& line) {
+    return line.rfind("dup ", 0) == 0;
+  });
+  ASSERT_NE(dup, lines.end());
+  *dup = "dup 5000";
+  for (int seq = 1; seq <= 5000; ++seq) *dup += ' ' + std::to_string(seq);
+  std::istringstream is(reseal(lines));
+  EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument);
 }
 
 TEST(CheckpointRestore, OutOfRangeAlarmEnumsAreRejected) {

@@ -93,10 +93,8 @@ TEST(StreamDetector, ChurnExpiresViaTtlAndAdopts) {
   }
   ASSERT_FALSE(overrides.empty());
 
-  StreamConfig config = small_config();
-  config.shard.conflict_ttl_days = 10.0;
   TraceReplaySource source(trace, overrides);
-  StreamDetector detector(config);
+  StreamDetector detector(small_config());
   detector.run(source);
 
   const auto metrics = detector.metrics();
