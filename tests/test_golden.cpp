@@ -25,7 +25,8 @@
 //     histogram.
 //   - A 60-day stream replay with churn, planned attacks and a FaultyFeed:
 //     the alarm log, the metrics manifest, the false-alarm count and every
-//     AttackOutcome.
+//     AttackOutcome; and the same replay's checkpoint images, by day, size
+//     and checksum.
 // The determinism and event-vs-wave tests compare the program with
 // itself; these files pin it against recorded numbers, so a shift in draw
 // order, a tie-break, an interning detail or alarm classification fails
@@ -478,8 +479,17 @@ TEST(GoldenTrace, MatchesExpected) {
   check_golden("trace_sec3", os.str());
 }
 
-TEST(GoldenStream, MatchesExpected) {
-  // The faulted scenario of stream_replay --smoke, on one worker.
+/// The faulted scenario of stream_replay --smoke, on one worker.
+struct FaultedStream {
+  measure::SyntheticTrace trace;
+  std::vector<stream::AttackPlan> plans;
+  std::vector<stream::OriginOverride> overrides;
+  chaos::FeedFaultSchedule faults;
+  stream::StreamConfig config;
+};
+
+FaultedStream faulted_stream() {
+  FaultedStream s;
   measure::TraceConfig trace_config;
   trace_config.days = 60;
   trace_config.active_start = 40;
@@ -488,43 +498,46 @@ TEST(GoldenStream, MatchesExpected) {
   trace_config.include_spike_1998 = false;
   trace_config.include_spike_2001 = false;
   util::Rng rng(trace_config.days);
-  const measure::SyntheticTrace trace = measure::generate_trace(trace_config, rng);
+  s.trace = measure::generate_trace(trace_config, rng);
 
   stream::ChurnConfig churn_config;
   churn_config.seed = 11;
   churn_config.share = 0.1;
   churn_config.min_active_days = 30;
-  const std::vector<stream::OriginOverride> churn = stream::plan_churn(trace, churn_config);
+  const std::vector<stream::OriginOverride> churn = stream::plan_churn(s.trace, churn_config);
   stream::AttackConfig attack_config;
   attack_config.seed = 13;
   attack_config.attacks = 4;
-  const std::vector<stream::AttackPlan> plans =
-      stream::plan_attacks(trace, attack_config, churn);
-  std::vector<stream::OriginOverride> overrides = churn;
-  for (const stream::AttackPlan& p : plans) overrides.push_back(p.inject);
+  s.plans = stream::plan_attacks(s.trace, attack_config, churn);
+  s.overrides = churn;
+  for (const stream::AttackPlan& p : s.plans) s.overrides.push_back(p.inject);
 
   chaos::FeedFaultConfig fault_config;
   fault_config.seed = 97;
-  fault_config.horizon_days = trace.days;
+  fault_config.horizon_days = s.trace.days;
   fault_config.gaps = 2.0;
   fault_config.gap_mean_days = 2.0;
   fault_config.duplicate_prob = 0.01;
   fault_config.reorder_prob = 0.02;
   fault_config.reorder_max_skew = 8;
   fault_config.garble_prob = 0.005;
-  const chaos::FeedFaultSchedule faults = chaos::compile_feed_faults(fault_config);
+  s.faults = chaos::compile_feed_faults(fault_config);
 
-  stream::StreamConfig config;
-  config.shards = 8;
-  config.jobs = 1;
-  config.flush_margin = 16;
-  config.shard.alarm_retention = 512;
-  config.shard.memory_budget_bytes = 128 * 1024;
-  config.shard.evict_idle_days = 30;
+  s.config.shards = 8;
+  s.config.jobs = 1;
+  s.config.flush_margin = 16;
+  s.config.shard.alarm_retention = 512;
+  s.config.shard.memory_budget_bytes = 128 * 1024;
+  s.config.shard.evict_idle_days = 30;
+  return s;
+}
 
-  stream::TraceReplaySource source(trace, overrides);
-  stream::FaultyFeed feed(source, faults);
-  stream::StreamDetector detector(config);
+TEST(GoldenStream, MatchesExpected) {
+  const FaultedStream s = faulted_stream();
+  const std::vector<stream::AttackPlan>& plans = s.plans;
+  stream::TraceReplaySource source(s.trace, s.overrides);
+  stream::FaultyFeed feed(source, s.faults);
+  stream::StreamDetector detector(s.config);
   detector.run(feed);
 
   // A false alarm is one no planned attack explains: the churn stressor.
@@ -541,7 +554,7 @@ TEST(GoldenStream, MatchesExpected) {
   os << "alarm_log\n" << detector.alarm_log_text() << "metrics\n"
      << detector.metrics().to_json() << '\n'
      << "alarms=" << alarms.size() << " false_alarms=" << false_alarms << '\n';
-  for (const stream::AttackOutcome& o : stream::evaluate_attacks(plans, alarms, &faults)) {
+  for (const stream::AttackOutcome& o : stream::evaluate_attacks(plans, alarms, &s.faults)) {
     const stream::OriginOverride& inject = o.plan.inject;
     os << "attack prefix=" << inject.prefix.to_string() << " add_origin=" << inject.add_origin
        << " days=" << inject.first_day << ".." << inject.last_day
@@ -553,6 +566,26 @@ TEST(GoldenStream, MatchesExpected) {
        << " all_settled=" << o.all_settled << '\n';
   }
   check_golden("stream_faulted", os.str());
+}
+
+TEST(GoldenStreamCheckpoint, MatchesExpected) {
+  // The same faulted scenario with a checkpoint every 10 flushed days:
+  // each image's day, size in bytes and checksum trailer.
+  FaultedStream s = faulted_stream();
+  s.config.checkpoint_every_days = 10;
+  stream::TraceReplaySource source(s.trace, s.overrides);
+  stream::FaultyFeed feed(source, s.faults);
+  stream::StreamDetector detector(s.config);
+  std::ostringstream os;
+  detector.run(feed, [&](const stream::StreamDetector& d, int day) {
+    std::ostringstream image;
+    d.save_checkpoint(image);
+    const std::string text = image.str();
+    const std::size_t trailer = text.rfind("checksum ");
+    ASSERT_NE(trailer, std::string::npos);
+    os << "day=" << day << " bytes=" << text.size() << ' ' << text.substr(trailer);
+  });
+  check_golden("stream_checkpoints", os.str());
 }
 
 }  // namespace
