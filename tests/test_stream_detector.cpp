@@ -111,6 +111,87 @@ TEST(StreamDetector, ChurnExpiresViaTtlAndAdopts) {
   }
 }
 
+/// A hand-made update: `prefix` announced by `origins` on `day`.
+StreamUpdate update_on(std::uint64_t seq, int day, const net::Prefix& prefix,
+                       bgp::AsnSet origins) {
+  StreamUpdate u;
+  u.seq = seq;
+  u.day = day;
+  u.at = static_cast<double>(day) + intra_day_frac(prefix);
+  u.prefix = prefix;
+  u.origins = std::move(origins);
+  return u;
+}
+
+TEST(StreamDetector, ReRaisedConflictExpiresOneTtlAfterTheReRaise) {
+  // Days 0-1 clean, 2-3 conflict, 4-5 clean again, then a conflict from
+  // day 6 that never clears. The TTL clock restarts at the re-raise: the
+  // second alarm expires at the end of day 6 + TTL, not of day 2 + TTL.
+  const net::Prefix prefix(net::Ipv4Addr(10, 1, 0, 0), 16);
+  StreamConfig config = small_config();
+  StreamDetector detector(config);
+  std::uint64_t seq = 0;
+  for (int day = 0; day <= 24; ++day) {
+    const bool conflict = (day >= 2 && day <= 3) || day >= 6;
+    detector.ingest(update_on(seq++, day, prefix, conflict ? bgp::AsnSet{1, 2} : bgp::AsnSet{1}));
+  }
+  detector.flush_all();
+
+  const auto alarms = detector.merged_alarms();
+  ASSERT_EQ(alarms.size(), 2u);
+  EXPECT_EQ(alarms[0].state, core::MoasAlarm::State::Resolved);
+  EXPECT_EQ(alarms[0].settled_at, 4.0 + intra_day_frac(prefix));
+  EXPECT_EQ(alarms[1].state, core::MoasAlarm::State::Expired);
+  EXPECT_EQ(alarms[1].at, 6.0 + intra_day_frac(prefix));
+  EXPECT_EQ(alarms[1].settled_at, 6.0 + kConflictTtlDays + 1.0);
+  EXPECT_EQ(detector.metrics().counter("stream.alarms_expired"), 1u);
+}
+
+TEST(StreamDetector, ConflictsOfOneDayExpireTogetherAtAnyJobs) {
+  // Two prefixes of one shard, and one of another, all begin conflicting
+  // on day 1. Every alarm expires at the end of day 1 + TTL, and the log
+  // is byte-identical at --jobs 1 and 3.
+  StreamConfig config = small_config();
+  config.shards = 3;
+  const StreamDetector probe(config);
+  std::vector<net::Prefix> same_shard;
+  net::Prefix other;
+  for (std::uint8_t k = 0; same_shard.size() < 2 || other.length() == 0; ++k) {
+    const net::Prefix p(net::Ipv4Addr(10, 2, k, 0), 24);
+    if (probe.shard_of(p) == 0 && same_shard.size() < 2) {
+      same_shard.push_back(p);
+    } else if (probe.shard_of(p) != 0 && other.length() == 0) {
+      other = p;
+    }
+  }
+  const std::vector<net::Prefix> prefixes = {same_shard[1], other, same_shard[0]};
+
+  std::string reference;
+  for (const std::size_t jobs : {1u, 3u}) {
+    config.jobs = jobs;
+    StreamDetector detector(config);
+    std::uint64_t seq = 0;
+    for (int day = 0; day <= 15; ++day) {
+      for (const net::Prefix& p : prefixes) {
+        detector.ingest(update_on(seq++, day, p, day >= 1 ? bgp::AsnSet{1, 2} : bgp::AsnSet{1}));
+      }
+    }
+    detector.flush_all();
+
+    const auto alarms = detector.merged_alarms();
+    ASSERT_EQ(alarms.size(), prefixes.size());
+    for (const core::MoasAlarm& a : alarms) {
+      EXPECT_EQ(a.state, core::MoasAlarm::State::Expired) << a.prefix.to_string();
+      EXPECT_EQ(a.settled_at, 1.0 + kConflictTtlDays + 1.0) << a.prefix.to_string();
+    }
+    if (reference.empty()) {
+      reference = detector.alarm_log_text();
+    } else {
+      EXPECT_EQ(detector.alarm_log_text(), reference) << "jobs=" << jobs;
+    }
+  }
+}
+
 TEST(StreamDetector, GapCrossingConflictParksAsPending) {
   // An attack that starts inside a feed gap: the first post-gap update
   // shows a conflict whose onset was unobserved. The alarm must settle to
