@@ -58,7 +58,7 @@ void AlarmLog::restore_compacted(std::size_t base, const std::array<std::uint64_
   compacted_causes_ = by_cause;
 }
 
-void AlarmLog::maybe_compact() {
+void AlarmLog::maybe_compact(const FoldVisitor& on_fold) {
   if (retention_ == 0 || alarms_.size() <= retention_) return;
   // Fold the longest settled prefix of the window, oldest first; stop at
   // the first still-open alarm (ids must stay dense) or once back at cap.
@@ -68,6 +68,7 @@ void AlarmLog::maybe_compact() {
           alarms_[fold].state == MoasAlarm::State::Expired)) {
     ++compacted_states_[static_cast<std::size_t>(alarms_[fold].state)];
     ++compacted_causes_[static_cast<std::size_t>(alarms_[fold].cause)];
+    if (on_fold) on_fold(alarms_[fold]);
     ++fold;
   }
   if (fold == 0) return;

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,16 +64,20 @@ const char* to_string(MoasAlarm::State state);
 /// unlimited) preserves the historical append-only behaviour exactly.
 class AlarmLog {
  public:
+  /// Sees each alarm that compaction folds away, just before it is dropped.
+  using FoldVisitor = std::function<void(const MoasAlarm&)>;
+
   /// Records the alarm and returns its id so the raiser can settle it
-  /// later. Ids are absolute: they survive compaction.
-  std::size_t record(MoasAlarm alarm) {
+  /// later. Ids are absolute: they survive compaction. `on_fold` (optional)
+  /// sees every older alarm this record compacts away.
+  std::size_t record(MoasAlarm alarm, const FoldVisitor& on_fold = {}) {
     if (obs::trace_wants(trace_, obs::TraceLevel::Summary)) {
       trace_->emit(obs::TraceEvent(obs::EventKind::AlarmRaised, alarm.observer)
                        .with_prefix(alarm.prefix)
                        .with_note(to_string(alarm.cause)));
     }
     alarms_.push_back(std::move(alarm));
-    maybe_compact();
+    maybe_compact(on_fold);
     return base_ + alarms_.size() - 1;
   }
 
@@ -125,7 +130,7 @@ class AlarmLog {
   }
 
  private:
-  void maybe_compact();
+  void maybe_compact(const FoldVisitor& on_fold = {});
 
   std::vector<MoasAlarm> alarms_;
   std::size_t base_ = 0;  // ids < base_ have been compacted away

@@ -1,6 +1,7 @@
 #include "moas/stream/checkpoint.h"
 
 #include <bit>
+#include <charconv>
 #include <istream>
 #include <ostream>
 
@@ -22,14 +23,21 @@ std::uint64_t fnv1a(std::uint64_t hash, std::string_view bytes) {
   return hash;
 }
 
-std::string hex16(std::uint64_t value) {
+void append_hex16(std::string& out, std::uint64_t value) {
   static const char digits[] = "0123456789abcdef";
-  std::string out(16, '0');
+  char text[16];
   for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xf];
+    text[i] = digits[value & 0xf];
     value >>= 4;
   }
-  return out;
+  out.append(text, sizeof text);
+}
+
+template <typename Int>
+void append_int(std::string& out, Int value) {
+  char text[24];
+  const auto result = std::to_chars(text, text + sizeof text, value);
+  out.append(text, result.ptr);
 }
 
 std::uint64_t parse_hex16(std::string_view text) {
@@ -50,20 +58,58 @@ std::uint64_t parse_hex16(std::string_view text) {
 
 }  // namespace
 
-CheckpointWriter::CheckpointWriter(std::ostream& os) : os_(&os), hash_(kFnvOffset) {
-  line(std::string(kCheckpointHeader));
+CheckpointWriter::CheckpointWriter(std::ostream& os) : os_(&os), image_(kCheckpointHeader) {}
+
+CheckpointWriter& CheckpointWriter::line(std::string_view text) {
+  MOAS_REQUIRE(!finished_, "checkpoint writer already finished");
+  image_ += '\n';
+  image_ += text;
+  return *this;
 }
 
-void CheckpointWriter::line(const std::string& text) {
-  MOAS_REQUIRE(!finished_, "checkpoint writer already finished");
-  hash_ = fnv1a(hash_, text);
-  hash_ = fnv1a(hash_, "\n");
-  *os_ << text << '\n';
+CheckpointWriter& CheckpointWriter::u64(std::uint64_t value) {
+  image_ += ' ';
+  append_int(image_, value);
+  return *this;
+}
+
+CheckpointWriter& CheckpointWriter::i64(std::int64_t value) {
+  image_ += ' ';
+  append_int(image_, value);
+  return *this;
+}
+
+CheckpointWriter& CheckpointWriter::f64(double value) {
+  image_ += ' ';
+  append_hex16(image_, std::bit_cast<std::uint64_t>(value));
+  return *this;
+}
+
+CheckpointWriter& CheckpointWriter::prefix(const net::Prefix& prefix) {
+  const std::uint32_t address = prefix.network().value();
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    image_ += shift == 24 ? ' ' : '.';
+    append_int(image_, (address >> shift) & 0xffu);
+  }
+  image_ += '/';
+  append_int(image_, prefix.length());
+  return *this;
+}
+
+CheckpointWriter& CheckpointWriter::asn_set(const bgp::AsnSet& set) {
+  u64(set.size());
+  for (const bgp::Asn asn : set) u64(asn);
+  return *this;
 }
 
 void CheckpointWriter::finish() {
   MOAS_REQUIRE(!finished_, "checkpoint writer already finished");
-  *os_ << "checksum " << hex16(hash_) << '\n';
+  image_ += '\n';
+  const std::uint64_t hash = fnv1a(kFnvOffset, image_);
+  image_ += "checksum ";
+  append_hex16(image_, hash);
+  image_ += '\n';
+  os_->write(image_.data(), static_cast<std::streamsize>(image_.size()));
   finished_ = true;
 }
 
@@ -94,7 +140,9 @@ const std::string& CheckpointReader::next() {
 }
 
 std::string double_bits(double value) {
-  return hex16(std::bit_cast<std::uint64_t>(value));
+  std::string out;
+  append_hex16(out, std::bit_cast<std::uint64_t>(value));
+  return out;
 }
 
 double double_from_bits(const std::string& text) {

@@ -270,45 +270,40 @@ void StreamDetector::save_checkpoint(std::ostream& os) const {
   MOAS_REQUIRE(!finished_, "a finished detector has nothing to resume");
   CheckpointWriter w(os);
 
-  w.line("config " + std::to_string(config_.shards) + ' ' +
-         std::to_string(config_.flush_margin) + ' ' + std::to_string(kDupWindow) + ' ' +
-         double_bits(kConflictTtlDays) + ' ' +
-         std::to_string(config_.shard.day_capacity) + ' ' +
-         std::to_string(config_.shard.memory_budget_bytes) + ' ' +
-         std::to_string(config_.shard.evict_idle_days) + ' ' +
-         std::to_string(config_.shard.alarm_retention));
-  w.line("front " + std::to_string(consumed_) + ' ' + std::to_string(last_flushed_day_) + ' ' +
-         std::to_string(last_checkpoint_day_));
-  w.line("fcounters " + std::to_string(front_.delivered) + ' ' +
-         std::to_string(front_.malformed_rejected) + ' ' +
-         std::to_string(front_.duplicates_suppressed) + ' ' +
-         std::to_string(front_.late_updates) + ' ' + std::to_string(front_.gap_days) + ' ' +
-         std::to_string(front_.days_flushed));
-  w.line("peak " + std::to_string(peak_total_bytes_));
+  w.line("config")
+      .u64(config_.shards)
+      .i64(config_.flush_margin)
+      .u64(kDupWindow)
+      .f64(kConflictTtlDays)
+      .u64(config_.shard.day_capacity)
+      .u64(config_.shard.memory_budget_bytes)
+      .i64(config_.shard.evict_idle_days)
+      .u64(config_.shard.alarm_retention);
+  w.line("front").u64(consumed_).i64(last_flushed_day_).i64(last_checkpoint_day_);
+  w.line("fcounters")
+      .u64(front_.delivered)
+      .u64(front_.malformed_rejected)
+      .u64(front_.duplicates_suppressed)
+      .u64(front_.late_updates)
+      .u64(front_.gap_days)
+      .u64(front_.days_flushed);
+  w.line("peak").u64(peak_total_bytes_);
 
-  {
-    std::string line = "dup " + std::to_string(dup_order_.size());
-    for (const std::uint64_t seq : dup_order_) line += ' ' + std::to_string(seq);
-    w.line(line);
-  }
+  w.line("dup").u64(dup_order_.size());
+  for (const std::uint64_t seq : dup_order_) w.u64(seq);
 
-  w.line("buffered " + std::to_string(buffered_.size()));
+  w.line("buffered").u64(buffered_.size());
   for (const auto& [day, batch] : buffered_) {
     const auto later = later_counts_.find(day);
     MOAS_ENSURE(later != later_counts_.end(), "buffered day without a later-count");
-    w.line("bday " + std::to_string(day) + ' ' + std::to_string(later->second) + ' ' +
-           std::to_string(batch.size()));
+    w.line("bday").i64(day).u64(later->second).u64(batch.size());
     for (const StreamUpdate& u : batch) {
-      std::string line = "u " + std::to_string(u.seq) + ' ' + std::to_string(u.day) + ' ' +
-                         double_bits(u.at) + ' ' + u.prefix.to_string() + ' ' +
-                         std::to_string(u.origins.size());
-      for (const bgp::Asn asn : u.origins) line += ' ' + std::to_string(asn);
-      w.line(line);
+      w.line("u").u64(u.seq).i64(u.day).f64(u.at).prefix(u.prefix).asn_set(u.origins);
     }
   }
 
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    w.line("shard " + std::to_string(i));
+    w.line("shard").u64(i);
     shards_[i].save(w);
   }
   w.line("end");

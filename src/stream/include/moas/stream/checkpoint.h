@@ -19,27 +19,49 @@
 #include <iosfwd>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "moas/bgp/asn.h"
+#include "moas/net/prefix.h"
 
 namespace moas::stream {
 
 inline constexpr std::string_view kCheckpointHeader = "# moasguard stream checkpoint v1";
 
-/// Streams payload lines to `os`, accumulating the running checksum.
-/// Writes the version header on construction; finish() writes the trailer.
+/// Builds a checkpoint image in one buffer, then hashes it and writes it to
+/// `os` in one piece. The constructor starts the version header; finish()
+/// writes the image and its checksum trailer.
+///
+/// A payload line starts with line(tag) and takes its fields from the
+/// typed appenders, each of which writes one space and the token straight
+/// into the buffer, with no temporary strings:
+///
+///   w.line("gap").i64(first_day).i64(last_day);
 class CheckpointWriter {
  public:
   explicit CheckpointWriter(std::ostream& os);
 
-  /// Write one payload line (a trailing '\n' is appended and hashed).
-  void line(const std::string& text);
+  /// Start a payload line with `text` (a tag, or a whole preformatted line).
+  /// The previous line ends here.
+  CheckpointWriter& line(std::string_view text);
 
-  /// Write the checksum trailer. The writer must not be used afterwards.
+  CheckpointWriter& u64(std::uint64_t value);
+  CheckpointWriter& i64(std::int64_t value);
+  /// A double as double_bits() renders it.
+  CheckpointWriter& f64(double value);
+  /// "a.b.c.d/len", as net::Prefix::to_string renders it.
+  CheckpointWriter& prefix(const net::Prefix& prefix);
+  /// The set's size, then each ASN in order.
+  CheckpointWriter& asn_set(const bgp::AsnSet& set);
+
+  /// Write the image and its checksum trailer to the stream. The writer
+  /// must not be used afterwards.
   void finish();
 
  private:
   std::ostream* os_;
-  std::uint64_t hash_;
+  std::string image_;
   bool finished_ = false;
 };
 

@@ -25,6 +25,8 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "moas/bgp/asn.h"
@@ -103,10 +105,16 @@ class DetectorShard {
 
   const core::AlarmLog& alarms() const { return log_; }
   const ShardCounters& counters() const { return counters_; }
+  /// The byte estimate, kept as a running count: every change to the
+  /// model's inputs (states, origin sets, retained alarms, gap windows)
+  /// moves it by its exact delta.
   std::uint64_t bytes_held() const { return bytes_held_; }
   std::uint64_t peak_bytes() const { return peak_bytes_; }
+  /// The byte estimate recomputed from scratch. Equals bytes_held() at
+  /// every day boundary; finish and restore check it, never end_day.
+  std::uint64_t recompute_bytes() const;
   std::size_t live_prefixes() const { return states_.size(); }
-  std::size_t open_alarms() const;
+  std::size_t open_alarms() const { return ttl_index_.size(); }
   const std::map<net::Prefix, PrefixState>& states() const { return states_; }
 
   /// Evicted case durations plus the live states' current durations.
@@ -125,10 +133,16 @@ class DetectorShard {
  private:
   void process(int flush_day, const StreamUpdate& u, bool full);
   void end_day(int day);
-  std::uint64_t recompute_bytes() const;
+  /// Close the open alarm of `st` (at `prefix`) as `state` at time `at`.
+  void close_alarm(const net::Prefix& prefix, PrefixState& st, core::MoasAlarm::State state,
+                   double at);
 
   ShardConfig config_;
   std::map<net::Prefix, PrefixState> states_;
+  /// (conflict_day, prefix) of every open alarm, oldest conflict first:
+  /// the TTL expires from its front. Derived from states_, so it is
+  /// neither checkpointed nor compared; load() rebuilds it.
+  std::set<std::pair<int, net::Prefix>> ttl_index_;
   core::AlarmLog log_;
   std::vector<chaos::GapWindow> gaps_;  // every gap window seen so far
   obs::FixedHistogram durations_;       // evicted/retired case durations

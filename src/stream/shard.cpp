@@ -15,9 +15,12 @@ namespace {
 constexpr std::uint64_t kShardBaseBytes = 256;
 constexpr std::uint64_t kMapNodeBytes = 64;
 constexpr std::uint64_t kAsnBytes = 48;  // a std::set node is ~this big
+constexpr std::uint64_t kGapBytes = 16;
 
+/// One prefix entry: its map node plus the state.
 std::uint64_t state_bytes(const PrefixState& st) {
-  return 96 + kAsnBytes * static_cast<std::uint64_t>(st.reference.size() + st.observed.size());
+  return kMapNodeBytes + 96 +
+         kAsnBytes * static_cast<std::uint64_t>(st.reference.size() + st.observed.size());
 }
 
 std::uint64_t alarm_bytes(const core::MoasAlarm& a) {
@@ -29,11 +32,6 @@ std::uint64_t alarm_bytes(const core::MoasAlarm& a) {
 /// observed introduces no origin outside the reference list.
 bool covered_by(const bgp::AsnSet& reference, const bgp::AsnSet& observed) {
   return std::includes(reference.begin(), reference.end(), observed.begin(), observed.end());
-}
-
-void write_asn_set(std::string& line, const bgp::AsnSet& set) {
-  line += ' ' + std::to_string(set.size());
-  for (const bgp::Asn asn : set) line += ' ' + std::to_string(asn);
 }
 
 bgp::AsnSet read_asn_set(LineParser& p) {
@@ -59,12 +57,9 @@ net::Prefix read_prefix(LineParser& p) {
 }
 
 void write_histogram(CheckpointWriter& w, const char* tag, const obs::FixedHistogram& h) {
-  std::string line = tag;
-  line += ' ' + std::to_string(h.underflow()) + ' ' + std::to_string(h.overflow()) + ' ' +
-          std::to_string(h.count()) + ' ' + double_bits(h.sum()) + ' ' + double_bits(h.min()) +
-          ' ' + double_bits(h.max());
-  for (const std::uint64_t c : h.bucket_counts()) line += ' ' + std::to_string(c);
-  w.line(line);
+  w.line(tag).u64(h.underflow()).u64(h.overflow()).u64(h.count());
+  w.f64(h.sum()).f64(h.min()).f64(h.max());
+  for (const std::uint64_t c : h.bucket_counts()) w.u64(c);
 }
 
 obs::FixedHistogram read_histogram(CheckpointReader& r, const char* tag,
@@ -101,6 +96,7 @@ DetectorShard::DetectorShard(ShardConfig config)
 void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bool full) {
   auto [it, fresh] = states_.try_emplace(u.prefix);
   PrefixState& st = it->second;
+  const std::uint64_t before = fresh ? 0 : state_bytes(st);
   if (fresh) {
     st.reference = u.origins;  // first sight: adopt as the MOAS list
     st.first_day = u.day;
@@ -119,10 +115,16 @@ void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bo
         if (!st.reference.contains(asn)) alarm.offending_origins.insert(asn);
       }
       alarm.cause = core::MoasAlarm::Cause::ListMismatch;
-      const std::size_t id = log_.record(std::move(alarm));
+      const std::uint64_t cost = alarm_bytes(alarm);
+      const std::size_t id =
+          log_.record(std::move(alarm), [this](const core::MoasAlarm& folded) {
+            bytes_held_ -= alarm_bytes(folded);
+          });
+      bytes_held_ += cost;
       st.alarm_id = static_cast<std::int64_t>(id);
       st.conflict_since = u.at;
       st.conflict_day = u.day;
+      ttl_index_.emplace(u.day, u.prefix);
       ++counters_.alarms_raised;
       latencies_.add(static_cast<double>(flush_day) + 1.0 - u.at);
 
@@ -143,11 +145,7 @@ void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bo
     }
   } else if (st.alarm_id >= 0) {
     // The announced set is covered by the reference again: conflict over.
-    log_.settle(static_cast<std::size_t>(st.alarm_id), core::MoasAlarm::State::Resolved, u.at);
-    ++counters_.alarms_resolved;
-    st.alarm_id = -1;
-    st.conflict_since = -1.0;
-    st.conflict_day = -1;
+    close_alarm(u.prefix, st, core::MoasAlarm::State::Resolved, u.at);
     st.observed.clear();
   }
 
@@ -164,11 +162,24 @@ void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bo
     if (accrues) ++counters_.moas_days_shed;
   }
   st.last_day = std::max(st.last_day, u.day);
+  bytes_held_ = bytes_held_ + state_bytes(st) - before;
+}
+
+void DetectorShard::close_alarm(const net::Prefix& prefix, PrefixState& st,
+                                const core::MoasAlarm::State state, const double at) {
+  log_.settle(static_cast<std::size_t>(st.alarm_id), state, at);
+  ++(state == core::MoasAlarm::State::Resolved ? counters_.alarms_resolved
+                                                : counters_.alarms_expired);
+  ttl_index_.erase({st.conflict_day, prefix});
+  st.alarm_id = -1;
+  st.conflict_since = -1.0;
+  st.conflict_day = -1;
 }
 
 void DetectorShard::process_day(const int day, const std::vector<chaos::GapWindow>& new_gaps,
                                 const std::vector<const StreamUpdate*>& batch) {
-  for (const auto& g : new_gaps) gaps_.push_back(g);
+  gaps_.insert(gaps_.end(), new_gaps.begin(), new_gaps.end());
+  bytes_held_ += kGapBytes * new_gaps.size();
 
   std::size_t full_used = 0;
   for (const StreamUpdate* u : batch) {
@@ -187,21 +198,19 @@ void DetectorShard::process_day(const int day, const std::vector<chaos::GapWindo
 
 void DetectorShard::end_day(const int day) {
   // Conflict TTL: an alarm open this long is churn, not attack. Expire it
-  // and adopt the observed origins so the prefix stops alarming.
-  for (auto& [prefix, st] : states_) {
-    if (st.alarm_id < 0 || st.conflict_day < 0) continue;
-    if (static_cast<double>(day - st.conflict_day) < kConflictTtlDays) continue;
-    log_.settle(static_cast<std::size_t>(st.alarm_id), core::MoasAlarm::State::Expired,
-                static_cast<double>(day) + 1.0);
-    ++counters_.alarms_expired;
-    for (const bgp::Asn asn : st.observed) st.reference.insert(asn);
-    st.alarm_id = -1;
-    st.conflict_since = -1.0;
-    st.conflict_day = -1;
+  // and adopt the observed origins so the prefix stops alarming. The index
+  // is oldest conflict first, so the walk stops at the first young one.
+  while (!ttl_index_.empty()) {
+    const auto [conflict_day, prefix] = *ttl_index_.begin();
+    if (static_cast<double>(day - conflict_day) < kConflictTtlDays) break;
+    PrefixState& st = states_.find(prefix)->second;
+    const std::uint64_t before = state_bytes(st);
+    close_alarm(prefix, st, core::MoasAlarm::State::Expired, static_cast<double>(day) + 1.0);
+    st.reference.insert(st.observed.begin(), st.observed.end());
     st.observed.clear();
+    bytes_held_ = bytes_held_ + state_bytes(st) - before;
   }
 
-  bytes_held_ = recompute_bytes();
   if (config_.memory_budget_bytes > 0 && bytes_held_ > config_.memory_budget_bytes) {
     // Two eviction passes over alarm-free prefixes, coldest first: idle
     // ones, then (under sustained pressure) warm ones too.
@@ -222,7 +231,7 @@ void DetectorShard::end_day(const int day) {
         const auto it = states_.find(prefix);
         const PrefixState& st = it->second;
         if (st.duration_days > 0) durations_.add(static_cast<double>(st.duration_days));
-        bytes_held_ -= state_bytes(st) + kMapNodeBytes;
+        bytes_held_ -= state_bytes(st);
         ++counters_.evicted_prefixes;
         if (live) ++counters_.evicted_live;
         states_.erase(it);
@@ -235,27 +244,17 @@ void DetectorShard::end_day(const int day) {
 }
 
 void DetectorShard::finish(const double at) {
-  for (auto& [prefix, st] : states_) {
-    if (st.alarm_id < 0) continue;
-    log_.settle(static_cast<std::size_t>(st.alarm_id), core::MoasAlarm::State::Expired, at);
-    ++counters_.alarms_expired;
-    st.alarm_id = -1;
-    st.conflict_since = -1.0;
-    st.conflict_day = -1;
+  while (!ttl_index_.empty()) {
+    const net::Prefix prefix = ttl_index_.begin()->second;
+    close_alarm(prefix, states_.find(prefix)->second, core::MoasAlarm::State::Expired, at);
   }
-  bytes_held_ = recompute_bytes();
+  MOAS_ENSURE(bytes_held_ == recompute_bytes(), "running byte count drifted from the footprint");
   peak_bytes_ = std::max(peak_bytes_, bytes_held_);
 }
 
-std::size_t DetectorShard::open_alarms() const {
-  std::size_t n = 0;
-  for (const auto& [prefix, st] : states_) n += st.alarm_id >= 0 ? 1 : 0;
-  return n;
-}
-
 std::uint64_t DetectorShard::recompute_bytes() const {
-  std::uint64_t bytes = kShardBaseBytes + 16 * static_cast<std::uint64_t>(gaps_.size());
-  for (const auto& [prefix, st] : states_) bytes += state_bytes(st) + kMapNodeBytes;
+  std::uint64_t bytes = kShardBaseBytes + kGapBytes * static_cast<std::uint64_t>(gaps_.size());
+  for (const auto& [prefix, st] : states_) bytes += state_bytes(st);
   for (const auto& alarm : log_.alarms()) bytes += alarm_bytes(alarm);
   return bytes;
 }
@@ -269,55 +268,55 @@ obs::FixedHistogram DetectorShard::duration_histogram() const {
 }
 
 void DetectorShard::save(CheckpointWriter& w) const {
-  {
-    std::string line = "counters";
-    for (const std::uint64_t v :
-         {counters_.processed, counters_.shed_updates, counters_.moas_days_shed,
-          counters_.alarms_raised, counters_.alarms_resolved, counters_.alarms_expired,
-          counters_.alarms_parked, counters_.evicted_prefixes, counters_.evicted_live}) {
-      line += ' ' + std::to_string(v);
-    }
-    w.line(line);
-  }
-  w.line("bytes " + std::to_string(bytes_held_) + ' ' + std::to_string(peak_bytes_));
+  w.line("counters")
+      .u64(counters_.processed)
+      .u64(counters_.shed_updates)
+      .u64(counters_.moas_days_shed)
+      .u64(counters_.alarms_raised)
+      .u64(counters_.alarms_resolved)
+      .u64(counters_.alarms_expired)
+      .u64(counters_.alarms_parked)
+      .u64(counters_.evicted_prefixes)
+      .u64(counters_.evicted_live);
+  w.line("bytes").u64(bytes_held_).u64(peak_bytes_);
 
-  w.line("gaps " + std::to_string(gaps_.size()));
-  for (const auto& g : gaps_) {
-    w.line("gap " + std::to_string(g.first_day) + ' ' + std::to_string(g.last_day));
-  }
+  w.line("gaps").u64(gaps_.size());
+  for (const auto& g : gaps_) w.line("gap").i64(g.first_day).i64(g.last_day);
 
   write_histogram(w, "durations", durations_);
   write_histogram(w, "latencies", latencies_);
 
-  {
-    std::string line = "alarmlog " + std::to_string(log_.first_retained());
-    for (const std::uint64_t v : log_.compacted_by_state()) line += ' ' + std::to_string(v);
-    for (const std::uint64_t v : log_.compacted_by_cause()) line += ' ' + std::to_string(v);
-    line += ' ' + std::to_string(log_.alarms().size());
-    w.line(line);
-  }
+  w.line("alarmlog").u64(log_.first_retained());
+  for (const std::uint64_t v : log_.compacted_by_state()) w.u64(v);
+  for (const std::uint64_t v : log_.compacted_by_cause()) w.u64(v);
+  w.u64(log_.alarms().size());
   for (const auto& a : log_.alarms()) {
-    std::string line = "alarm " + double_bits(a.at) + ' ' + double_bits(a.settled_at) + ' ' +
-                       std::to_string(a.observer) + ' ' +
-                       std::to_string(static_cast<unsigned>(a.cause)) + ' ' +
-                       std::to_string(static_cast<unsigned>(a.state)) + ' ' +
-                       a.prefix.to_string();
-    write_asn_set(line, a.reference_list);
-    write_asn_set(line, a.observed_list);
-    write_asn_set(line, a.offending_origins);
-    w.line(line);
+    w.line("alarm")
+        .f64(a.at)
+        .f64(a.settled_at)
+        .u64(a.observer)
+        .u64(static_cast<unsigned>(a.cause))
+        .u64(static_cast<unsigned>(a.state))
+        .prefix(a.prefix)
+        .asn_set(a.reference_list)
+        .asn_set(a.observed_list)
+        .asn_set(a.offending_origins);
   }
 
-  w.line("states " + std::to_string(states_.size()));
+  w.line("states").u64(states_.size());
   for (const auto& [prefix, st] : states_) {
-    std::string line = "state " + prefix.to_string() + ' ' + std::to_string(st.first_day) + ' ' +
-                       std::to_string(st.last_day) + ' ' + std::to_string(st.last_moas_day) +
-                       ' ' + std::to_string(st.duration_days) + ' ' +
-                       std::to_string(st.max_origins) + ' ' + std::to_string(st.alarm_id) + ' ' +
-                       double_bits(st.conflict_since) + ' ' + std::to_string(st.conflict_day);
-    write_asn_set(line, st.reference);
-    write_asn_set(line, st.observed);
-    w.line(line);
+    w.line("state")
+        .prefix(prefix)
+        .i64(st.first_day)
+        .i64(st.last_day)
+        .i64(st.last_moas_day)
+        .i64(st.duration_days)
+        .u64(st.max_origins)
+        .i64(st.alarm_id)
+        .f64(st.conflict_since)
+        .i64(st.conflict_day)
+        .asn_set(st.reference)
+        .asn_set(st.observed);
   }
 }
 
@@ -412,25 +411,36 @@ void DetectorShard::load(CheckpointReader& r) {
   }
 
   // Open alarms and the states naming them must pair up one to one: a
-  // dangling id only surfaces later, when a shard worker settles it.
+  // dangling id only surfaces later, when a shard worker settles it. An
+  // alarm's conflict day is set and cleared with its id, and it places the
+  // alarm in the TTL index.
   const auto base = static_cast<std::int64_t>(log_.first_retained());
   const auto is_open = [](const core::MoasAlarm& a) {
     return a.state == core::MoasAlarm::State::Raised ||
            a.state == core::MoasAlarm::State::Pending;
   };
-  std::size_t named = 0;
   for (const auto& [prefix, st] : states_) {
-    if (st.alarm_id == -1) continue;
+    if (st.alarm_id == -1) {
+      MOAS_REQUIRE(st.conflict_day == -1, "checkpoint: conflict day on a state with no alarm");
+      continue;
+    }
     MOAS_REQUIRE(st.alarm_id >= base && st.alarm_id < static_cast<std::int64_t>(log_.size()),
                  "checkpoint: state names no retained alarm");
     const core::MoasAlarm& alarm = log_.alarms()[static_cast<std::size_t>(st.alarm_id - base)];
     MOAS_REQUIRE(is_open(alarm) && alarm.prefix == prefix,
                  "checkpoint: state names a settled or foreign alarm");
-    ++named;
+    MOAS_REQUIRE(st.conflict_day >= 0 && st.conflict_day <= st.last_day,
+                 "checkpoint: open alarm's conflict day outside [0, last_day]");
+    ttl_index_.emplace(st.conflict_day, prefix);
   }
-  MOAS_REQUIRE(named == static_cast<std::size_t>(std::count_if(log_.alarms().begin(),
-                                                               log_.alarms().end(), is_open)),
+  MOAS_REQUIRE(ttl_index_.size() == static_cast<std::size_t>(std::count_if(
+                                        log_.alarms().begin(), log_.alarms().end(), is_open)),
                "checkpoint: open alarm named by no state");
+
+  // The running byte count is never recomputed after this, so a wrong one
+  // would stay wrong for the rest of the run.
+  MOAS_REQUIRE(bytes_held_ == recompute_bytes(),
+               "checkpoint: byte count differs from the restored footprint");
 }
 
 bool DetectorShard::operator==(const DetectorShard& other) const {

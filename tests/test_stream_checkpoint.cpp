@@ -304,6 +304,72 @@ TEST(StreamCheckpoint, CrashAtAnyCheckpointBoundaryIsLossless) {
   }
 }
 
+/// Deliver the rest of `feed` one update at a time. After every flushed
+/// day, each shard's running byte count must equal its footprint
+/// recomputed from scratch. Returns the number of days checked.
+int expect_exact_bytes_every_day(StreamDetector& detector, UpdateFeed& feed) {
+  int days = 0;
+  int seen = detector.last_flushed_day();
+  const auto check = [&] {
+    for (std::size_t i = 0; i < detector.shards().size(); ++i) {
+      const DetectorShard& shard = detector.shards()[i];
+      EXPECT_EQ(shard.bytes_held(), shard.recompute_bytes())
+          << "shard " << i << " after day " << detector.last_flushed_day();
+    }
+    days += detector.last_flushed_day() - seen;
+    seen = detector.last_flushed_day();
+  };
+  while (auto u = feed.next()) {
+    detector.ingest(std::move(*u));
+    if (detector.last_flushed_day() != seen) check();
+  }
+  detector.flush_all();
+  check();
+  return days;
+}
+
+TEST(StreamCheckpoint, RunningByteCountMatchesTheFootprintEveryDay) {
+  // Budget-bound, with feed gaps and a retention cap small enough that the
+  // alarm log compacts: every input of the byte model moves.
+  const auto trace = crash_trace();
+  const auto churn = plan_churn(trace, ChurnConfig{.seed = 5, .share = 0.3});
+  const auto plans = plan_attacks(trace, AttackConfig{.seed = 13, .attacks = 4}, churn);
+  std::vector<OriginOverride> overrides = churn;
+  for (const auto& p : plans) overrides.push_back(p.inject);
+  const auto faults = crash_faults(trace.days);
+  StreamConfig config = crash_config();
+  config.shard.memory_budget_bytes = 4 * 1024;
+  config.shard.alarm_retention = 2;
+
+  TraceReplaySource source(trace, overrides);
+  FaultyFeed feed(source, faults);
+  StreamDetector detector(config);
+  EXPECT_EQ(expect_exact_bytes_every_day(detector, feed), trace.days);
+  const auto metrics = detector.metrics();
+  EXPECT_GT(metrics.counter("stream.evicted_prefixes"), 0u);
+  EXPECT_GT(metrics.counter("stream.gap_days"), 0u);
+  std::size_t compacted = 0;
+  for (const DetectorShard& shard : detector.shards()) compacted += shard.alarms().compacted();
+  EXPECT_GT(compacted, 0u);
+
+  // Resumed from a mid-run checkpoint, the count stays exact to the end.
+  TraceReplaySource first_source(trace, overrides);
+  FaultyFeed first_feed(first_source, faults);
+  StreamDetector first(config);
+  while (first.last_flushed_day() < trace.days / 2) first.ingest(std::move(*first_feed.next()));
+  std::ostringstream os;
+  first.save_checkpoint(os);
+  std::istringstream is(os.str());
+  StreamDetector resumed = StreamDetector::restore_checkpoint(is, config);
+  TraceReplaySource resumed_source(trace, overrides);
+  FaultyFeed resumed_feed(resumed_source, faults);
+  fast_forward(resumed_feed, resumed.consumed());
+  EXPECT_GT(expect_exact_bytes_every_day(resumed, resumed_feed), trace.days / 3);
+  resumed.finish();
+  detector.finish();
+  EXPECT_EQ(fingerprint(resumed), fingerprint(detector));
+}
+
 // ---------------------------------------------------------------------------
 // Mutate and re-checksum. The checksum rejects accidental damage before any
 // field is parsed, so flipping bytes only ever exercises the framing. A file
@@ -356,44 +422,100 @@ TEST(CheckpointRestore, HugeBufferedCountIsRejected) {
   }
 }
 
-TEST(CheckpointRestore, UnpairedOpenAlarmIsRejected) {
-  // state <prefix> <first> <last> <last_moas> <duration> <max_origins>
-  // <alarm_id> ...: a state's alarm id must name a retained open alarm, and
-  // every retained open alarm must be named by its state. Either hole would
-  // only surface later, when a shard worker settles the alarm mid-run.
-
-  // The first weekly image holding both a state with an open alarm and a
-  // state without one.
+/// The payload of the first weekly image holding both a state with an open
+/// alarm and a state without one, with the index of the first of each.
+struct StateLines {
   std::vector<std::string> lines;
   std::size_t open = 0;
   std::size_t quiet = 0;
-  for (const std::string& image : weekly_images()) {
-    lines = payload_lines(image);
-    open = quiet = lines.size();
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      const std::vector<std::string> tokens = util::split(lines[i], ' ');
-      if (tokens.front() != "state") continue;
-      std::size_t& first = tokens.at(7) == "-1" ? quiet : open;
-      if (first == lines.size()) first = i;
-    }
-    if (open < lines.size() && quiet < lines.size()) break;
-  }
-  ASSERT_LT(open, lines.size());
-  ASSERT_LT(quiet, lines.size());
-  const auto with_alarm_id = [&](std::size_t index, const std::string& id) {
+
+  /// The image with token `index` of line `line` set to `value`, re-sealed.
+  std::string with(std::size_t line, std::size_t index, const std::string& value) const {
     std::vector<std::string> edited = lines;
-    std::vector<std::string> tokens = util::split(edited[index], ' ');
-    tokens[7] = id;
-    edited[index] = util::join(tokens, " ");
+    std::vector<std::string> tokens = util::split(edited[line], ' ');
+    tokens.at(index) = value;
+    edited[line] = util::join(tokens, " ");
     return reseal(edited);
-  };
+  }
+  std::string token(std::size_t line, std::size_t index) const {
+    return util::split(lines[line], ' ').at(index);
+  }
+};
+
+// state <prefix> <first> <last> <last_moas> <duration> <max_origins>
+// <alarm_id> <conflict_since> <conflict_day> ...
+constexpr std::size_t kStateLastDay = 3;
+constexpr std::size_t kStateAlarmId = 7;
+constexpr std::size_t kStateConflictDay = 9;
+
+StateLines open_and_quiet_states() {
+  StateLines s;
+  for (const std::string& image : weekly_images()) {
+    s.lines = payload_lines(image);
+    s.open = s.quiet = s.lines.size();
+    for (std::size_t i = 0; i < s.lines.size(); ++i) {
+      const std::vector<std::string> tokens = util::split(s.lines[i], ' ');
+      if (tokens.front() != "state") continue;
+      std::size_t& first = tokens.at(kStateAlarmId) == "-1" ? s.quiet : s.open;
+      if (first == s.lines.size()) first = i;
+    }
+    if (s.open < s.lines.size() && s.quiet < s.lines.size()) break;
+  }
+  return s;
+}
+
+TEST(CheckpointRestore, UnpairedOpenAlarmIsRejected) {
+  // A state's alarm id must name a retained open alarm, and every retained
+  // open alarm must be named by its state. Either hole would only surface
+  // later, when a shard worker settles the alarm mid-run.
+  const StateLines s = open_and_quiet_states();
+  ASSERT_LT(s.open, s.lines.size());
+  ASSERT_LT(s.quiet, s.lines.size());
   {  // a quiet state names an alarm the log never retained
-    std::istringstream is(with_alarm_id(quiet, "1000000"));
+    std::istringstream is(s.with(s.quiet, kStateAlarmId, "1000000"));
     EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument);
   }
   {  // an open alarm loses the state that names it
-    std::istringstream is(with_alarm_id(open, "-1"));
+    std::istringstream is(s.with(s.open, kStateAlarmId, "-1"));
     EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument);
+  }
+}
+
+TEST(CheckpointRestore, InconsistentConflictDayIsRejected) {
+  // A conflict day is set and cleared with its alarm id. An open alarm's
+  // day lies in [0, last_day] and places it in the TTL index; a day outside
+  // that range would never expire, or expire out of turn.
+  const StateLines s = open_and_quiet_states();
+  ASSERT_LT(s.open, s.lines.size());
+  ASSERT_LT(s.quiet, s.lines.size());
+  const int open_last = std::stoi(s.token(s.open, kStateLastDay));
+  for (const int day : {-1, open_last + 1}) {
+    std::istringstream is(s.with(s.open, kStateConflictDay, std::to_string(day)));
+    EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument)
+        << "open alarm, conflict day " << day;
+  }
+  {  // a state with no alarm keeps a conflict day
+    std::istringstream is(s.with(s.quiet, kStateConflictDay, s.token(s.quiet, kStateLastDay)));
+    EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument);
+  }
+}
+
+TEST(CheckpointRestore, StaleByteCountIsRejected) {
+  // bytes <held> <peak>: the shard keeps its byte count as a running total
+  // from here on, so a held value off by one byte would stay off forever.
+  const std::string image = fuzz_image();
+  ASSERT_FALSE(image.empty());
+  std::vector<std::string> lines = payload_lines(image);
+  const auto bytes = std::find_if(lines.begin(), lines.end(), [](const std::string& line) {
+    return line.rfind("bytes ", 0) == 0;
+  });
+  ASSERT_NE(bytes, lines.end());
+  const std::vector<std::string> tokens = util::split(*bytes, ' ');
+  const std::uint64_t held = std::stoull(tokens.at(1));
+  for (const std::uint64_t wrong : {held - 1, held + 1}) {
+    std::istringstream is(with_token(image, "bytes", 1, std::to_string(wrong)));
+    EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument)
+        << wrong;
   }
 }
 
