@@ -230,8 +230,6 @@ int main(int argc, char** argv) {
   out << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
   out << "  \"jobs\": " << jobs << ",\n";
   out << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n";
-  out << "  \"note\": \"1-core baseline: updates/s reflects a single core; "
-         "the determinism and zero-lost-alarm gates are hardware-independent\",\n";
   out << "  \"scenarios\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
