@@ -56,6 +56,9 @@ class AdjRibIn {
 
   /// All candidates for a prefix (may be empty), peer-ascending.
   std::vector<const RibEntry*> candidates(const net::Prefix& prefix) const;
+  /// The same into `out` (cleared first), so a hot caller can reuse one
+  /// buffer instead of allocating per call.
+  void candidates(const net::Prefix& prefix, std::vector<const RibEntry*>& out) const;
 
   /// The entry from a specific peer, or nullptr.
   const RibEntry* from_peer(const net::Prefix& prefix, Asn peer) const;

@@ -78,17 +78,20 @@ class Pool {
     const std::size_t hash = hash_payload(payload);
     Shard& shard = shards_[hash & (kShardCount - 1)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    Data probe;
-    payload_of(probe) = std::move(payload);
-    auto it = shard.index.find(&probe);
-    if (it != shard.index.end()) return *it;
-    shard.arena.push_back(std::move(probe));
-    Data& entry = shard.arena.back();
+    // One probe under the lock: place the value in the arena, then insert;
+    // a duplicate gives the arena slot back. The hash rides in the key, so
+    // the index never recomputes it.
+    Data& entry = shard.arena.emplace_back();
+    payload_of(entry) = std::move(payload);
+    const auto [it, inserted] = shard.index.insert(Key{hash, &entry});
+    if (!inserted) {
+      shard.arena.pop_back();
+      return it->data;
+    }
     entry.id = static_cast<std::uint32_t>((shard.arena.size() << kShardBits) |
                                           (hash & (kShardCount - 1)));
     finish(entry);
     shard.payload_bytes += sizeof(Data) + deep_bytes(payload_of(entry));
-    shard.index.insert(&entry);
     return &entry;
   }
 
@@ -98,9 +101,9 @@ class Pool {
       std::lock_guard<std::mutex> lock(shard.mutex);
       out.entries += shard.arena.size();
       out.payload_bytes += shard.payload_bytes;
-      // libstdc++ unordered_set: one node (pointer payload + next + cached
-      // hash) per entry plus the bucket array. An estimate, flagged as such
-      // in the PoolUsage contract.
+      // libstdc++ unordered_set: one node (hash + pointer key + next) per
+      // entry plus the bucket array. An estimate, flagged as such in the
+      // PoolUsage contract.
       out.index_bytes += shard.index.size() * (sizeof(void*) * 3) +
                          shard.index.bucket_count() * sizeof(void*);
     }
@@ -118,19 +121,23 @@ class Pool {
     }
   }
 
+  struct Key {
+    std::size_t hash;
+    const Data* data;
+  };
   struct Hash {
-    std::size_t operator()(const Data* d) const { return hash_payload(payload_of(*d)); }
+    std::size_t operator()(const Key& key) const noexcept { return key.hash; }
   };
   struct Eq {
-    bool operator()(const Data* a, const Data* b) const {
-      return payload_of(*a) == payload_of(*b);
+    bool operator()(const Key& a, const Key& b) const {
+      return a.hash == b.hash && payload_of(*a.data) == payload_of(*b.data);
     }
   };
 
   struct Shard {
     mutable std::mutex mutex;
     std::deque<Data> arena;  // stable addresses for the life of the process
-    std::unordered_set<const Data*, Hash, Eq> index;
+    std::unordered_set<Key, Hash, Eq> index;
     std::size_t payload_bytes = 0;
   };
 

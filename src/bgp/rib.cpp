@@ -89,11 +89,16 @@ bool AdjRibIn::erase(Asn peer, const net::Prefix& prefix) {
 
 std::vector<const RibEntry*> AdjRibIn::candidates(const net::Prefix& prefix) const {
   std::vector<const RibEntry*> out;
+  candidates(prefix, out);
+  return out;
+}
+
+void AdjRibIn::candidates(const net::Prefix& prefix, std::vector<const RibEntry*>& out) const {
+  out.clear();
   auto it = table_.find(prefix);
-  if (it == table_.end()) return out;
+  if (it == table_.end()) return;
   out.reserve(it->second.size());
   for (const RibEntry& entry : it->second) out.push_back(&entry);
-  return out;
 }
 
 const RibEntry* AdjRibIn::from_peer(const net::Prefix& prefix, Asn peer) const {
