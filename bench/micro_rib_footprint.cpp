@@ -21,11 +21,13 @@
 // >65,535-AS workloads end to end.
 //
 // Usage:
-//   micro_rib_footprint [--smoke] [--gate] [--out PATH]
+//   micro_rib_footprint [--smoke] [--gate] [--jobs N] [--out PATH]
 //
 // --smoke shrinks the workload (the 630-AS paper topology, 64 prefixes) so
 // the ASan CI subset finishes in seconds; full mode runs >=20k ASes x
-// >=1024 prefixes.
+// >=1024 prefixes. --jobs sets MultiPrefixConfig::jobs (default: MOAS_JOBS,
+// else the hardware concurrency); every field but routes_per_sec,
+// propagation_seconds and jobs is identical for any value.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -54,6 +56,7 @@ int main(int argc, char** argv) {
   bool smoke = false;
   bool gate = false;
   std::string out_path = "BENCH_rib.json";
+  const std::size_t jobs = bench_jobs(argc, argv);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") smoke = true;
@@ -89,10 +92,11 @@ int main(int argc, char** argv) {
   }
   workload.origins_per_prefix = 2;  // every prefix carries a MOAS list
   workload.seed = 0x51b5;
+  workload.jobs = jobs;
 
   std::cout << "=== Micro: RIB footprint (" << graph->node_count() << "-AS, "
-            << workload.num_prefixes << " prefixes" << (smoke ? ", smoke" : "")
-            << ") ===\n\n";
+            << workload.num_prefixes << " prefixes" << (smoke ? ", smoke" : "") << ", "
+            << jobs << " jobs) ===\n\n";
 
   const core::MultiPrefixResult result = core::run_multi_prefix(*graph, workload);
   const bgp::intern::PoolStats pools = bgp::intern::pool_stats();
@@ -151,6 +155,7 @@ int main(int argc, char** argv) {
   out << "  \"baseline_bytes_per_route\": " << json_double(baseline_per_route) << ",\n";
   out << "  \"routes_per_sec\": " << json_double(routes_per_sec) << ",\n";
   out << "  \"propagation_seconds\": " << json_double(result.propagation_seconds) << ",\n";
+  out << "  \"jobs\": " << jobs << ",\n";
   out << "  \"hardware_concurrency\": " << hardware << ",\n";
   if (hardware <= 1) {
     // Annotate single-core baselines in the artifact itself, per the

@@ -27,6 +27,7 @@ const char* to_string(MoasAlarm::State state) {
 }
 
 void AlarmLog::settle(std::size_t id, MoasAlarm::State state, sim::Time at) {
+  const std::scoped_lock lock(guard_.mutex);
   MOAS_REQUIRE(id >= base_, "settling an alarm that was already compacted");
   MOAS_REQUIRE(id - base_ < alarms_.size(), "settling an alarm that was never recorded");
   MOAS_REQUIRE(state != MoasAlarm::State::Raised, "cannot settle back to Raised");

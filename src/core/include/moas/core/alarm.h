@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,11 @@ const char* to_string(MoasAlarm::State state);
 
 /// Append-only alarm sink shared by all detectors in one experiment.
 ///
+/// record() and settle() may run concurrently (the wave engine drains
+/// independent routers on several workers); alarm order then follows the
+/// workers' interleaving, so no result may depend on it. Every other
+/// member is single-threaded.
+///
 /// Long-lived (streaming) deployments cap the log with set_retention():
 /// once more than `cap` alarms are retained, the oldest *settled* alarms
 /// are folded into per-state/per-cause tallies and dropped. Ids stay
@@ -71,6 +77,7 @@ class AlarmLog {
   /// later. Ids are absolute: they survive compaction. `on_fold` (optional)
   /// sees every older alarm this record compacts away.
   std::size_t record(MoasAlarm alarm, const FoldVisitor& on_fold = {}) {
+    const std::scoped_lock lock(guard_.mutex);
     if (obs::trace_wants(trace_, obs::TraceLevel::Summary)) {
       trace_->emit(obs::TraceEvent(obs::EventKind::AlarmRaised, alarm.observer)
                        .with_prefix(alarm.prefix)
@@ -132,6 +139,16 @@ class AlarmLog {
  private:
   void maybe_compact(const FoldVisitor& on_fold = {});
 
+  /// Serializes record()/settle(). Copies and moves of the log get a
+  /// fresh mutex.
+  struct Guard {
+    std::mutex mutex;
+    Guard() = default;
+    Guard(const Guard&) {}
+    Guard& operator=(const Guard&) { return *this; }
+  };
+
+  Guard guard_;
   std::vector<MoasAlarm> alarms_;
   std::size_t base_ = 0;  // ids < base_ have been compacted away
   std::size_t retention_ = 0;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "moas/core/attacker.h"
 #include "moas/core/experiment.h"
@@ -36,6 +37,10 @@ struct MultiPrefixConfig {
   Deployment deployment = Deployment::Full;
   double deployment_fraction = 0.5;  // capable share under Partial
   std::uint64_t seed = 0;
+  /// Workers that drain each wave sweep and account the RIBs; 0 =
+  /// util::ThreadPool::default_jobs(). Every result field but
+  /// propagation_seconds is identical for any value.
+  std::size_t jobs = 0;
 };
 
 struct MultiPrefixResult {
@@ -84,10 +89,16 @@ struct MultiPrefixResult {
 /// The index-th victim prefix: 10.(i/256).(i%256).0/24.
 net::Prefix multi_prefix_victim(std::size_t index);
 
+/// Sees every router of a converged run, in ascending ASN order, before
+/// the engine is torn down.
+using ConvergedRouterVisitor = std::function<void(const bgp::Router&)>;
+
 /// Run the workload to its fixpoint. Requires a connected graph with at
 /// least origins_per_prefix stubs and enough non-origin ASes to give every
-/// attacked prefix a distinct attacker.
+/// attacked prefix a distinct attacker. `visit`, if set, inspects the
+/// converged routers (tests compare Loc-RIBs across job counts with it).
 MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
-                                   const MultiPrefixConfig& config);
+                                   const MultiPrefixConfig& config,
+                                   const ConvergedRouterVisitor& visit = {});
 
 }  // namespace moas::core

@@ -70,6 +70,7 @@ class OriginResolver {
 };
 
 /// Always answers with the truth — the simulation-section assumption.
+/// resolve() is safe to call concurrently (the truth DB is read-only).
 class OracleResolver final : public OriginResolver {
  public:
   explicit OracleResolver(std::shared_ptr<const PrefixOriginDb> truth);

@@ -12,6 +12,7 @@
 #include "moas/sim/wave_engine.h"
 #include "moas/util/assert.h"
 #include "moas/util/rng.h"
+#include "moas/util/thread_pool.h"
 #include "scenario.h"
 
 namespace moas::core {
@@ -59,7 +60,8 @@ std::size_t baseline_entry_bytes(const bgp::Route& route) {
 }  // namespace
 
 MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
-                                   const MultiPrefixConfig& config) {
+                                   const MultiPrefixConfig& config,
+                                   const ConvergedRouterVisitor& visit) {
   MOAS_REQUIRE(config.num_prefixes >= 1, "workload needs at least one prefix");
   MOAS_REQUIRE(config.block_size >= 1, "block size must be >= 1");
   MOAS_REQUIRE(config.origins_per_prefix >= 1, "each prefix needs an origin");
@@ -107,7 +109,11 @@ MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
     plans.push_back(std::move(plan));
   }
 
-  sim::WaveEngine wave(graph, config.policy);
+  // The pool drains the engine's sweeps and splits the RIB accounting. The
+  // oracle resolver and the shared alarm log are the only state detectors
+  // on different routers touch, and both take concurrent calls.
+  util::ThreadPool pool(util::ThreadPool::resolve_jobs(config.jobs));
+  sim::WaveEngine wave(graph, config.policy, &pool);
 
   // Detector deployment — the single-prefix wave-run wiring: capable ASes
   // get an import validator against the oracle, attackers never do. The
@@ -164,23 +170,49 @@ MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
     if (!scenario::implicates_attacker(alarm, all_attackers)) ++result.false_alarms;
   }
 
-  for (bgp::Asn asn : all_ases) {
-    const bgp::Router& router = wave.router(asn);
-    const bgp::AdjRibIn& adj = router.adj_rib_in();
-    const bgp::LocRib& loc = router.loc_rib();
-    result.routes_installed += loc.size();
-    result.rib_bytes += adj.container_bytes() + loc.container_bytes();
-    for (const net::Prefix& prefix : adj.prefixes()) {
-      result.baseline_rib_bytes += kMapNodeOverhead;  // outer map node per row
-      for (const bgp::RibEntry* entry : adj.candidates(prefix)) {
-        ++result.rib_entries;
-        result.baseline_rib_bytes += baseline_entry_bytes(entry->route);
+  if (visit) {
+    for (bgp::Asn asn : all_ases) visit(wave.router(asn));
+  }
+
+  // RIB accounting, one partial sum per chunk of routers; integer sums, so
+  // the totals do not depend on the split.
+  struct Tally {
+    std::size_t routes_installed = 0;
+    std::size_t rib_entries = 0;
+    std::size_t rib_bytes = 0;
+    std::size_t baseline_rib_bytes = 0;
+  };
+  constexpr std::size_t kChunk = 256;
+  std::vector<Tally> tallies((all_ases.size() + kChunk - 1) / kChunk);
+  pool.parallel_for(tallies.size(), [&](std::size_t c) {
+    Tally& tally = tallies[c];
+    std::vector<const bgp::RibEntry*> candidates;
+    const std::size_t end = std::min(all_ases.size(), (c + 1) * kChunk);
+    for (std::size_t i = c * kChunk; i < end; ++i) {
+      const bgp::Router& router = wave.router(all_ases[i]);
+      const bgp::AdjRibIn& adj = router.adj_rib_in();
+      const bgp::LocRib& loc = router.loc_rib();
+      tally.routes_installed += loc.size();
+      tally.rib_bytes += adj.container_bytes() + loc.container_bytes();
+      for (const net::Prefix& prefix : adj.prefixes()) {
+        tally.baseline_rib_bytes += kMapNodeOverhead;  // outer map node per row
+        adj.candidates(prefix, candidates);
+        for (const bgp::RibEntry* entry : candidates) {
+          ++tally.rib_entries;
+          tally.baseline_rib_bytes += baseline_entry_bytes(entry->route);
+        }
+      }
+      for (const net::Prefix& prefix : loc.prefixes()) {
+        ++tally.rib_entries;
+        tally.baseline_rib_bytes += baseline_entry_bytes(loc.best(prefix)->route);
       }
     }
-    for (const net::Prefix& prefix : loc.prefixes()) {
-      ++result.rib_entries;
-      result.baseline_rib_bytes += baseline_entry_bytes(loc.best(prefix)->route);
-    }
+  });
+  for (const Tally& tally : tallies) {
+    result.routes_installed += tally.routes_installed;
+    result.rib_entries += tally.rib_entries;
+    result.rib_bytes += tally.rib_bytes;
+    result.baseline_rib_bytes += tally.baseline_rib_bytes;
   }
   return result;
 }

@@ -1,6 +1,7 @@
 #include "moas/core/resolver.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "moas/obs/metrics.h"
 #include "moas/util/assert.h"
@@ -30,9 +31,11 @@ OracleResolver::OracleResolver(std::shared_ptr<const PrefixOriginDb> truth)
 }
 
 std::optional<bgp::AsnSet> OracleResolver::resolve(const net::Prefix& prefix) {
-  ++counters_.queries;
+  // Atomic counters: the oracle is stateless otherwise, so detectors on
+  // concurrently draining wave-engine routers share one instance.
+  std::atomic_ref(counters_.queries).fetch_add(1, std::memory_order_relaxed);
   auto answer = truth_->lookup(prefix);
-  if (!answer) ++counters_.failures;
+  if (!answer) std::atomic_ref(counters_.failures).fetch_add(1, std::memory_order_relaxed);
   return answer;
 }
 

@@ -108,6 +108,29 @@ TEST(MultiPrefix, ConvergedTalliesAreBlockSizeIndependent) {
   EXPECT_EQ(a.baseline_rib_bytes, b.baseline_rib_bytes);
 }
 
+TEST(MultiPrefix, CycleCapBoundsEachBlockNotTheRun) {
+  // 256 one-prefix blocks run far more cycles in total than the 150-AS
+  // graph's cap of node_count + 16; only a single fixpoint may not.
+  MultiPrefixConfig config = small_config();
+  config.num_prefixes = 256;
+  config.attacked_fraction = 0.25;  // 64 distinct attackers of 150 ASes
+  MultiPrefixConfig fine = config;
+  fine.block_size = 1;
+  MultiPrefixConfig coarse = config;
+  coarse.block_size = 256;
+  const MultiPrefixResult a = run_multi_prefix(small_topology(), fine);
+  const MultiPrefixResult b = run_multi_prefix(small_topology(), coarse);
+  EXPECT_EQ(a.blocks, 256u);
+  EXPECT_EQ(b.blocks, 1u);
+  EXPECT_EQ(a.alarms, b.alarms);
+  EXPECT_EQ(a.false_alarms, b.false_alarms);
+  EXPECT_EQ(a.adopted_false, b.adopted_false);
+  EXPECT_EQ(a.adopted_valid, b.adopted_valid);
+  EXPECT_EQ(a.no_route, b.no_route);
+  EXPECT_EQ(a.routes_installed, b.routes_installed);
+  EXPECT_EQ(a.rib_entries, b.rib_entries);
+}
+
 TEST(MultiPrefix, PartialDeploymentStillDetects) {
   MultiPrefixConfig config = small_config();
   config.deployment = Deployment::Partial;
