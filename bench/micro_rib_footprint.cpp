@@ -14,6 +14,10 @@
 //                (malloc chunk overhead ignored), so a pass here
 //                understates the real win.
 //
+// Detector state (MultiPrefixResult::detector_bytes, MoasDetector::
+// state_bytes) is printed beside both, in MB and per route; it is neither
+// interned nor part of the gate.
+//
 // --gate fails the bench unless interned bytes/route is strictly below
 // baseline bytes/route, and (full mode only) routes/sec stays above a
 // conservative floor. Full mode's ASNs straddle the 2-octet boundary by
@@ -105,6 +109,7 @@ int main(int argc, char** argv) {
   const double routes = static_cast<double>(result.rib_entries);
   const double interned_per_route = interned_bytes / routes;
   const double baseline_per_route = result.baseline_rib_bytes / routes;
+  const double detector_per_route = result.detector_bytes / routes;
   const double routes_per_sec =
       result.propagation_seconds > 0.0
           ? static_cast<double>(result.routes_installed) / result.propagation_seconds
@@ -123,6 +128,8 @@ int main(int argc, char** argv) {
                  util::fmt_double(result.baseline_rib_bytes / 1048576.0, 1)});
   table.add_row({"interned B/route", util::fmt_double(interned_per_route, 1)});
   table.add_row({"baseline B/route", util::fmt_double(baseline_per_route, 1)});
+  table.add_row({"detector MB", util::fmt_double(result.detector_bytes / 1048576.0, 1)});
+  table.add_row({"detector B/route", util::fmt_double(detector_per_route, 1)});
   table.add_row({"routes/sec", util::fmt_double(routes_per_sec, 1)});
   table.add_row({"propagation sec", util::fmt_double(result.propagation_seconds, 2)});
   table.print(std::cout);
@@ -151,6 +158,7 @@ int main(int argc, char** argv) {
   out << "  \"pool_large_community_sets\": " << pools.large_community_sets.entries
       << ",\n";
   out << "  \"baseline_bytes\": " << result.baseline_rib_bytes << ",\n";
+  out << "  \"detector_bytes\": " << result.detector_bytes << ",\n";
   out << "  \"interned_bytes_per_route\": " << json_double(interned_per_route) << ",\n";
   out << "  \"baseline_bytes_per_route\": " << json_double(baseline_per_route) << ",\n";
   out << "  \"routes_per_sec\": " << json_double(routes_per_sec) << ",\n";

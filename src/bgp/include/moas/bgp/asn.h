@@ -2,7 +2,8 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
+
+#include "moas/util/flat_map.h"
 
 namespace moas::bgp {
 
@@ -12,8 +13,12 @@ namespace moas::bgp {
 /// large communities, so the full 32-bit range is usable end to end.
 using Asn = std::uint32_t;
 
-/// An unordered set of ASNs (origin sets, MOAS lists, attacker sets, ...).
-using AsnSet = std::set<Asn>;
+/// A set of ASNs (origin sets, MOAS lists, attacker sets, ...), kept as one
+/// sorted vector: these sets hold a handful of members, so iteration in
+/// ascending order costs no heap node per member. Sets that grow one
+/// member at a time to graph size (the topo BFS visited sets) are hashed
+/// instead, because each sorted insert would shift the whole vector.
+using AsnSet = util::FlatSet<Asn>;
 
 /// Reserved value meaning "no AS" (0 is unallocated in the real registry).
 inline constexpr Asn kNoAs = 0;

@@ -1,6 +1,7 @@
 #include "moas/core/detector.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "moas/obs/metrics.h"
 #include "moas/util/assert.h"
@@ -8,10 +9,6 @@
 namespace moas::core {
 
 namespace {
-
-bool intersects(const AsnSet& a, const AsnSet& b) {
-  return std::any_of(a.begin(), a.end(), [&](Asn x) { return b.contains(x); });
-}
 
 AsnSet difference(const AsnSet& a, const AsnSet& b) {
   AsnSet out;
@@ -39,24 +36,33 @@ bool MoasDetector::accept(const bgp::Route& route, bgp::Asn from_peer,
   const net::Prefix prefix = route.prefix;
   PrefixState& state = state_[prefix];
 
+  // The effective list (footnote 3): the explicit list if the route carries
+  // one, else its origin candidates. Decoded once per announcement.
   const AsnSet origins = route.origin_candidates();
-  const AsnSet incoming_list = effective_moas_list(route);
+  const AsnSet explicit_list = decode_moas_list(route.attrs);
+  const AsnSet& incoming_list = explicit_list.empty() ? origins : explicit_list;
 
   // Fast path: the origin was already identified as false. The rejected
   // peer is one more witness asserting the banned origin — remember it so
   // the ban outlives the peer that originally triggered it. No new alarm:
   // the first detection already flagged the origin.
-  if (intersects(origins, state.banned)) {
+  if (state.bans) {
+    bool banned = false;
     for (Asn asn : origins) {
-      if (state.banned.contains(asn)) state.banned_support[asn].insert(from_peer);
+      if (auto it = state.bans->find(asn); it != state.bans->end()) {
+        it->second.insert(from_peer);
+        banned = true;
+      }
     }
-    ++stats_.rejections;
-    return false;
+    if (banned) {
+      ++stats_.rejections;
+      return false;
+    }
   }
 
   // Self-consistency: a route carrying an explicit list must include its
   // own origin; otherwise it is bogus on its face.
-  if (has_explicit_moas_list(route) && !origins.empty() && !subset(origins, incoming_list)) {
+  if (!explicit_list.empty() && !origins.empty() && !subset(origins, incoming_list)) {
     const std::size_t id = raise(ctx, prefix, state.reference, incoming_list, origins,
                                  MoasAlarm::Cause::OriginNotInList);
     alarms_->settle(id, MoasAlarm::State::Resolved, ctx.current_time());
@@ -87,15 +93,12 @@ bool MoasDetector::accept(const bgp::Route& route, bgp::Asn from_peer,
     return true;
   }
 
-  return resolve_conflict(route, from_peer, ctx, state, incoming_list);
+  return resolve_conflict(prefix, from_peer, ctx, state, origins, incoming_list);
 }
 
-bool MoasDetector::resolve_conflict(const bgp::Route& route, bgp::Asn from_peer,
+bool MoasDetector::resolve_conflict(const net::Prefix& prefix, bgp::Asn from_peer,
                                     bgp::RouterContext& ctx, PrefixState& state,
-                                    const AsnSet& incoming_list) {
-  const net::Prefix prefix = route.prefix;
-  const AsnSet origins = route.origin_candidates();
-
+                                    const AsnSet& origins, const AsnSet& incoming_list) {
   const std::size_t alarm_id = raise(ctx, prefix, state.reference, incoming_list, origins,
                                      MoasAlarm::Cause::ListMismatch);
 
@@ -116,8 +119,7 @@ bool MoasDetector::resolve_conflict(const bgp::Route& route, bgp::Asn from_peer,
       // and its supporters, then launch exactly one resolution. Later
       // conflicting routes for the same prefix fold into this request.
       for (Asn asn : state.reference) {
-        AsnSet& support = pc.asserted[asn];
-        for (Asn peer : state.supporters) support.insert(peer);
+        pc.asserted[asn].insert(state.supporters.begin(), state.supporters.end());
       }
       pc.generation = next_generation_++;
       const std::uint64_t generation = pc.generation;
@@ -150,23 +152,21 @@ bool MoasDetector::resolve_conflict(const bgp::Route& route, bgp::Asn from_peer,
   // Ban every origin we have seen asserted that is not actually valid, and
   // purge any such routes that made it into the RIB before the conflict
   // surfaced. The sender of this route asserts its origins and list; the
-  // old reference is asserted by its supporters.
-  std::map<Asn, AsnSet> asserted;
+  // old reference is asserted by its supporters. An accepted sender is the
+  // first supporter of the resolved reference.
+  Witnesses asserted;
   for (Asn asn : origins) asserted[asn].insert(from_peer);
   for (Asn asn : incoming_list) asserted[asn].insert(from_peer);
-  apply_truth(prefix, ctx, state, *truth, asserted, {alarm_id});
-
-  if (!subset(origins, *truth)) {
-    ++stats_.rejections;
-    return false;
-  }
-  state.supporters.insert(from_peer);
-  return true;
+  const bool accepted = subset(origins, *truth);
+  apply_truth(prefix, ctx, state, *truth, accepted ? AsnSet{from_peer} : AsnSet{}, asserted,
+              {alarm_id});
+  if (!accepted) ++stats_.rejections;
+  return accepted;
 }
 
 void MoasDetector::apply_truth(const net::Prefix& prefix, bgp::RouterContext& ctx,
-                               PrefixState& state, const AsnSet& truth,
-                               const std::map<Asn, AsnSet>& asserted,
+                               PrefixState& state, const AsnSet& truth, AsnSet supporters,
+                               const Witnesses& asserted,
                                const std::vector<std::size_t>& alarm_ids) {
   AsnSet implicated = state.reference;
   for (const auto& [asn, peers] : asserted) implicated.insert(asn);
@@ -177,7 +177,7 @@ void MoasDetector::apply_truth(const net::Prefix& prefix, bgp::RouterContext& ct
     AsnSet support;
     if (auto it = asserted.find(asn); it != asserted.end()) support = it->second;
     if (state.reference.contains(asn)) {
-      for (Asn peer : state.supporters) support.insert(peer);
+      support.insert(state.supporters.begin(), state.supporters.end());
     }
     if (support.empty()) {
       // Last resort so the ban has a live witness: the first peer that
@@ -192,12 +192,11 @@ void MoasDetector::apply_truth(const net::Prefix& prefix, bgp::RouterContext& ct
       }
     }
     if (support.empty()) continue;  // no live witness anywhere: don't ban
-    state.banned.insert(asn);
-    AsnSet& dst = state.banned_support[asn];
-    for (Asn peer : support) dst.insert(peer);
+    if (!state.bans) state.bans = std::make_unique<Witnesses>();
+    (*state.bans)[asn].insert(support.begin(), support.end());
   }
   state.reference = truth;
-  state.supporters.clear();
+  state.supporters = std::move(supporters);
 
   if (obs::trace_wants(trace_, obs::TraceLevel::Summary)) {
     trace_->emit(obs::TraceEvent(obs::EventKind::AlarmResolved, ctx.self())
@@ -252,7 +251,7 @@ void MoasDetector::on_resolution(const net::Prefix& prefix, std::uint64_t genera
     }
     return;
   }
-  apply_truth(prefix, ctx, sit->second, *outcome.answer, pc.asserted, pc.alarm_ids);
+  apply_truth(prefix, ctx, sit->second, *outcome.answer, {}, pc.asserted, pc.alarm_ids);
 }
 
 std::size_t MoasDetector::raise(bgp::RouterContext& ctx, const net::Prefix& prefix,
@@ -277,16 +276,15 @@ void MoasDetector::on_peer_down(bgp::Asn peer, bgp::RouterContext& /*ctx*/) {
     // With the last supporter gone, the reference rests on nothing: the
     // peers will cold-announce and the list is re-adopted from scratch.
     if (state.supporters.empty()) state.reference.clear();
-    for (auto bit = state.banned_support.begin(); bit != state.banned_support.end();) {
-      bit->second.erase(peer);
-      if (bit->second.empty()) {
-        state.banned.erase(bit->first);
-        bit = state.banned_support.erase(bit);
-      } else {
-        ++bit;
+    if (state.bans) {
+      Witnesses& bans = *state.bans;
+      for (auto bit = bans.begin(); bit != bans.end();) {
+        bit->second.erase(peer);
+        bit = bit->second.empty() ? bans.erase(bit) : std::next(bit);
       }
+      if (bans.empty()) state.bans.reset();
     }
-    if (state.reference.empty() && state.banned.empty()) {
+    if (state.reference.empty() && !state.bans) {
       it = state_.erase(it);
     } else {
       ++it;
@@ -308,7 +306,7 @@ void MoasDetector::on_error_withdraw(const net::Prefix& prefix, bgp::Asn from_pe
     // against anything salvaged from the damaged message.
     state.reference = ctx.accepted_origins(prefix);
   }
-  if (state.reference.empty() && state.banned.empty() && state.supporters.empty()) {
+  if (state.reference.empty() && !state.bans && state.supporters.empty()) {
     state_.erase(it);
   }
 }
@@ -342,8 +340,22 @@ AsnSet MoasDetector::reference_list(const net::Prefix& prefix) const {
 }
 
 AsnSet MoasDetector::banned_origins(const net::Prefix& prefix) const {
+  AsnSet out;
   auto it = state_.find(prefix);
-  return it == state_.end() ? AsnSet{} : it->second.banned;
+  if (it == state_.end() || !it->second.bans) return out;
+  for (const auto& [asn, _] : *it->second.bans) out.insert(asn);
+  return out;
+}
+
+std::size_t MoasDetector::state_bytes() const {
+  std::size_t bytes = state_.container_bytes();
+  for (const auto& [_, state] : state_) {
+    bytes += state.reference.container_bytes() + state.supporters.container_bytes();
+    if (!state.bans) continue;
+    bytes += sizeof(Witnesses) + state.bans->container_bytes();
+    for (const auto& [asn, peers] : *state.bans) bytes += peers.container_bytes();
+  }
+  return bytes;
 }
 
 }  // namespace moas::core

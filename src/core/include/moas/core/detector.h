@@ -23,6 +23,7 @@
 #include "moas/core/async_resolver.h"
 #include "moas/core/moas_list.h"
 #include "moas/core/resolver.h"
+#include "moas/util/flat_map.h"
 
 namespace moas::obs {
 class MetricsRegistry;
@@ -98,14 +99,23 @@ class MoasDetector final : public bgp::ImportValidator {
   /// Origins this detector has identified as false for `prefix`.
   AsnSet banned_origins(const net::Prefix& prefix) const;
 
+  /// Heap bytes of the per-prefix state: the state table's capacity, each
+  /// prefix's reference and supporter sets, and the out-of-line ban tables
+  /// (in-flight async conflicts are not counted).
+  std::size_t state_bytes() const;
+
  private:
+  /// origin -> peers that asserted it.
+  using Witnesses = util::FlatMap<bgp::Asn, AsnSet>;
+
   struct PrefixState {
-    AsnSet reference;    // the MOAS list we currently believe
-    AsnSet banned;       // origins resolved to be false
-    AsnSet supporters;   // peers whose accepted announcements back `reference`
-    /// banned origin -> peers that asserted it; a ban evaporates once every
-    /// asserting peer's session has gone down.
-    std::map<bgp::Asn, AsnSet> banned_support;
+    AsnSet reference;   // the MOAS list we currently believe
+    AsnSet supporters;  // peers whose accepted announcements back `reference`
+    /// Origins resolved to be false, each with the peers that asserted it; a
+    /// ban evaporates once every asserting peer's session has gone down.
+    /// Out of line because few prefixes ever ban anything: allocated on the
+    /// first ban, freed when the last witness goes.
+    std::unique_ptr<Witnesses> bans;
   };
 
   /// A conflict whose resolution is in flight. The RouterContext pointer is
@@ -114,9 +124,9 @@ class MoasDetector final : public bgp::ImportValidator {
   struct PendingConflict {
     bgp::RouterContext* ctx = nullptr;
     std::vector<std::size_t> alarm_ids;  // every alarm folded into this conflict
-    /// origin -> peers that asserted it while the conflict was pending;
-    /// feeds ban attribution when the answer arrives.
-    std::map<bgp::Asn, AsnSet> asserted;
+    /// Origins asserted while the conflict was pending; feeds ban
+    /// attribution when the answer arrives.
+    Witnesses asserted;
     /// Guards against callbacks from a pre-reset incarnation of the conflict.
     std::uint64_t generation = 0;
   };
@@ -127,14 +137,17 @@ class MoasDetector final : public bgp::ImportValidator {
                     const AsnSet& offending, MoasAlarm::Cause cause);
 
   /// Handle a list conflict; returns whether the incoming route is accepted.
-  bool resolve_conflict(const bgp::Route& route, bgp::Asn from_peer,
-                        bgp::RouterContext& ctx, PrefixState& state,
+  /// `origins` and `incoming_list` are the route's, decoded once by accept.
+  bool resolve_conflict(const net::Prefix& prefix, bgp::Asn from_peer,
+                        bgp::RouterContext& ctx, PrefixState& state, const AsnSet& origins,
                         const AsnSet& incoming_list);
 
-  /// Apply a resolved truth: ban and purge false origins, adopt the
-  /// reference, settle `alarm_ids`.
+  /// Apply a resolved truth: ban false origins, adopt the reference backed
+  /// by `supporters`, purge the false routes, settle `alarm_ids`. The purge
+  /// calls back into the router after the last write to `state`, so no
+  /// state reference is used once the router has run.
   void apply_truth(const net::Prefix& prefix, bgp::RouterContext& ctx, PrefixState& state,
-                   const AsnSet& truth, const std::map<bgp::Asn, AsnSet>& asserted,
+                   const AsnSet& truth, AsnSet supporters, const Witnesses& asserted,
                    const std::vector<std::size_t>& alarm_ids);
 
   /// Completion of an async resolution for `prefix` (generation-guarded).
@@ -144,7 +157,9 @@ class MoasDetector final : public bgp::ImportValidator {
   std::shared_ptr<AlarmLog> alarms_;
   std::shared_ptr<OriginResolver> resolver_;
   std::shared_ptr<AsyncResolver> async_;
-  std::map<net::Prefix, PrefixState> state_;
+  /// Sorted by prefix; insert and erase move entries, so no PrefixState&
+  /// is kept across one.
+  util::FlatMap<net::Prefix, PrefixState> state_;
   std::map<net::Prefix, PendingConflict> pending_;
   std::uint64_t next_generation_ = 1;
   obs::TraceBus* trace_ = nullptr;

@@ -75,6 +75,9 @@ struct MultiPrefixResult {
   /// row; conservative — malloc chunk overhead is ignored).
   /// micro_rib_footprint gates interned bytes/route strictly below this.
   std::size_t baseline_rib_bytes = 0;
+  /// MoasDetector per-prefix state bytes summed over all detectors
+  /// (MoasDetector::state_bytes), reported next to the RIB bytes.
+  std::size_t detector_bytes = 0;
 
   double propagation_seconds = 0.0;  // wall clock inside propagate()
 

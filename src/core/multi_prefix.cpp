@@ -122,9 +122,9 @@ MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
     return wave.router(asn);
   };
   auto alarms = std::make_shared<AlarmLog>();
-  scenario::install_detectors(config.deployment, config.deployment_fraction, all_ases,
-                              all_attackers, alarms, std::make_shared<OracleResolver>(truth),
-                              rng, at);
+  const auto detectors = scenario::install_detectors(
+      config.deployment, config.deployment_fraction, all_ases, all_attackers, alarms,
+      std::make_shared<OracleResolver>(truth), rng, at);
 
   // Block-iterated origination: seed one block's valid routes and attacks,
   // run to the fixpoint, move on. The converged tables are block-size
@@ -214,6 +214,7 @@ MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
     result.rib_bytes += tally.rib_bytes;
     result.baseline_rib_bytes += tally.baseline_rib_bytes;
   }
+  for (const auto& detector : detectors) result.detector_bytes += detector->state_bytes();
   return result;
 }
 

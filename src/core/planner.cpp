@@ -23,9 +23,9 @@ bgp::AsnSet plan_deployment(const topo::AsGraph& graph, std::size_t count,
 
   switch (strategy) {
     case DeploymentStrategy::Random: {
-      for (std::size_t i : rng.sample_indices(nodes.size(), count)) {
-        deployed.insert(nodes[i]);
-      }
+      std::vector<bgp::Asn> picked;
+      for (std::size_t i : rng.sample_indices(nodes.size(), count)) picked.push_back(nodes[i]);
+      deployed.insert(picked.begin(), picked.end());  // one sort, not `count` inserts
       break;
     }
     case DeploymentStrategy::DegreeRanked: {

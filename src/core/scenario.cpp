@@ -18,7 +18,9 @@ std::vector<std::shared_ptr<MoasDetector>> install_detectors(
   } else if (deployment == Deployment::Partial) {
     const auto want =
         static_cast<std::size_t>(std::lround(fraction * static_cast<double>(ases.size())));
-    for (std::size_t i : rng.sample_indices(ases.size(), want)) capable.insert(ases[i]);
+    std::vector<bgp::Asn> picked;
+    for (std::size_t i : rng.sample_indices(ases.size(), want)) picked.push_back(ases[i]);
+    capable.insert(picked.begin(), picked.end());  // one sort, not `want` inserts
   }
   std::vector<std::shared_ptr<MoasDetector>> detectors;
   for (bgp::Asn asn : capable) {

@@ -14,7 +14,9 @@ namespace {
 /// a per-ASN cost for the origin sets.
 constexpr std::uint64_t kShardBaseBytes = 256;
 constexpr std::uint64_t kMapNodeBytes = 64;
-constexpr std::uint64_t kAsnBytes = 48;  // a std::set node is ~this big
+// Per origin-set member, sized as a std::set node. AsnSet members are
+// 4-byte vector slots, so this overstates; changing it moves evictions.
+constexpr std::uint64_t kAsnBytes = 48;
 constexpr std::uint64_t kGapBytes = 16;
 
 /// One prefix entry: its map node plus the state.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_set>
 
 #include "moas/util/assert.h"
 
@@ -120,7 +121,7 @@ bool AsGraph::is_connected() const {
 AsnSet AsGraph::reachable_from(Asn start, const AsnSet& blocked) const {
   MOAS_REQUIRE(has_node(start), "unknown start node");
   MOAS_REQUIRE(!blocked.contains(start), "start node must not be blocked");
-  AsnSet seen{start};
+  std::unordered_set<Asn> seen{start};  // grows to graph size: hashed, not flat; sorted on return
   std::deque<Asn> frontier{start};
   while (!frontier.empty()) {
     const Asn cur = frontier.front();
@@ -130,17 +131,18 @@ AsnSet AsGraph::reachable_from(Asn start, const AsnSet& blocked) const {
       frontier.push_back(nbr);
     }
   }
-  return seen;
+  return AsnSet(seen.begin(), seen.end());
 }
 
 AsGraph AsGraph::largest_component() const {
-  AsnSet remaining;
-  for (const auto& [asn, _] : adj_) remaining.insert(asn);
+  // Components in order of their smallest node; the first largest wins.
+  std::unordered_set<Asn> assigned;  // grows to graph size: hashed, not flat
   AsnSet best;
-  while (!remaining.empty()) {
-    const AsnSet comp = reachable_from(*remaining.begin());
-    if (comp.size() > best.size()) best = comp;
-    for (Asn asn : comp) remaining.erase(asn);
+  for (const auto& [asn, _] : adj_) {
+    if (assigned.contains(asn)) continue;
+    AsnSet comp = reachable_from(asn);
+    assigned.insert(comp.begin(), comp.end());
+    if (comp.size() > best.size()) best = std::move(comp);
   }
   return induced(best);
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <deque>
+#include <unordered_set>
 
 #include "moas/util/assert.h"
 #include "moas/util/rng.h"
@@ -35,7 +36,7 @@ DegreeStats degree_stats(const AsGraph& graph) {
 double fraction_cut_off(const AsGraph& graph, const AsnSet& sources, const AsnSet& removed) {
   MOAS_REQUIRE(!sources.empty(), "need at least one source");
   // Multi-source BFS avoiding removed nodes.
-  AsnSet seen;
+  std::unordered_set<Asn> seen;  // grows to graph size: hashed, not flat
   std::deque<Asn> frontier;
   for (Asn s : sources) {
     MOAS_REQUIRE(graph.has_node(s), "source not in graph");

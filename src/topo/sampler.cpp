@@ -38,17 +38,17 @@ AsGraph sample_topology(const AsGraph& internet, double stub_fraction, util::Rng
                                                           static_cast<double>(stubs.size())));
   if (want == 0) want = 1;
 
-  AsnSet keep;
+  std::vector<Asn> keep;
   for (std::size_t i : rng.sample_indices(stubs.size(), want)) {
     const Asn stub = stubs[i];
-    keep.insert(stub);
+    keep.push_back(stub);
     // "and their ISP peers": every transit neighbor comes along.
     for (Asn nbr : internet.neighbors(stub)) {
-      if (internet.is_transit(nbr)) keep.insert(nbr);
+      if (internet.is_transit(nbr)) keep.push_back(nbr);
     }
   }
 
-  AsGraph sampled = internet.induced(keep);
+  AsGraph sampled = internet.induced(AsnSet(keep.begin(), keep.end()));
   prune(sampled);
   if (sampled.node_count() == 0) return sampled;
   AsGraph out = sampled.largest_component();

@@ -83,7 +83,7 @@ TEST_P(ConvergenceProperty, BestPathsAreRealShortestPaths) {
         << "AS" << asn << " first hop " << hops.front() << " is not a neighbor";
     AsnSet seen{asn};
     for (std::size_t i = 0; i < hops.size(); ++i) {
-      ASSERT_TRUE(seen.insert(hops[i]).second) << "loop through AS" << hops[i];
+      ASSERT_TRUE(seen.insert(hops[i])) << "loop through AS" << hops[i];
       if (i + 1 < hops.size()) {
         ASSERT_TRUE(graph.has_edge(hops[i], hops[i + 1]))
             << "phantom edge " << hops[i] << "-" << hops[i + 1];

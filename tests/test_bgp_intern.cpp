@@ -6,6 +6,7 @@
 // the lock-free read paths under ASan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <thread>
@@ -233,6 +234,38 @@ TEST(FlatSet, SortedUniqueMembership) {
   EXPECT_EQ(set.erase(5), 1u);
   EXPECT_EQ(set.erase(5), 0u);
   EXPECT_EQ(set, util::FlatSet<int>{1});
+}
+
+TEST(FlatSet, RangeConstructorSortsAndDedupes) {
+  const std::vector<int> unsorted{7, 3, 7, 1, 3, 9, 1};
+  const util::FlatSet<int> set(unsorted.begin(), unsorted.end());
+  const std::set<int> reference(unsorted.begin(), unsorted.end());
+  EXPECT_TRUE(std::equal(set.begin(), set.end(), reference.begin(), reference.end()));
+  EXPECT_EQ(set, (util::FlatSet<int>{1, 3, 7, 9}));
+  EXPECT_EQ(set.container_bytes(), unsorted.size() * sizeof(int));  // one allocation, no growth
+
+  const std::vector<int> none;
+  EXPECT_TRUE(util::FlatSet<int>(none.begin(), none.end()).empty());
+}
+
+TEST(FlatSet, RangeInsertMergesIntoSortedUniqueMembers) {
+  util::FlatSet<int> set{2, 4, 6};
+  std::set<int> reference{2, 4, 6};
+  // Members below, between, above and equal to the existing ones, with a
+  // duplicate inside the range itself.
+  const std::vector<int> more{5, 0, 6, 9, 2, 5, 3};
+  set.insert(more.begin(), more.end());
+  reference.insert(more.begin(), more.end());
+  EXPECT_TRUE(std::equal(set.begin(), set.end(), reference.begin(), reference.end()));
+  EXPECT_EQ(set.size(), 7u);
+
+  const std::vector<int> none;
+  set.insert(none.begin(), none.end());
+  EXPECT_EQ(set.size(), 7u);
+
+  util::FlatSet<int> empty;
+  empty.insert(more.begin(), more.end());
+  EXPECT_EQ(empty, (util::FlatSet<int>{0, 2, 3, 5, 6, 9}));
 }
 
 }  // namespace

@@ -235,6 +235,60 @@ TEST(MoasDetector, ErrorWithdrawKeepsBansAndForgetsEmptyState) {
   EXPECT_EQ(fresh.reference_list(kPrefix), AsnSet{5});
 }
 
+TEST(MoasDetector, BansLiveOutOfLineUntilTheirLastWitnessGoes) {
+  // Two prefixes ban origin 52, each on the word of two peers: the attacker
+  // itself and one more peer that relayed its route after the ban.
+  Harness h;
+  const net::Prefix other = *net::Prefix::parse("10.0.0.0/8");
+  h.truth->set(kPrefix, {1});
+  h.truth->set(other, {2});
+  auto detector = h.make();
+  const auto to_other = [&](bgp::Route route) {
+    route.prefix = other;
+    return route;
+  };
+  EXPECT_TRUE(detector.accept(route_from({9, 1}), 9, h.ctx));
+  EXPECT_FALSE(detector.accept(route_from({52}), 52, h.ctx));
+  EXPECT_FALSE(detector.accept(route_from({7, 52}), 7, h.ctx));
+  EXPECT_TRUE(detector.accept(to_other(route_from({9, 2})), 9, h.ctx));
+  EXPECT_FALSE(detector.accept(to_other(route_from({52})), 52, h.ctx));
+  EXPECT_FALSE(detector.accept(to_other(route_from({6, 52})), 6, h.ctx));
+  ASSERT_EQ(detector.banned_origins(kPrefix), AsnSet{52});
+  ASSERT_EQ(detector.banned_origins(other), AsnSet{52});
+  const std::size_t alarms = h.alarms->size();
+
+  // The attacker's own session goes: each ban keeps one witness. The
+  // resolutions left no supporters, so the references go with it.
+  detector.on_peer_down(52, h.ctx);
+  EXPECT_EQ(detector.banned_origins(kPrefix), AsnSet{52});
+  EXPECT_EQ(detector.banned_origins(other), AsnSet{52});
+  EXPECT_TRUE(detector.reference_list(kPrefix).empty());
+  const std::size_t both = detector.state_bytes();
+
+  // kPrefix's last witness goes: its ban table is freed and the empty state
+  // dropped. `other` is untouched.
+  detector.on_peer_down(7, h.ctx);
+  EXPECT_TRUE(detector.banned_origins(kPrefix).empty());
+  EXPECT_EQ(detector.banned_origins(other), AsnSet{52});
+  EXPECT_LT(detector.state_bytes(), both);
+
+  // Dropped state is a cold start: the next announcement becomes the
+  // reference without a conflict.
+  EXPECT_TRUE(detector.accept(route_from({52}), 52, h.ctx));
+  EXPECT_EQ(detector.reference_list(kPrefix), AsnSet{52});
+  EXPECT_EQ(h.alarms->size(), alarms);
+
+  // The last witness on `other` and the new supporter on kPrefix go: no
+  // state is left, so a reset wiping the table has nothing more to free.
+  detector.on_peer_down(6, h.ctx);
+  detector.on_peer_down(52, h.ctx);
+  EXPECT_TRUE(detector.banned_origins(other).empty());
+  EXPECT_TRUE(detector.reference_list(kPrefix).empty());
+  const std::size_t dropped = detector.state_bytes();
+  detector.on_reset(h.ctx);
+  EXPECT_EQ(detector.state_bytes(), dropped);
+}
+
 TEST(MoasDetector, RequiresAlarmLog) {
   EXPECT_THROW(MoasDetector(nullptr, nullptr), std::invalid_argument);
 }

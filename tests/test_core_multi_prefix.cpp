@@ -84,6 +84,7 @@ TEST(MultiPrefix, SameSeedSameResult) {
   EXPECT_EQ(a.rib_entries, b.rib_entries);
   EXPECT_EQ(a.rib_bytes, b.rib_bytes);
   EXPECT_EQ(a.baseline_rib_bytes, b.baseline_rib_bytes);
+  EXPECT_EQ(a.detector_bytes, b.detector_bytes);
 }
 
 TEST(MultiPrefix, ConvergedTalliesAreBlockSizeIndependent) {

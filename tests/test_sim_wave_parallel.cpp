@@ -160,6 +160,7 @@ TEST(MultiPrefix, IdenticalForAnyJobs) {
       EXPECT_EQ(many.result.rib_entries, one.result.rib_entries);
       EXPECT_EQ(many.result.rib_bytes, one.result.rib_bytes);
       EXPECT_EQ(many.result.baseline_rib_bytes, one.result.baseline_rib_bytes);
+      EXPECT_EQ(many.result.detector_bytes, one.result.detector_bytes);
       EXPECT_TRUE(many.loc_ribs == one.loc_ribs) << "a router's Loc-RIB differs";
     }
   }

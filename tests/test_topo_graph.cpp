@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
+#include "moas/topo/gen_internet.h"
 #include "moas/topo/route_views.h"
+#include "moas/util/rng.h"
 
 namespace moas::topo {
 namespace {
@@ -103,6 +107,49 @@ TEST(AsGraph, ReachableFromWithBlocked) {
   const auto cut = g.reachable_from(1, {2});
   EXPECT_EQ(cut, bgp::AsnSet{1});
   EXPECT_THROW(g.reachable_from(1, {1}), std::invalid_argument);
+}
+
+/// Textbook BFS over neighbors(), independent of AsGraph's own walk.
+std::set<bgp::Asn> plain_bfs(const AsGraph& g, bgp::Asn start,
+                             const std::set<bgp::Asn>& blocked) {
+  std::set<bgp::Asn> seen{start};
+  std::vector<bgp::Asn> queue{start};
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (bgp::Asn nbr : g.neighbors(queue[head])) {
+      if (!blocked.contains(nbr) && seen.insert(nbr).second) queue.push_back(nbr);
+    }
+  }
+  return seen;
+}
+
+TEST(AsGraph, ReachableFromMatchesPlainBfsOnTheGeneratedInternet) {
+  // The 20,200-AS Internet of the scale workloads: the visited set grows to
+  // graph size, so this also pins the walk's result at that size.
+  InternetConfig config;
+  config.tier1 = 12;
+  config.tier2 = 288;
+  config.tier3 = 700;
+  config.stubs = 19'200;
+  config.first_asn = 60'000;
+  util::Rng rng(0xf00d);
+  const AsGraph g = generate_internet(config, rng);
+  ASSERT_EQ(g.node_count(), 20'200u);
+  const bgp::Asn start = g.stubs().front();
+
+  const bgp::AsnSet all = g.reachable_from(start);
+  const std::set<bgp::Asn> expected_all = plain_bfs(g, start, {});
+  EXPECT_EQ(all.size(), g.node_count());
+  EXPECT_TRUE(std::equal(all.begin(), all.end(), expected_all.begin(), expected_all.end()));
+
+  // Cutting every tier-2 AS strands part of the graph.
+  const std::vector<bgp::Asn> transits = g.transits();
+  const std::vector<bgp::Asn> tier2(transits.begin() + 12, transits.begin() + 300);
+  const std::set<bgp::Asn> blocked(tier2.begin(), tier2.end());
+  const bgp::AsnSet cut = g.reachable_from(start, bgp::AsnSet(tier2.begin(), tier2.end()));
+  const std::set<bgp::Asn> expected_cut = plain_bfs(g, start, blocked);
+  EXPECT_LT(cut.size(), all.size() - blocked.size());
+  EXPECT_TRUE(std::equal(cut.begin(), cut.end(), expected_cut.begin(), expected_cut.end()));
+  EXPECT_TRUE(g.is_connected());
 }
 
 TEST(AsGraph, LargestComponent) {
