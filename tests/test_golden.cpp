@@ -13,6 +13,10 @@
 //     audit), once with strict RFC 4271 and once with RFC 7606 error
 //     handling: every run, its fault log and invariant report, and the
 //     point summary.
+//   - The figure benches' curves at a small budget, under their default
+//     config (MRAI 30 s, prefer_established, Summary trace): fig9's
+//     None vs Full on the 460-AS sample with one and two origins, fig10's
+//     250/630-AS curves and fig11's half-deployment curve.
 //   - run_multi_prefix on 630 ASes × 16 prefixes under Full and Partial.
 //   - The generated Internets (the 9,752-AS default config and the
 //     20,200-AS scale config) and the paper's 250/460/630-AS samples: node
@@ -309,6 +313,62 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(ResolverKind::Oracle, ResolverKind::Dns,
                                          ResolverKind::Irr)),
     [](const ::testing::TestParamInfo<SweepCase>& info) { return case_name(info.param); });
+
+/// One curve of a figure bench at a small budget: the benches' default
+/// config (MRAI 30 s, prefer_established, Summary trace) and sweep seed,
+/// with 3 attacker fractions x 2 origin sets x 2 attacker sets.
+struct FigureCurve {
+  std::string label;
+  std::size_t size;
+  std::size_t num_origins;
+  Deployment deployment;
+  std::uint64_t seed;
+};
+
+void check_figure(const std::string& name, const std::vector<FigureCurve>& curves) {
+  util::ThreadPool pool(2);
+  std::ostringstream os;
+  for (const FigureCurve& curve : curves) {
+    ExperimentConfig config;
+    config.num_origins = curve.num_origins;
+    config.deployment = curve.deployment;
+    config.trace_level = obs::TraceLevel::Summary;
+    config.keep_final_ribs = true;
+    const Experiment experiment(bench::paper_topology(curve.size), config);
+    util::Rng rng(curve.seed);
+    const SweepPlan plan = experiment.plan_sweep({0.04, 0.15, 0.30}, 2, 2, rng);
+    os << "curve " << curve.label << " size=" << curve.size
+       << " origins=" << curve.num_origins << " seed=" << curve.seed << '\n';
+    const std::vector<RunResult> results = experiment.execute_plan(plan, pool);
+    for (std::size_t i = 0; i < plan.runs.size(); ++i) {
+      print_run(os, plan.runs[i], results[i]);
+    }
+    for (const SweepPoint& point : experiment.reduce_plan(plan, results)) {
+      print_point(os, point);
+    }
+  }
+  check_golden(name, os.str());
+}
+
+TEST(GoldenFigure, Fig9MatchesExpected) {
+  std::vector<FigureCurve> curves;
+  for (std::size_t origins : {std::size_t{1}, std::size_t{2}}) {
+    curves.push_back({"normal_bgp", 460, origins, Deployment::None, 460 + origins});
+    curves.push_back({"full_moas", 460, origins, Deployment::Full, 460 + origins});
+  }
+  check_figure("figure_fig9", curves);
+}
+
+TEST(GoldenFigure, Fig10And11MatchExpected) {
+  std::vector<FigureCurve> curves;
+  for (std::size_t size : {std::size_t{250}, std::size_t{630}}) {
+    curves.push_back({"normal_bgp", size, 1, Deployment::None, size * 10 + 1});
+    curves.push_back({"full_moas", size, 1, Deployment::Full, size * 10 + 1});
+  }
+  // fig11's 460-AS half-deployment curve (deployment_fraction 0.5).
+  curves.push_back({"half_moas", 460, 1, Deployment::Partial, 460 + 2});
+  check_figure("figure_fig10_fig11", curves);
+}
 
 void check_multi_prefix(Deployment deployment) {
   std::ostringstream os;
