@@ -6,18 +6,24 @@
 // and recover, sessions reset, routers crash and cold-restart, and a
 // message tap (chaos::ChaosEngine) may drop, delay or corrupt every update
 // handed to the transport.
+//
+// The per-message path is allocation-free and lookup-free past the
+// sender's own peer list: connect() resolves each directed peering into a
+// link record (FIFO clock, endpoints, up flag), routers sit in one flat
+// array, and an update in flight waits in a recycled slab slot whose event
+// closure is just {this, slot} — small enough for std::function's inline
+// buffer. Delivery order is the (at, seq) order of the event queue.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "moas/bgp/router.h"
 #include "moas/sim/event_queue.h"
+#include "moas/util/flat_map.h"
 #include "moas/util/rng.h"
 
 namespace moas::obs {
@@ -81,11 +87,11 @@ class Network {
   /// the mirrored relationship.
   void connect(Asn a, Asn b, Relationship rel_of_b = Relationship::Peer);
 
-  bool has_router(Asn asn) const { return routers_.contains(asn); }
+  bool has_router(Asn asn) const { return index_.contains(asn); }
   Router& router(Asn asn);
   const Router& router(Asn asn) const;
   std::vector<Asn> asns() const;
-  std::size_t size() const { return routers_.size(); }
+  std::size_t size() const { return nodes_.size(); }
 
   /// Every peering as an unordered pair (a < b), sorted — the link list
   /// fault schedules draw from.
@@ -132,7 +138,7 @@ class Network {
   /// every live link re-establishes its session (initial route exchange).
   void restart_router(Asn asn);
 
-  bool router_crashed(Asn asn) const { return crashed_.contains(asn); }
+  bool router_crashed(Asn asn) const;
 
   /// Install (or clear, with nullptr) the message tap consulted for every
   /// update handed to the transport.
@@ -147,6 +153,10 @@ class Network {
   /// Messages dropped because their link was down when they would arrive.
   std::uint64_t messages_dropped() const { return messages_dropped_; }
 
+  /// Updates on the wire now: scheduled for arrival, not yet delivered or
+  /// dropped.
+  std::size_t in_flight() const { return in_flight_.size() - free_in_flight_.size(); }
+
   /// Attach (or detach, with nullptr) the observability trace bus; the bus
   /// is propagated to every existing and future router. It must outlive the
   /// network. Components around the network (chaos engine, detector) read
@@ -160,24 +170,63 @@ class Network {
   obs::MetricsRegistry collect_metrics() const;
 
  private:
-  void deliver(Asn from, Asn to, Update update);
-  void schedule_delivery(Asn from, Asn to, Update update, double extra_delay,
+  struct Node {
+    std::unique_ptr<Router> router;
+    bool crashed = false;
+    /// Outgoing links as (receiver, link index), receiver-ascending: the
+    /// send path binary-searches the sender's own list (the WaveEngine's
+    /// Node::out idiom).
+    std::vector<std::pair<Asn, std::uint32_t>> out;
+  };
+  /// One direction of a peering. connect() appends both directions
+  /// together, so link `i`'s peering is `peerings_[i / 2]`.
+  struct Link {
+    Asn from = kNoAs;
+    Asn to = kNoAs;
+    std::uint32_t sender = 0;    // node indices
+    std::uint32_t receiver = 0;
+    /// Last scheduled delivery: BGP speaks over TCP, so updates between
+    /// two peers must stay FIFO even with jittered delays.
+    sim::Time clock = 0.0;
+  };
+  /// Failure state both directions of a peering share.
+  struct Peering {
+    bool up = true;
+    /// Bumped every time the peering goes down; a scheduled session
+    /// re-establishment only restores it if no newer failure was injected
+    /// in the meantime.
+    std::uint64_t down_epoch = 0;
+  };
+  /// An update between its send and its arrival event.
+  struct InFlight {
+    Update update;
+    std::uint32_t link = 0;
+  };
+  static constexpr std::uint32_t kNoLink = UINT32_MAX;
+
+  std::uint32_t node_index(Asn asn) const;
+  /// The link from node `sender` to `to`, or kNoLink if they do not peer.
+  std::uint32_t out_link(std::uint32_t sender, Asn to) const;
+  /// Index of the directed link from -> to; throws if they do not peer.
+  std::uint32_t link_index(Asn from, Asn to) const;
+  Peering& peering(std::uint32_t link) { return peerings_[link / 2]; }
+  const Peering& peering(std::uint32_t link) const { return peerings_[link / 2]; }
+  /// Whether a message may cross `link` now (up, neither end crashed).
+  bool link_live(std::uint32_t link) const;
+  void deliver(std::uint32_t sender, Asn to, Update update);
+  void schedule_delivery(std::uint32_t link, Update update, double extra_delay,
                          bool allow_reorder);
+  void arrive(std::uint32_t slot);
 
   Config config_;
   sim::EventQueue clock_;
   util::Rng rng_;
-  std::map<Asn, std::unique_ptr<Router>> routers_;
-  /// Last scheduled delivery per directed link: BGP speaks over TCP, so
-  /// updates between two peers must stay FIFO even with jittered delays.
-  std::map<std::pair<Asn, Asn>, sim::Time> link_clock_;
-  /// Links currently failed (unordered endpoint pair stored as a < b).
-  std::set<std::pair<Asn, Asn>> failed_links_;
-  /// Bumped every time a link goes down; a scheduled session
-  /// re-establishment only restores the link if no newer failure was
-  /// injected in the meantime.
-  std::map<std::pair<Asn, Asn>, std::uint64_t> link_down_epoch_;
-  std::set<Asn> crashed_;
+  std::vector<Node> nodes_;
+  util::FlatMap<Asn, std::uint32_t> index_;  // ASN -> node index
+  std::vector<Link> links_;
+  std::vector<Peering> peerings_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   MessageTap tap_;
   obs::TraceBus* trace_ = nullptr;
   std::uint64_t messages_sent_ = 0;

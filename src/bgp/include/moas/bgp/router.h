@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -107,8 +106,9 @@ class Router final : public RouterContext {
   /// Withdraw a local origination.
   void withdraw_origination(const net::Prefix& prefix);
 
-  /// Entry point for updates arriving from a peer.
-  void handle_update(Asn from, const Update& update);
+  /// Entry point for updates arriving from a peer. By value: the Network
+  /// moves each delivered update in, and import moves its route onward.
+  void handle_update(Asn from, Update update);
 
   /// Import half of handle_update: runs loop detection, import policy,
   /// validation and the Adj-RIB-In write, but NOT the decision process.
@@ -116,11 +116,8 @@ class Router final : public RouterContext {
   /// decide_prefix(update.prefix). The wave engine uses this to ingest a
   /// whole sweep batch before deciding once per touched prefix — the
   /// fixpoint is identical (the decision is a pure function of RIB state),
-  /// it just skips the intra-batch transient exports.
-  bool import_update(Asn from, const Update& update);
-  /// Move-through variant for callers that own the update (the wave
-  /// engine's drained slot entries): the announced route is moved into the
-  /// Adj-RIB-In instead of copied.
+  /// it just skips the intra-batch transient exports. The caller hands the
+  /// update over: the announced route is moved into the Adj-RIB-In.
   bool import_update(Asn from, Update&& update);
 
   /// Run the decision process for `prefix` now (exports on best change).
@@ -261,11 +258,11 @@ class Router final : public RouterContext {
     /// their attribute payloads through the interner anyway.
     util::FlatMap<net::Prefix, Route> advertised;
     /// MRAI state per prefix.
-    std::map<net::Prefix, sim::Time> next_allowed;
-    std::map<net::Prefix, std::optional<Update>> pending;
+    util::FlatMap<net::Prefix, sim::Time> next_allowed;
+    util::FlatMap<net::Prefix, std::optional<Update>> pending;
     /// Prefixes whose last announcement from this peer was revoked by RFC
     /// 7606 treat-as-withdraw (cleared by any fresh update for the prefix).
-    std::set<net::Prefix> error_withdrawn;
+    util::FlatSet<net::Prefix> error_withdrawn;
     /// Bumped on every restart window (and on cold session loss) so a
     /// pending stale-route timer from a superseded window no-ops.
     std::uint64_t gr_generation = 0;
@@ -318,10 +315,13 @@ class Router final : public RouterContext {
   SendFn send_;
   sim::EventQueue* clock_;
 
-  std::map<Asn, PeerState> peers_;
+  /// Ascending ASN order: exports walk the peers in this order, which
+  /// fixes the order their updates are sent in. Wiring peers in ascending
+  /// order (AsGraph::edges() order) appends instead of shifting entries.
+  util::FlatMap<Asn, PeerState> peers_;
   AdjRibIn adj_in_;
   LocRib loc_rib_;
-  std::map<net::Prefix, Route> local_;  // locally originated
+  util::FlatMap<net::Prefix, Route> local_;  // locally originated
   /// decide()'s candidate list, reused across calls: decide runs once per
   /// touched prefix, and a grown buffer makes it allocation-free.
   std::vector<const RibEntry*> candidates_;

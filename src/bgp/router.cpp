@@ -73,12 +73,9 @@ void Router::withdraw_origination(const net::Prefix& prefix) {
   decide(prefix);
 }
 
-void Router::handle_update(Asn from, const Update& update) {
-  if (import_update(from, update)) decide(update.prefix);
-}
-
-bool Router::import_update(Asn from, const Update& update) {
-  return import_update(from, Update(update));
+void Router::handle_update(Asn from, Update update) {
+  const net::Prefix prefix = update.prefix;
+  if (import_update(from, std::move(update))) decide(prefix);
 }
 
 bool Router::import_update(Asn from, Update&& update) {
@@ -485,7 +482,9 @@ void Router::export_prefix(const net::Prefix& prefix) {
 
 bool Router::export_permitted(const RibEntry& best, const PeerState& state) const {
   if (best.learned_from == asn_) return true;  // locally originated
-  return export_allowed(mode_, peers_.at(best.learned_from).rel, state.rel);
+  auto from = peers_.find(best.learned_from);
+  MOAS_ENSURE(from != peers_.end(), "best route learned from an unknown peer");
+  return export_allowed(mode_, from->second.rel, state.rel);
 }
 
 Route Router::exported_route(const RibEntry& best) const {

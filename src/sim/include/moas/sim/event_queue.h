@@ -4,13 +4,18 @@
 // the same instant run in scheduling order (stable), which makes simulations
 // deterministic for a fixed seed. Events may schedule further events while
 // running.
+//
+// Storage: the heap orders 24-byte POD keys {at, seq, slot}; the callbacks
+// sit in a slab of recycled slots the keys point into, so a sift moves no
+// std::function. A callback is moved out of its slot (and the slot freed)
+// before it runs, which keeps reentrant scheduling safe even when it grows
+// the slab.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <vector>
 
 namespace moas::sim {
@@ -48,22 +53,25 @@ class EventQueue {
   std::uint64_t executed() const { return executed_; }
 
  private:
-  struct Entry {
+  struct Key {
     Time at;
-    std::uint64_t seq;  // scheduling order
-    std::function<void()> fn;
+    std::uint64_t seq;   // scheduling order
+    std::uint32_t slot;  // index into slots_
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;  // FIFO among same-time events
     }
   };
 
-  /// Pops the earliest entry, moving its callback out.
-  Entry pop();
+  /// Pops the earliest key, advances the clock to it, and moves its
+  /// callback out of the (then recycled) slot.
+  std::function<void()> pop();
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<Key> heap_;  // binary min-heap under Later
+  std::vector<std::function<void()>> slots_;
+  std::vector<std::uint32_t> free_slots_;
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;

@@ -174,6 +174,30 @@ TEST(InternPools, ConcurrentInterningCanonicalizes) {
   }
 }
 
+/// Counts every move, to tell an appending insert from a shifting one.
+struct MoveCounted {
+  static inline std::size_t moves = 0;
+  MoveCounted() = default;
+  MoveCounted(MoveCounted&&) noexcept { ++moves; }
+  MoveCounted& operator=(MoveCounted&&) noexcept {
+    ++moves;
+    return *this;
+  }
+};
+
+TEST(FlatMap, AscendingInsertsAppendWithoutShifting) {
+  // How a router gets its peers wired: a hub with thousands of peers,
+  // in ascending ASN order. Each insert must append (one move, plus the
+  // amortised growth relocations); a shifting insert would move every
+  // later entry, which is quadratic over the whole wiring.
+  constexpr std::size_t n = 4096;
+  util::FlatMap<std::uint32_t, MoveCounted> flat;
+  MoveCounted::moves = 0;
+  for (std::uint32_t key = 0; key < n; ++key) flat.try_emplace(key);
+  EXPECT_EQ(flat.size(), n);
+  EXPECT_LE(MoveCounted::moves, 3 * n);
+}
+
 TEST(FlatMap, IterationOrderMatchesStdMap) {
   util::FlatMap<int, std::string> flat;
   std::map<int, std::string> reference;

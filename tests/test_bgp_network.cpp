@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "moas/obs/metrics.h"
+#include "moas/obs/trace.h"
+
 namespace moas::bgp {
 namespace {
 
@@ -164,6 +170,119 @@ TEST(Network, QuiescenceCapDetected) {
   std::function<void()> forever = [&] { network.clock().schedule_after(1.0, forever); };
   network.clock().schedule_after(0.0, forever);
   EXPECT_FALSE(network.run_to_quiescence(100));
+}
+
+TEST(Network, InFlightMessageDropsWithItsLinkAndFreesItsSlot) {
+  Network network;
+  for (Asn asn : {1u, 2u}) network.add_router(asn);
+  network.connect(1, 2);
+  network.router(1).originate(pfx("10.0.0.0/8"));
+  EXPECT_EQ(network.in_flight(), 1u);
+  network.set_link_up(1, 2, false);  // fails while the update is on the wire
+  EXPECT_EQ(network.in_flight(), 1u);
+  network.run_to_quiescence();
+  EXPECT_EQ(network.in_flight(), 0u);
+  EXPECT_EQ(network.messages_dropped(), 1u);
+  EXPECT_EQ(network.router(2).best(pfx("10.0.0.0/8")), nullptr);
+  // The recovery replay rides the recycled slot and carries the live
+  // route, not the dropped message.
+  network.set_link_up(1, 2, true);
+  EXPECT_EQ(network.in_flight(), 1u);
+  network.run_to_quiescence();
+  EXPECT_EQ(network.in_flight(), 0u);
+  EXPECT_EQ(network.messages_dropped(), 1u);
+  EXPECT_EQ(network.router(2).best_origin(pfx("10.0.0.0/8")), std::optional<Asn>(1u));
+}
+
+/// Router `at`'s received updates (Full trace), as 'A'nnounce/'W'ithdraw.
+std::string received_kinds(const obs::TraceBus& bus, Asn at) {
+  std::string kinds;
+  for (const obs::TraceEvent& event : bus.events()) {
+    if (event.actor != at) continue;
+    if (event.kind == obs::EventKind::UpdateReceived) kinds += 'A';
+    if (event.kind == obs::EventKind::WithdrawReceived) kinds += 'W';
+  }
+  return kinds;
+}
+
+TEST(Network, DirectedLinkStaysFifoUnderJitter) {
+  Network network;
+  for (Asn asn : {1u, 2u}) network.add_router(asn);
+  network.connect(1, 2);
+  obs::TraceBus bus(obs::TraceLevel::Full, &network.clock());
+  network.set_trace(&bus);
+  // 41 updates at one instant: each draws its own jitter, so without the
+  // per-link clamp a later one would regularly overtake an earlier one.
+  std::string sent;
+  for (int i = 0; i <= 40; ++i) {
+    if (i % 2 == 0) {
+      network.router(1).originate(pfx("10.0.0.0/8"));
+      sent += 'A';
+    } else {
+      network.router(1).withdraw_origination(pfx("10.0.0.0/8"));
+      sent += 'W';
+    }
+  }
+  network.run_to_quiescence();
+  EXPECT_EQ(received_kinds(bus, 2), sent);
+  std::vector<sim::Time> arrivals;
+  for (const obs::TraceEvent& event : bus.events()) {
+    if (event.actor == 2) arrivals.push_back(event.at);
+  }
+  EXPECT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end()));
+  EXPECT_EQ(network.router(2).best_origin(pfx("10.0.0.0/8")), std::optional<Asn>(1u));
+}
+
+/// Sends an announcement and then its withdrawal; the tap holds the
+/// announcement back one second and lets the withdrawal bypass the FIFO
+/// clamp when `reorder` is set. Returns router 2's received kinds and
+/// whether it kept the route.
+std::pair<std::string, bool> delayed_announce_then_withdraw(bool reorder) {
+  Network network;
+  for (Asn asn : {1u, 2u}) network.add_router(asn);
+  network.connect(1, 2);
+  obs::TraceBus bus(obs::TraceLevel::Full, &network.clock());
+  network.set_trace(&bus);
+  network.set_message_tap([reorder](Asn, Asn, const Update& update) {
+    Network::TapVerdict verdict;
+    if (update.kind == Update::Kind::Announce) {
+      verdict.extra_delay = 1.0;
+    } else {
+      verdict.allow_reorder = reorder;
+    }
+    return verdict;
+  });
+  network.router(1).originate(pfx("10.0.0.0/8"));
+  network.router(1).withdraw_origination(pfx("10.0.0.0/8"));
+  network.run_to_quiescence();
+  return {received_kinds(bus, 2), network.router(2).best(pfx("10.0.0.0/8")) != nullptr};
+}
+
+TEST(Network, ReorderTapLetsAMessageOvertake) {
+  // FIFO: the withdrawal queues behind the held-back announcement.
+  EXPECT_EQ(delayed_announce_then_withdraw(false), std::make_pair(std::string("AW"), false));
+  // Reorder fault: the withdrawal overtakes, and the stale announcement
+  // that lands after it leaves router 2 with a route 1 no longer has.
+  EXPECT_EQ(delayed_announce_then_withdraw(true), std::make_pair(std::string("WA"), true));
+}
+
+TEST(Network, HubWithThousandsOfPeersWiresAndCountsLinks) {
+  constexpr Asn kSpokes = 3000;
+  Network network;
+  for (Asn asn = 1; asn <= kSpokes + 1; ++asn) network.add_router(asn);
+  for (Asn spoke = 2; spoke <= kSpokes + 1; ++spoke) {
+    network.connect(1, spoke, Relationship::Customer);
+  }
+  const std::vector<Asn> peers = network.router(1).peers();
+  ASSERT_EQ(peers.size(), kSpokes);
+  EXPECT_TRUE(std::is_sorted(peers.begin(), peers.end()));
+  EXPECT_EQ(network.links().size(), kSpokes);
+  EXPECT_EQ(network.collect_metrics().gauge("network.links"), kSpokes);
+  network.router(1).originate(pfx("10.0.0.0/8"));
+  EXPECT_TRUE(network.run_to_quiescence());
+  EXPECT_EQ(network.messages_sent(), kSpokes);
+  EXPECT_EQ(network.router(kSpokes + 1).best_origin(pfx("10.0.0.0/8")),
+            std::optional<Asn>(1u));
 }
 
 }  // namespace

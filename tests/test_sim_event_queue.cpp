@@ -108,5 +108,59 @@ TEST(EventQueue, ExecutedCounterAccumulates) {
   EXPECT_EQ(queue.executed(), 8u);
 }
 
+TEST(EventQueue, CallbackSchedulesPastSlabCapacityWhileRunning) {
+  EventQueue queue;
+  std::vector<int> order;
+  // The running callback owns captured state and grows the callback slab
+  // far past its size; the callback was moved out of the slab before it
+  // ran, so its captures stay intact while the slab reallocates under it.
+  const std::vector<int> payload(64, 7);
+  queue.schedule_at(1.0, [&queue, &order, payload] {
+    for (int i = 0; i < 1000; ++i) {
+      queue.schedule_at(2.0, [&order, i] { order.push_back(i); });
+    }
+    order.push_back(payload.back() * 1000 + static_cast<int>(payload.size()));
+  });
+  queue.run();
+  ASSERT_EQ(order.size(), 1001u);
+  EXPECT_EQ(order.front(), 7064);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i) + 1], i);
+}
+
+TEST(EventQueue, SameTimeFifoHoldsAfterSlotsAreRecycled) {
+  EventQueue queue;
+  for (int i = 0; i < 8; ++i) queue.schedule_at(i, [] {});
+  queue.run();  // frees slots 0..7; they are reused in the reverse order
+  std::vector<int> order;
+  for (int i = 0; i < 12; ++i) {
+    queue.schedule_at(20.0, [&order, i] { order.push_back(i); });
+  }
+  queue.schedule_at(10.0, [&order] { order.push_back(-1); });
+  queue.run();
+  std::vector<int> expected{-1};
+  for (int i = 0; i < 12; ++i) expected.push_back(i);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(EventQueue, ExecutedAndPendingCountEventsNotSlots) {
+  EventQueue queue;
+  EXPECT_TRUE(queue.empty());
+  for (int i = 1; i <= 4; ++i) queue.schedule_at(i, [] {});
+  EXPECT_EQ(queue.pending(), 4u);
+  EXPECT_TRUE(queue.step());
+  EXPECT_EQ(queue.pending(), 3u);
+  EXPECT_EQ(queue.executed(), 1u);
+  // A recycled slot is pending again once rescheduled.
+  queue.schedule_at(2.5, [] {});
+  EXPECT_EQ(queue.pending(), 4u);
+  EXPECT_EQ(queue.run_until(2.5), 2u);
+  EXPECT_EQ(queue.pending(), 2u);
+  EXPECT_EQ(queue.executed(), 3u);
+  EXPECT_EQ(queue.run(), 2u);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_FALSE(queue.step());
+  EXPECT_EQ(queue.executed(), 5u);
+}
+
 }  // namespace
 }  // namespace moas::sim

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "moas/obs/metrics.h"
@@ -132,6 +133,24 @@ TEST(WaveEngine, UnknownRouterIsRejected) {
   EXPECT_TRUE(wave.has_router(1));
   EXPECT_FALSE(wave.has_router(99));
   EXPECT_THROW(wave.router(99), std::invalid_argument);
+}
+
+TEST(WaveEngine, HubWithThousandsOfCustomersWiresEveryPeer) {
+  constexpr bgp::Asn kStubs = 3000;
+  AsGraph g;
+  g.add_node(1, AsKind::Transit);
+  for (bgp::Asn stub = 2; stub <= kStubs + 1; ++stub) {
+    g.add_node(stub, AsKind::Stub);
+    g.add_edge(1, stub, bgp::Relationship::Customer);
+  }
+  WaveEngine wave(g, bgp::PolicyMode::GaoRexford);
+  const std::vector<bgp::Asn> peers = wave.router(1).peers();
+  ASSERT_EQ(peers.size(), kStubs);
+  EXPECT_TRUE(std::is_sorted(peers.begin(), peers.end()));
+  const net::Prefix prefix = *net::Prefix::parse("10.0.0.0/8");
+  wave.router(kStubs + 1).originate(prefix);
+  wave.propagate();
+  EXPECT_EQ(wave.best_origin(2, prefix), std::optional<bgp::Asn>(kStubs + 1));
 }
 
 }  // namespace
