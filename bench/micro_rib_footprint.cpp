@@ -15,8 +15,12 @@
 //                understates the real win.
 //
 // Detector state (MultiPrefixResult::detector_bytes, MoasDetector::
-// state_bytes) is printed beside both, in MB and per route; it is neither
-// interned nor part of the gate.
+// state_bytes) is printed beside both, in MB and per route; it is not part
+// of the gate. "detector MB" is per-state memory only: each state's table
+// slot (with its reference list as an 8-byte core::MoasList handle), its
+// supporter set and any ban table. The canonical lists behind the handles
+// live in a process-wide pool shared by every detector and are counted
+// nowhere here.
 //
 // --gate fails the bench unless interned bytes/route is strictly below
 // baseline bytes/route, and (full mode only) routes/sec stays above a

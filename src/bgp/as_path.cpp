@@ -86,10 +86,15 @@ std::optional<Asn> AsPath::origin() const {
 }
 
 AsnSet AsPath::origin_candidates() const {
+  const std::span<const Asn> view = origin_view();
+  return {view.begin(), view.end()};
+}
+
+std::span<const Asn> AsPath::origin_view() const {
   if (empty()) return {};
   const auto& seg = segments().back();
-  if (seg.kind == PathSegment::Kind::Sequence) return {seg.asns.back()};
-  return {seg.asns.begin(), seg.asns.end()};
+  if (seg.kind == PathSegment::Kind::Sequence) return {&seg.asns.back(), 1};
+  return seg.asns;
 }
 
 std::string AsPath::to_string() const {

@@ -7,12 +7,14 @@
 // message tap (chaos::ChaosEngine) may drop, delay or corrupt every update
 // handed to the transport.
 //
-// The per-message path is allocation-free and lookup-free past the
-// sender's own peer list: connect() resolves each directed peering into a
-// link record (FIFO clock, endpoints, up flag), routers sit in one flat
-// array, and an update in flight waits in a recycled slab slot whose event
-// closure is just {this, slot} — small enough for std::function's inline
-// buffer. Delivery order is the (at, seq) order of the event queue.
+// The per-message path is allocation-free and lookup-free: connect()
+// resolves each directed peering into a link record (FIFO clock, endpoints,
+// up flag) and registers its index with the sending router as the peer's
+// transport slot, so a send indexes the link table directly. Routers sit
+// in one flat array, and an update in flight waits in a recycled slab slot
+// whose event closure is just {this, slot} — small enough for
+// std::function's inline buffer. Delivery order is the (at, seq) order of
+// the event queue.
 #pragma once
 
 #include <cstdint>
@@ -173,9 +175,9 @@ class Network {
   struct Node {
     std::unique_ptr<Router> router;
     bool crashed = false;
-    /// Outgoing links as (receiver, link index), receiver-ascending: the
-    /// send path binary-searches the sender's own list (the WaveEngine's
-    /// Node::out idiom).
+    /// Outgoing links as (receiver, link index), receiver-ascending: fault
+    /// injection looks peerings up here and walks them in ASN order. The
+    /// send path does not; it carries the link index itself.
     std::vector<std::pair<Asn, std::uint32_t>> out;
   };
   /// One direction of a peering. connect() appends both directions
@@ -213,7 +215,9 @@ class Network {
   const Peering& peering(std::uint32_t link) const { return peerings_[link / 2]; }
   /// Whether a message may cross `link` now (up, neither end crashed).
   bool link_live(std::uint32_t link) const;
-  void deliver(std::uint32_t sender, Asn to, Update update);
+  /// Hand `update` from node `sender` to the transport on directed link
+  /// `link` (the sender's transport slot for `to`).
+  void deliver(std::uint32_t sender, Asn to, std::uint32_t link, Update update);
   void schedule_delivery(std::uint32_t link, Update update, double extra_delay,
                          bool allow_reorder);
   void arrive(std::uint32_t slot);

@@ -31,8 +31,11 @@ namespace moas::bgp {
 
 class Router final : public RouterContext {
  public:
-  /// Transport callback: deliver `update` from this router to peer `to`.
-  /// Provided by the Network (adds link delay); may be a direct call in
+  /// Transport callback: deliver `update` from this router to peer `to`
+  /// over transport slot `slot`, the index the transport registered for
+  /// the peering with add_peer (kNoTransportSlot if it registered none).
+  /// Provided by the Network (adds link delay) and the WaveEngine, which
+  /// index their link tables with `slot` directly; may be a direct call in
   /// unit tests.
   /// By-value Update so the send path can move instead of copy: transmit()
   /// hands its update over, and an engine's sink may move it onward into a
@@ -40,7 +43,10 @@ class Router final : public RouterContext {
   /// The callback must not re-enter this router before returning (both
   /// engines queue the update): an export pass holds the Loc-RIB entry and
   /// the exported route across all peers.
-  using SendFn = std::function<void(Asn from, Asn to, Update update)>;
+  using SendFn = std::function<void(Asn to, std::uint32_t slot, Update update)>;
+
+  /// The transport slot of a peer no transport wired.
+  static constexpr std::uint32_t kNoTransportSlot = UINT32_MAX;
 
   /// Filter applied to every outgoing update; return false to suppress.
   /// Used by the experiment harness to model compromised routers.
@@ -54,8 +60,10 @@ class Router final : public RouterContext {
 
   // --- configuration -------------------------------------------------------
 
-  /// Register a peer with its relationship as seen from this AS.
-  void add_peer(Asn peer, Relationship rel);
+  /// Register a peer with its relationship as seen from this AS. `slot` is
+  /// the transport's index for this directed peering, resolved once here
+  /// and handed back with every update sent to `peer`.
+  void add_peer(Asn peer, Relationship rel, std::uint32_t slot = kNoTransportSlot);
   bool has_peer(Asn peer) const { return peers_.contains(peer); }
   std::vector<Asn> peers() const;
 
@@ -249,6 +257,8 @@ class Router final : public RouterContext {
  private:
   struct PeerState {
     Relationship rel = Relationship::Peer;
+    /// The transport's index for this peering (see SendFn).
+    std::uint32_t slot = kNoTransportSlot;
     /// Session liveness: while false, nothing is sent and nothing is booked
     /// as advertised (updates cannot cross a dead session).
     bool session_up = true;
@@ -284,6 +294,9 @@ class Router final : public RouterContext {
 
   /// MRAI-paced transmission of a concrete update.
   void transmit(Asn peer, PeerState& state, Update update);
+  /// The MRAI timer for flushes_[flush] fired: recycle the record, then
+  /// send what is pending for its (peer, prefix).
+  void run_flush(std::uint32_t flush);
   void flush_pending(Asn peer, const net::Prefix& prefix);
 
   /// Export policy: may `best` go to a peer in `state`?
@@ -325,6 +338,11 @@ class Router final : public RouterContext {
   /// decide()'s candidate list, reused across calls: decide runs once per
   /// touched prefix, and a grown buffer makes it allocation-free.
   std::vector<const RibEntry*> candidates_;
+  /// Scheduled MRAI flushes as recycled (peer, prefix) records: the timer
+  /// closure is then {this, index}, inside std::function's inline buffer,
+  /// so a paced update allocates no callback.
+  std::vector<std::pair<Asn, net::Prefix>> flushes_;
+  std::vector<std::uint32_t> free_flushes_;
 
   std::shared_ptr<ImportValidator> validator_;
   ExportFilter export_filter_;

@@ -32,7 +32,9 @@ Router& Network::add_router(Asn asn) {
   const auto self = static_cast<std::uint32_t>(nodes_.size());
   auto router = std::make_unique<Router>(
       asn, config_.mode,
-      [this, self](Asn /*from*/, Asn to, Update update) { deliver(self, to, std::move(update)); },
+      [this, self](Asn to, std::uint32_t link, Update update) {
+        deliver(self, to, link, std::move(update));
+      },
       &clock_);
   Router& ref = *router;
   if (config_.graceful_restart) ref.set_graceful_restart(config_.gr_restart_time);
@@ -61,9 +63,10 @@ obs::MetricsRegistry Network::collect_metrics() const {
 void Network::connect(Asn a, Asn b, Relationship rel_of_b) {
   const std::uint32_t ia = node_index(a);
   const std::uint32_t ib = node_index(b);
-  nodes_[ia].router->add_peer(b, rel_of_b);
-  nodes_[ib].router->add_peer(a, reverse(rel_of_b));
   const auto id = static_cast<std::uint32_t>(links_.size());
+  // Each router's transport slot for the peer is the directed link itself.
+  nodes_[ia].router->add_peer(b, rel_of_b, id);
+  nodes_[ib].router->add_peer(a, reverse(rel_of_b), id + 1);
   links_.push_back(Link{.from = a, .to = b, .sender = ia, .receiver = ib});
   links_.push_back(Link{.from = b, .to = a, .sender = ib, .receiver = ia});
   peerings_.emplace_back();
@@ -222,9 +225,10 @@ bool Network::link_live(std::uint32_t link) const {
   return peering(link).up && !nodes_[l.sender].crashed && !nodes_[l.receiver].crashed;
 }
 
-void Network::deliver(std::uint32_t sender, Asn to, Update update) {
-  const std::uint32_t link = out_link(sender, to);
-  MOAS_ENSURE(link != kNoLink, "update sent to a non-neighbor");
+void Network::deliver(std::uint32_t sender, Asn to, std::uint32_t link, Update update) {
+  // The router hands back the link connect() registered for the peering.
+  MOAS_ENSURE(link < links_.size() && links_[link].sender == sender && links_[link].to == to,
+              "update sent to a peer the network never connected");
   if (!link_live(link)) {
     ++messages_dropped_;
     return;

@@ -114,7 +114,7 @@ std::size_t AdjRibIn::erase_by_origin(const net::Prefix& prefix, const AsnSet& o
   std::size_t erased = 0;
   Row& row = it->second;
   for (auto jt = row.begin(); jt != row.end();) {
-    const AsnSet cand = jt->route.origin_candidates();
+    const auto cand = jt->route.attrs.path.origin_view();
     const bool hit = std::any_of(cand.begin(), cand.end(),
                                  [&](Asn a) { return origins.contains(a); });
     if (hit) {

@@ -18,11 +18,13 @@ Router::Router(Asn asn, PolicyMode mode, SendFn send, sim::EventQueue* clock)
   MOAS_REQUIRE(static_cast<bool>(send_), "router needs a transport callback");
 }
 
-void Router::add_peer(Asn peer, Relationship rel) {
+void Router::add_peer(Asn peer, Relationship rel, std::uint32_t slot) {
   MOAS_REQUIRE(peer != asn_, "cannot peer with self");
   MOAS_REQUIRE(peer != kNoAs, "peer needs a real ASN");
   MOAS_REQUIRE(!peers_.contains(peer), "peer already registered");
-  peers_[peer].rel = rel;
+  PeerState& state = peers_[peer];
+  state.rel = rel;
+  state.slot = slot;
 }
 
 std::vector<Asn> Router::peers() const {
@@ -228,7 +230,7 @@ void Router::peer_up(Asn peer) {
       trace_->emit(obs::TraceEvent(obs::EventKind::UpdateSent, asn_, peer)
                        .with_note("end-of-rib"));
     }
-    send_(asn_, peer, Update::end_of_rib());
+    send_(peer, it->second.slot, Update::end_of_rib());
   }
 }
 
@@ -262,7 +264,7 @@ void Router::complete_restart_deferral() {
       trace_->emit(obs::TraceEvent(obs::EventKind::UpdateSent, asn_, peer)
                        .with_note("end-of-rib"));
     }
-    send_(asn_, peer, Update::end_of_rib());
+    send_(peer, it->second.slot, Update::end_of_rib());
   }
   gr_eor_deferred_to_.clear();
   gr_awaiting_eor_from_.clear();
@@ -322,7 +324,7 @@ void Router::refresh_route(Asn peer, const net::Prefix& prefix) {
                      .with_prefix(prefix)
                      .with_note("route-refresh"));
   }
-  send_(asn_, peer, Update::announce(adv->second));
+  send_(peer, state.slot, Update::announce(adv->second));
 }
 
 void Router::crash() {
@@ -403,7 +405,7 @@ std::size_t Router::invalidate_origins(const net::Prefix& prefix,
 AsnSet Router::accepted_origins(const net::Prefix& prefix) const {
   AsnSet origins;
   for (const RibEntry* entry : adj_in_.candidates(prefix)) {
-    for (Asn asn : entry->route.origin_candidates()) origins.insert(asn);
+    for (Asn asn : entry->route.attrs.path.origin_view()) origins.insert(asn);
   }
   return origins;
 }
@@ -548,8 +550,16 @@ void Router::transmit(Asn peer, PeerState& state, Update update) {
       const bool flush_already_scheduled = slot.has_value();
       slot = std::move(update);  // newest update supersedes queued one
       if (!flush_already_scheduled) {
-        const sim::Time at = it->second;
-        clock_->schedule_at(at, [this, peer, prefix] { flush_pending(peer, prefix); });
+        std::uint32_t flush;
+        if (free_flushes_.empty()) {
+          flush = static_cast<std::uint32_t>(flushes_.size());
+          flushes_.emplace_back();
+        } else {
+          flush = free_flushes_.back();
+          free_flushes_.pop_back();
+        }
+        flushes_[flush] = {peer, prefix};
+        clock_->schedule_at(it->second, [this, flush] { run_flush(flush); });
       }
       return;
     }
@@ -568,7 +578,7 @@ void Router::transmit(Asn peer, PeerState& state, Update update) {
     if (update.kind == Update::Kind::Withdraw) event.with_note("withdraw");
     trace_->emit(std::move(event));
   }
-  send_(asn_, peer, std::move(update));
+  send_(peer, state.slot, std::move(update));
 }
 
 void Router::collect_metrics(obs::MetricsRegistry& registry) const {
@@ -589,6 +599,12 @@ void Router::collect_metrics(obs::MetricsRegistry& registry) const {
   registry.count("router.eor_received", stats_.eor_received);
   registry.count("router.stale_retained", stats_.stale_retained);
   registry.count("router.stale_swept", stats_.stale_swept);
+}
+
+void Router::run_flush(std::uint32_t flush) {
+  const auto [peer, prefix] = flushes_[flush];
+  free_flushes_.push_back(flush);
+  flush_pending(peer, prefix);
 }
 
 void Router::flush_pending(Asn peer, const net::Prefix& prefix) {

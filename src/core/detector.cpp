@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 
 #include "moas/obs/metrics.h"
 #include "moas/util/assert.h"
@@ -18,7 +19,8 @@ AsnSet difference(const AsnSet& a, const AsnSet& b) {
   return out;
 }
 
-bool subset(const AsnSet& a, const AsnSet& b) {
+template <typename Range>
+bool subset(const Range& a, const AsnSet& b) {
   return std::all_of(a.begin(), a.end(), [&](Asn x) { return b.contains(x); });
 }
 
@@ -37,10 +39,11 @@ bool MoasDetector::accept(const bgp::Route& route, bgp::Asn from_peer,
   PrefixState& state = state_[prefix];
 
   // The effective list (footnote 3): the explicit list if the route carries
-  // one, else its origin candidates. Decoded once per announcement.
-  const AsnSet origins = route.origin_candidates();
-  const AsnSet explicit_list = decode_moas_list(route.attrs);
-  const AsnSet& incoming_list = explicit_list.empty() ? origins : explicit_list;
+  // one, else its origin candidates. Neither is copied here: the explicit
+  // list is a memoized canonical handle, the origins a view into the
+  // interned path.
+  const std::span<const Asn> origins = route.attrs.path.origin_view();
+  const MoasList explicit_list = moas_list_of(route.attrs);
 
   // Fast path: the origin was already identified as false. The rejected
   // peer is one more witness asserting the banned origin — remember it so
@@ -62,9 +65,10 @@ bool MoasDetector::accept(const bgp::Route& route, bgp::Asn from_peer,
 
   // Self-consistency: a route carrying an explicit list must include its
   // own origin; otherwise it is bogus on its face.
-  if (!explicit_list.empty() && !origins.empty() && !subset(origins, incoming_list)) {
-    const std::size_t id = raise(ctx, prefix, state.reference, incoming_list, origins,
-                                 MoasAlarm::Cause::OriginNotInList);
+  if (!explicit_list.empty() && !subset(origins, explicit_list.set())) {
+    const std::size_t id =
+        raise(ctx, prefix, state.reference.set(), explicit_list.set(),
+              AsnSet(origins.begin(), origins.end()), MoasAlarm::Cause::OriginNotInList);
     alarms_->settle(id, MoasAlarm::State::Resolved, ctx.current_time());
     ++stats_.rejections;
     return false;
@@ -81,25 +85,29 @@ bool MoasDetector::accept(const bgp::Route& route, bgp::Asn from_peer,
     if (rib_origins.empty()) {
       // First announcement for this prefix: adopt its list as the reference
       // ("is simply accepted if this is the first and only announcement").
-      state.reference = incoming_list;
+      state.reference = explicit_list.empty() ? MoasList::of(origins) : explicit_list;
       state.supporters.insert(from_peer);
       return true;
     }
-    state.reference = rib_origins;  // supporters stay empty: evidence-derived
+    state.reference = MoasList::of(rib_origins);  // supporters stay empty: evidence-derived
   }
 
-  if (lists_consistent(state.reference, incoming_list)) {
+  // Set equality: between two canonical handles a pointer compare.
+  if (explicit_list.empty() ? state.reference.equals(origins)
+                            : state.reference == explicit_list) {
     state.supporters.insert(from_peer);
     return true;
   }
 
-  return resolve_conflict(prefix, from_peer, ctx, state, origins, incoming_list);
+  const AsnSet origin_set(origins.begin(), origins.end());
+  return resolve_conflict(prefix, from_peer, ctx, state, origin_set,
+                          explicit_list.empty() ? origin_set : explicit_list.set());
 }
 
 bool MoasDetector::resolve_conflict(const net::Prefix& prefix, bgp::Asn from_peer,
                                     bgp::RouterContext& ctx, PrefixState& state,
                                     const AsnSet& origins, const AsnSet& incoming_list) {
-  const std::size_t alarm_id = raise(ctx, prefix, state.reference, incoming_list, origins,
+  const std::size_t alarm_id = raise(ctx, prefix, state.reference.set(), incoming_list, origins,
                                      MoasAlarm::Cause::ListMismatch);
 
   if (async_) {
@@ -118,7 +126,7 @@ bool MoasDetector::resolve_conflict(const net::Prefix& prefix, bgp::Asn from_pee
       // First conflict for this prefix: also implicate the current reference
       // and its supporters, then launch exactly one resolution. Later
       // conflicting routes for the same prefix fold into this request.
-      for (Asn asn : state.reference) {
+      for (Asn asn : state.reference.set()) {
         pc.asserted[asn].insert(state.supporters.begin(), state.supporters.end());
       }
       pc.generation = next_generation_++;
@@ -168,7 +176,7 @@ void MoasDetector::apply_truth(const net::Prefix& prefix, bgp::RouterContext& ct
                                PrefixState& state, const AsnSet& truth, AsnSet supporters,
                                const Witnesses& asserted,
                                const std::vector<std::size_t>& alarm_ids) {
-  AsnSet implicated = state.reference;
+  AsnSet implicated = state.reference.set();
   for (const auto& [asn, peers] : asserted) implicated.insert(asn);
   const AsnSet false_origins = difference(implicated, truth);
   for (Asn asn : false_origins) {
@@ -176,7 +184,7 @@ void MoasDetector::apply_truth(const net::Prefix& prefix, bgp::RouterContext& ct
     // *old* reference was the lie, the peers that had backed it.
     AsnSet support;
     if (auto it = asserted.find(asn); it != asserted.end()) support = it->second;
-    if (state.reference.contains(asn)) {
+    if (state.reference.set().contains(asn)) {
       support.insert(state.supporters.begin(), state.supporters.end());
     }
     if (support.empty()) {
@@ -195,7 +203,7 @@ void MoasDetector::apply_truth(const net::Prefix& prefix, bgp::RouterContext& ct
     if (!state.bans) state.bans = std::make_unique<Witnesses>();
     (*state.bans)[asn].insert(support.begin(), support.end());
   }
-  state.reference = truth;
+  state.reference = MoasList::of(truth);
   state.supporters = std::move(supporters);
 
   if (obs::trace_wants(trace_, obs::TraceLevel::Summary)) {
@@ -275,7 +283,7 @@ void MoasDetector::on_peer_down(bgp::Asn peer, bgp::RouterContext& /*ctx*/) {
     state.supporters.erase(peer);
     // With the last supporter gone, the reference rests on nothing: the
     // peers will cold-announce and the list is re-adopted from scratch.
-    if (state.supporters.empty()) state.reference.clear();
+    if (state.supporters.empty()) state.reference = {};
     if (state.bans) {
       Witnesses& bans = *state.bans;
       for (auto bit = bans.begin(); bit != bans.end();) {
@@ -304,7 +312,7 @@ void MoasDetector::on_error_withdraw(const net::Prefix& prefix, bgp::Asn from_pe
     // already dropped the error-withdrawn one), so the next announcement is
     // checked against real evidence rather than adopted blindly — and never
     // against anything salvaged from the damaged message.
-    state.reference = ctx.accepted_origins(prefix);
+    state.reference = MoasList::of(ctx.accepted_origins(prefix));
   }
   if (state.reference.empty() && !state.bans && state.supporters.empty()) {
     state_.erase(it);
@@ -336,7 +344,7 @@ void MoasDetector::collect_metrics(obs::MetricsRegistry& registry) const {
 
 AsnSet MoasDetector::reference_list(const net::Prefix& prefix) const {
   auto it = state_.find(prefix);
-  return it == state_.end() ? AsnSet{} : it->second.reference;
+  return it == state_.end() ? AsnSet{} : it->second.reference.set();
 }
 
 AsnSet MoasDetector::banned_origins(const net::Prefix& prefix) const {
@@ -350,7 +358,7 @@ AsnSet MoasDetector::banned_origins(const net::Prefix& prefix) const {
 std::size_t MoasDetector::state_bytes() const {
   std::size_t bytes = state_.container_bytes();
   for (const auto& [_, state] : state_) {
-    bytes += state.reference.container_bytes() + state.supporters.container_bytes();
+    bytes += state.supporters.container_bytes();
     if (!state.bans) continue;
     bytes += sizeof(Witnesses) + state.bans->container_bytes();
     for (const auto& [asn, peers] : *state.bans) bytes += peers.container_bytes();

@@ -99,9 +99,11 @@ class MoasDetector final : public bgp::ImportValidator {
   /// Origins this detector has identified as false for `prefix`.
   AsnSet banned_origins(const net::Prefix& prefix) const;
 
-  /// Heap bytes of the per-prefix state: the state table's capacity, each
-  /// prefix's reference and supporter sets, and the out-of-line ban tables
-  /// (in-flight async conflicts are not counted).
+  /// Heap bytes of the per-prefix state: the state table's capacity (which
+  /// holds each reference as a MoasList handle), each prefix's supporter
+  /// set, and the out-of-line ban tables. The pooled lists behind the
+  /// handles are shared process-wide and not counted, nor are in-flight
+  /// async conflicts.
   std::size_t state_bytes() const;
 
  private:
@@ -109,8 +111,8 @@ class MoasDetector final : public bgp::ImportValidator {
   using Witnesses = util::FlatMap<bgp::Asn, AsnSet>;
 
   struct PrefixState {
-    AsnSet reference;   // the MOAS list we currently believe
-    AsnSet supporters;  // peers whose accepted announcements back `reference`
+    MoasList reference;  // the MOAS list we currently believe
+    AsnSet supporters;   // peers whose accepted announcements back `reference`
     /// Origins resolved to be false, each with the peers that asserted it; a
     /// ban evaporates once every asserting peer's session has gone down.
     /// Out of line because few prefixes ever ban anything: allocated on the
@@ -137,7 +139,8 @@ class MoasDetector final : public bgp::ImportValidator {
                     const AsnSet& offending, MoasAlarm::Cause cause);
 
   /// Handle a list conflict; returns whether the incoming route is accepted.
-  /// `origins` and `incoming_list` are the route's, decoded once by accept.
+  /// `origins` and `incoming_list` are the route's, built by accept only
+  /// once it has found the conflict.
   bool resolve_conflict(const net::Prefix& prefix, bgp::Asn from_peer,
                         bgp::RouterContext& ctx, PrefixState& state, const AsnSet& origins,
                         const AsnSet& incoming_list);

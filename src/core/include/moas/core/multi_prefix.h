@@ -76,7 +76,8 @@ struct MultiPrefixResult {
   /// micro_rib_footprint gates interned bytes/route strictly below this.
   std::size_t baseline_rib_bytes = 0;
   /// MoasDetector per-prefix state bytes summed over all detectors
-  /// (MoasDetector::state_bytes), reported next to the RIB bytes.
+  /// (MoasDetector::state_bytes), reported next to the RIB bytes. Reference
+  /// lists count as handles; the shared MOAS-list pool is not charged.
   std::size_t detector_bytes = 0;
 
   double propagation_seconds = 0.0;  // wall clock inside propagate()

@@ -7,6 +7,7 @@
 
 #include "moas/obs/metrics.h"
 #include "moas/obs/trace.h"
+#include "moas/util/assert.h"
 
 namespace moas::bgp {
 namespace {
@@ -43,6 +44,46 @@ TEST(Network, TwoNodePropagation) {
   ASSERT_NE(network.router(2).best(pfx("10.0.0.0/8")), nullptr);
   EXPECT_EQ(network.router(2).best_origin(pfx("10.0.0.0/8")), std::optional<Asn>(1u));
   EXPECT_GT(network.messages_sent(), 0u);
+}
+
+TEST(Network, WiredOutOfAsnOrderDeliversToEachReceiver) {
+  // Each router sends over the link index connect() registered for the
+  // peer; wiring the hub's spokes in descending, then mixed, ASN order
+  // must still land every update at its own receiver.
+  Network network;
+  for (Asn asn : {1u, 2u, 3u, 4u, 5u, 6u}) network.add_router(asn);
+  for (Asn spoke : {6u, 5u, 2u, 4u, 3u}) network.connect(1, spoke, Relationship::Customer);
+  network.connect(5, 3);
+  const auto spoke_prefix = [](Asn spoke) {
+    return net::Prefix(net::Ipv4Addr(10, static_cast<std::uint8_t>(spoke), 0, 0), 16);
+  };
+  for (Asn spoke = 2; spoke <= 6; ++spoke) network.router(spoke).originate(spoke_prefix(spoke));
+  ASSERT_TRUE(network.run_to_quiescence());
+  for (Asn spoke = 2; spoke <= 6; ++spoke) {
+    const RibEntry* heard = network.router(1).adj_rib_in().from_peer(spoke_prefix(spoke), spoke);
+    ASSERT_NE(heard, nullptr) << "hub lost AS" << spoke << "'s origination";
+    EXPECT_EQ(heard->route.attrs.path.to_string(), std::to_string(spoke));
+    for (Asn other = 2; other <= 6; ++other) {
+      if (other == spoke) continue;
+      EXPECT_EQ(network.router(other).best_origin(spoke_prefix(spoke)), std::optional<Asn>(spoke));
+    }
+  }
+  // The direct 5-3 peering carries each one's own prefix, first hop intact.
+  const RibEntry* direct = network.router(3).adj_rib_in().from_peer(spoke_prefix(5), 5);
+  ASSERT_NE(direct, nullptr);
+  EXPECT_EQ(direct->route.attrs.path.to_string(), "5");
+}
+
+TEST(Network, UnwiredPeerFailsLoudly) {
+  // A peer registered on the router but never connected has no link: the
+  // first update toward it must throw, not go to some other link.
+  Network network;
+  network.add_router(1);
+  network.add_router(2);
+  network.add_router(3);
+  network.connect(1, 2);
+  network.router(1).add_peer(3, Relationship::Peer);
+  EXPECT_THROW(network.router(1).originate(pfx("10.0.0.0/8")), util::InvariantError);
 }
 
 TEST(Network, LinePropagationBuildsFullPath) {

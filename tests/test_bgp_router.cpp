@@ -21,7 +21,7 @@ Route make_route(const char* prefix, std::vector<Asn> path) {
 struct Wiretap {
   std::map<Asn, std::vector<Update>> sent;
   Router::SendFn fn() {
-    return [this](Asn, Asn to, const Update& update) { sent[to].push_back(update); };
+    return [this](Asn to, std::uint32_t, const Update& update) { sent[to].push_back(update); };
   }
   std::size_t total() const {
     std::size_t n = 0;

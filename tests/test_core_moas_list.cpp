@@ -136,6 +136,37 @@ TEST(MoasList, EffectiveListSeesWideMembers) {
   EXPECT_EQ(effective_moas_list(r), (AsnSet{4006, 70'001}));
 }
 
+TEST(MoasList, NarrowAndLargeCommunitiesShareOneHandle) {
+  // The same list, its narrow members once as classic communities and once
+  // as large communities, decodes to one canonical handle.
+  bgp::PathAttributes split;
+  attach_moas_list(split, {4006, 70'000});
+  bgp::PathAttributes wide;
+  wide.large_communities.add(moas_large_community(4006));
+  wide.large_communities.add(moas_large_community(70'000));
+  ASSERT_NE(split.communities, wide.communities);
+  const MoasList a = moas_list_of(split);
+  const MoasList b = moas_list_of(wide);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.set(), (AsnSet{4006, 70'000}));
+  EXPECT_EQ(a, MoasList::of(AsnSet{4006, 70'000}));
+  EXPECT_NE(a, MoasList::of(AsnSet{4006}));
+  // A repeat is served from the memo, and still the same handle.
+  EXPECT_EQ(moas_list_of(split), a);
+}
+
+TEST(MoasList, HandleEqualityIsSetEquality) {
+  bgp::PathAttributes none;
+  none.communities.add(bgp::Community(99, 42));  // no MOAS member
+  EXPECT_TRUE(moas_list_of(none).empty());
+  EXPECT_EQ(moas_list_of(bgp::PathAttributes{}), MoasList{});
+  const std::vector<Asn> members = {3, 7};
+  EXPECT_TRUE(MoasList::of(members).equals(members));
+  EXPECT_FALSE(MoasList::of(members).equals(std::vector<Asn>{3}));
+  EXPECT_TRUE(MoasList{}.equals({}));
+  EXPECT_EQ(MoasList::of(std::vector<Asn>{}), MoasList{});
+}
+
 /// Property sweep: decode(encode(S)) == S for random sets.
 class MoasListRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -9,6 +9,7 @@
 #include "moas/topo/gen_internet.h"
 #include "moas/topo/route_views.h"
 #include "moas/topo/sampler.h"
+#include "moas/util/assert.h"
 
 namespace moas::sim {
 namespace {
@@ -133,6 +134,50 @@ TEST(WaveEngine, UnknownRouterIsRejected) {
   EXPECT_TRUE(wave.has_router(1));
   EXPECT_FALSE(wave.has_router(99));
   EXPECT_THROW(wave.router(99), std::invalid_argument);
+}
+
+TEST(WaveEngine, WiredOutOfAsnOrderDeliversToEachReceiver) {
+  // Each router sends over the index of its peering in the engine's
+  // outbound table; added in descending ASN order, with every relationship
+  // class on the hub, each update must still land at its own receiver.
+  AsGraph g;
+  for (bgp::Asn asn : {60u, 50u, 40u, 30u, 20u, 10u}) {
+    g.add_node(asn, asn == 10 || asn == 30 || asn == 40 ? AsKind::Transit : AsKind::Stub);
+  }
+  g.add_edge(30, 60, bgp::Relationship::Customer);
+  g.add_edge(30, 50, bgp::Relationship::Peer);
+  g.add_edge(30, 20, bgp::Relationship::Customer);
+  g.add_edge(30, 10, bgp::Relationship::Provider);
+  g.add_edge(40, 30, bgp::Relationship::Customer);
+  WaveEngine wave(g, bgp::PolicyMode::ShortestPath);
+  const auto own_prefix = [](bgp::Asn asn) {
+    return net::Prefix(net::Ipv4Addr(10, static_cast<std::uint8_t>(asn), 0, 0), 16);
+  };
+  const std::vector<bgp::Asn> spokes = {10, 20, 40, 50, 60};
+  for (bgp::Asn spoke : spokes) wave.router(spoke).originate(own_prefix(spoke));
+  wave.propagate();
+  for (bgp::Asn spoke : spokes) {
+    const bgp::RibEntry* heard =
+        wave.router(30).adj_rib_in().from_peer(own_prefix(spoke), spoke);
+    ASSERT_NE(heard, nullptr) << "hub lost AS" << spoke << "'s origination";
+    EXPECT_EQ(heard->route.attrs.path.to_string(), std::to_string(spoke));
+    for (bgp::Asn other : spokes) {
+      if (other == spoke) continue;
+      const bgp::RibEntry* via_hub = wave.router(other).adj_rib_in().from_peer(own_prefix(spoke), 30);
+      ASSERT_NE(via_hub, nullptr);
+      EXPECT_EQ(via_hub->route.attrs.path.to_string(), "30 " + std::to_string(spoke));
+    }
+  }
+}
+
+TEST(WaveEngine, UnwiredPeerFailsLoudly) {
+  // 3 and 4 are not adjacent: a peer added behind the engine's back has no
+  // outbound slot, and the first update toward it must throw.
+  const AsGraph g = peered_pair();
+  WaveEngine wave(g, bgp::PolicyMode::ShortestPath);
+  wave.router(3).add_peer(4, bgp::Relationship::Peer);
+  EXPECT_THROW(wave.router(3).originate(*net::Prefix::parse("10.0.0.0/8")),
+               util::InvariantError);
 }
 
 TEST(WaveEngine, HubWithThousandsOfCustomersWiresEveryPeer) {
