@@ -170,6 +170,7 @@ class FlatSet {
   }
 
   std::size_t container_bytes() const { return data_.capacity() * sizeof(Key); }
+  void shrink_to_fit() { data_.shrink_to_fit(); }
 
   friend bool operator==(const FlatSet&, const FlatSet&) = default;
 
