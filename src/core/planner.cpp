@@ -1,6 +1,7 @@
 #include "moas/core/planner.h"
 
 #include <algorithm>
+#include <map>
 
 #include "moas/util/assert.h"
 
@@ -58,7 +59,7 @@ bgp::AsnSet plan_deployment(const topo::AsGraph& graph, std::size_t count,
         deployed.insert(best);
         // Edges incident to `best` are now covered.
         uncovered_degree[best] = 0;
-        for (bgp::Asn nbr : graph.neighbors(best)) {
+        for (const auto& [nbr, _] : graph.neighbors(best)) {
           if (!deployed.contains(nbr) && uncovered_degree[nbr] > 0) {
             --uncovered_degree[nbr];
           }

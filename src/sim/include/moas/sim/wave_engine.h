@@ -53,7 +53,6 @@
 
 #include "moas/bgp/router.h"
 #include "moas/topo/graph.h"
-#include "moas/topo/rank.h"
 
 namespace moas::obs {
 class MetricsRegistry;
@@ -94,7 +93,6 @@ class WaveEngine {
     return router(asn).best_origin(prefix);
   }
 
-  const topo::RankAssignment& ranks() const { return ranks_; }
   /// The groups one sweep drains, in order, as ASNs: the sweep that
   /// delivers what `from_rel` neighbours sent (Customer = up, Peer =
   /// across, Provider = down). Levels without a pool, dependency groups
@@ -188,7 +186,6 @@ class WaveEngine {
   /// may run before the engine declares non-convergence (MOAS_ENSURE) —
   /// node_count + 16, far beyond any propagation diameter.
   std::size_t cycle_cap_;
-  topo::RankAssignment ranks_;
   /// Routers in a flat array with an O(1) ASN index for router().
   std::vector<Node> nodes_;
   std::unordered_map<bgp::Asn, std::uint32_t> index_;

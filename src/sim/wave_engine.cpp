@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "moas/obs/metrics.h"
+#include "moas/topo/rank.h"
 #include "moas/util/assert.h"
 #include "moas/util/thread_pool.h"
 
@@ -16,13 +17,13 @@ WaveEngine::WaveEngine(const topo::AsGraph& graph, bgp::PolicyMode mode,
     : graph_(&graph),
       pool_(pool != nullptr && pool->jobs() > 1 ? pool : nullptr),
       cycle_cap_(graph.node_count() + 16),
-      ranks_(topo::rank_by_customer_cone(graph)),
       lanes_(pool_ ? pool_->jobs() : 1) {
   nodes_.reserve(graph.node_count());
   index_.reserve(graph.node_count());
-  // ranks_.levels as node indices.
+  // The rank levels as node indices.
+  const topo::RankAssignment ranks = topo::rank_by_customer_cone(graph);
   std::vector<std::vector<std::uint32_t>> levels;
-  for (const auto& level : ranks_.levels) {
+  for (const auto& level : ranks.levels) {
     auto& indices = levels.emplace_back();
     indices.reserve(level.size());
     for (bgp::Asn asn : level) {

@@ -1,7 +1,7 @@
 #include "moas/topo/graph.h"
 
-#include <algorithm>
 #include <deque>
+#include <string>
 #include <unordered_set>
 
 #include "moas/util/assert.h"
@@ -12,110 +12,76 @@ const char* to_string(AsKind kind) { return kind == AsKind::Stub ? "stub" : "tra
 
 void AsGraph::add_node(Asn asn, AsKind kind) {
   MOAS_REQUIRE(asn != bgp::kNoAs, "node needs a real ASN");
-  kind_[asn] = kind;
-  adj_.try_emplace(asn);
+  nodes_[asn].kind = kind;
 }
 
 void AsGraph::add_edge(Asn a, Asn b, bgp::Relationship rel_of_b) {
   MOAS_REQUIRE(a != b, "no self-loops");
-  MOAS_REQUIRE(has_node(a) && has_node(b), "both endpoints must exist");
-  adj_[a][b] = rel_of_b;
-  adj_[b][a] = bgp::reverse(rel_of_b);
+  const auto ia = nodes_.find(a);
+  const auto ib = nodes_.find(b);
+  MOAS_REQUIRE(ia != nodes_.end() && ib != nodes_.end(), "both endpoints must exist");
+  // Rows live in their own vectors, so editing one leaves ia/ib valid.
+  if (ia->second.row.insert_or_assign(b, rel_of_b).second) ++edge_count_;
+  ib->second.row.insert_or_assign(a, bgp::reverse(rel_of_b));
 }
 
 bool AsGraph::remove_node(Asn asn) {
-  auto it = adj_.find(asn);
-  if (it == adj_.end()) return false;
-  for (const auto& [nbr, _] : it->second) adj_[nbr].erase(asn);
-  adj_.erase(it);
-  kind_.erase(asn);
+  const auto it = nodes_.find(asn);
+  if (it == nodes_.end()) return false;
+  for (const auto& [nbr, _] : it->second.row) nodes_.find(nbr)->second.row.erase(asn);
+  edge_count_ -= it->second.row.size();
+  nodes_.erase(it);
   return true;
 }
 
-bool AsGraph::remove_edge(Asn a, Asn b) {
-  auto it = adj_.find(a);
-  if (it == adj_.end() || it->second.erase(b) == 0) return false;
-  adj_[b].erase(a);
-  return true;
-}
-
-bool AsGraph::has_edge(Asn a, Asn b) const {
-  auto it = adj_.find(a);
-  return it != adj_.end() && it->second.contains(b);
-}
-
-AsKind AsGraph::kind(Asn asn) const {
-  auto it = kind_.find(asn);
-  MOAS_REQUIRE(it != kind_.end(), "unknown node " + std::to_string(asn));
+const AsGraph::Node& AsGraph::node(Asn asn) const {
+  const auto it = nodes_.find(asn);
+  MOAS_REQUIRE(it != nodes_.end(), "unknown node " + std::to_string(asn));
   return it->second;
 }
 
 std::optional<bgp::Relationship> AsGraph::relationship(Asn a, Asn b) const {
-  auto it = adj_.find(a);
-  if (it == adj_.end()) return std::nullopt;
-  auto jt = it->second.find(b);
-  if (jt == it->second.end()) return std::nullopt;
+  const auto it = nodes_.find(a);
+  if (it == nodes_.end()) return std::nullopt;
+  const auto jt = it->second.row.find(b);
+  if (jt == it->second.row.end()) return std::nullopt;
   return jt->second;
 }
 
-std::vector<Asn> AsGraph::neighbors(Asn asn) const {
-  auto it = adj_.find(asn);
-  MOAS_REQUIRE(it != adj_.end(), "unknown node " + std::to_string(asn));
-  std::vector<Asn> out;
-  out.reserve(it->second.size());
-  for (const auto& [nbr, _] : it->second) out.push_back(nbr);
-  return out;
-}
-
-std::size_t AsGraph::degree(Asn asn) const {
-  auto it = adj_.find(asn);
-  MOAS_REQUIRE(it != adj_.end(), "unknown node " + std::to_string(asn));
-  return it->second.size();
+std::span<const AsGraph::Neighbor> AsGraph::neighbors(Asn asn) const {
+  const auto& row = node(asn).row;
+  return {row.begin(), row.end()};
 }
 
 std::vector<Asn> AsGraph::nodes() const {
   std::vector<Asn> out;
-  out.reserve(adj_.size());
-  for (const auto& [asn, _] : adj_) out.push_back(asn);
+  out.reserve(nodes_.size());
+  for (const auto& [asn, _] : nodes_) out.push_back(asn);
   return out;
 }
 
-std::vector<Asn> AsGraph::stubs() const {
+std::vector<Asn> AsGraph::nodes_of_kind(AsKind kind) const {
   std::vector<Asn> out;
-  for (const auto& [asn, kind] : kind_) {
-    if (kind == AsKind::Stub) out.push_back(asn);
-  }
-  return out;
-}
-
-std::vector<Asn> AsGraph::transits() const {
-  std::vector<Asn> out;
-  for (const auto& [asn, kind] : kind_) {
-    if (kind == AsKind::Transit) out.push_back(asn);
+  for (const auto& [asn, node] : nodes_) {
+    if (node.kind == kind) out.push_back(asn);
   }
   return out;
 }
 
 std::vector<AsGraph::Edge> AsGraph::edges() const {
   std::vector<Edge> out;
-  for (const auto& [a, nbrs] : adj_) {
-    for (const auto& [b, rel] : nbrs) {
+  out.reserve(edge_count_);
+  for (const auto& [a, node] : nodes_) {
+    for (const auto& [b, rel] : node.row) {
       if (a < b) out.push_back(Edge{a, b, rel});
     }
   }
   return out;
 }
 
-std::size_t AsGraph::edge_count() const {
-  std::size_t twice = 0;
-  for (const auto& [_, nbrs] : adj_) twice += nbrs.size();
-  return twice / 2;
-}
-
 bool AsGraph::is_connected() const {
-  if (adj_.empty()) return true;
-  const AsnSet seen = reachable_from(adj_.begin()->first);
-  return seen.size() == adj_.size();
+  if (nodes_.empty()) return true;
+  return reachable_from(nodes_.begin()->first).size() == nodes_.size();
 }
 
 AsnSet AsGraph::reachable_from(Asn start, const AsnSet& blocked) const {
@@ -126,7 +92,7 @@ AsnSet AsGraph::reachable_from(Asn start, const AsnSet& blocked) const {
   while (!frontier.empty()) {
     const Asn cur = frontier.front();
     frontier.pop_front();
-    for (const auto& [nbr, _] : adj_.at(cur)) {
+    for (const auto& [nbr, _] : node(cur).row) {
       if (blocked.contains(nbr) || !seen.insert(nbr).second) continue;
       frontier.push_back(nbr);
     }
@@ -138,7 +104,7 @@ AsGraph AsGraph::largest_component() const {
   // Components in order of their smallest node; the first largest wins.
   std::unordered_set<Asn> assigned;  // grows to graph size: hashed, not flat
   AsnSet best;
-  for (const auto& [asn, _] : adj_) {
+  for (const auto& [asn, _] : nodes_) {
     if (assigned.contains(asn)) continue;
     AsnSet comp = reachable_from(asn);
     assigned.insert(comp.begin(), comp.end());
@@ -148,14 +114,15 @@ AsGraph AsGraph::largest_component() const {
 }
 
 AsGraph AsGraph::induced(const AsnSet& keep) const {
+  // `keep` is ascending, so nodes and rows are appended in order.
   AsGraph out;
   for (Asn asn : keep) {
-    if (has_node(asn)) out.add_node(asn, kind(asn));
+    if (const auto it = nodes_.find(asn); it != nodes_.end()) out.add_node(asn, it->second.kind);
   }
   for (Asn asn : keep) {
-    auto it = adj_.find(asn);
-    if (it == adj_.end()) continue;
-    for (const auto& [nbr, rel] : it->second) {
+    const auto it = nodes_.find(asn);
+    if (it == nodes_.end()) continue;
+    for (const auto& [nbr, rel] : it->second.row) {
       if (asn < nbr && keep.contains(nbr)) out.add_edge(asn, nbr, rel);
     }
   }

@@ -3,15 +3,23 @@
 // Nodes are ASes annotated as transit (an ISP that appears mid-path) or stub
 // (an edge network); edges are BGP peering connections annotated with the
 // business relationship, which the Gao–Rexford policy mode consumes.
+//
+// Storage is one sorted node table; each node carries its kind and a sorted
+// row of (neighbour, relationship) pairs, so every iteration (nodes, stubs,
+// neighbours, edges) is ASN-ascending. The generator and `induced` add
+// nodes in ascending order and append nearly every neighbour at the end of
+// its row, so building shifts almost nothing.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "moas/bgp/asn.h"
 #include "moas/bgp/policy.h"
+#include "moas/util/flat_map.h"
 
 namespace moas::topo {
 
@@ -24,6 +32,10 @@ const char* to_string(AsKind kind);
 
 class AsGraph {
  public:
+  /// One adjacency entry: a neighbour and its relationship as seen from the
+  /// row's owner (Customer: the neighbour is the owner's customer).
+  using Neighbor = std::pair<Asn, bgp::Relationship>;
+
   /// Add a node; re-adding an existing node updates its kind.
   void add_node(Asn asn, AsKind kind);
 
@@ -34,24 +46,25 @@ class AsGraph {
 
   /// Remove a node and all incident edges. Returns true if it existed.
   bool remove_node(Asn asn);
-  bool remove_edge(Asn a, Asn b);
 
-  bool has_node(Asn asn) const { return adj_.contains(asn); }
-  bool has_edge(Asn a, Asn b) const;
+  bool has_node(Asn asn) const { return nodes_.contains(asn); }
+  bool has_edge(Asn a, Asn b) const { return relationship(a, b).has_value(); }
 
-  AsKind kind(Asn asn) const;
+  AsKind kind(Asn asn) const { return node(asn).kind; }
   bool is_stub(Asn asn) const { return kind(asn) == AsKind::Stub; }
   bool is_transit(Asn asn) const { return kind(asn) == AsKind::Transit; }
 
   /// Relationship of `b` as seen from `a`; nullopt if no such edge.
   std::optional<bgp::Relationship> relationship(Asn a, Asn b) const;
 
-  std::vector<Asn> neighbors(Asn asn) const;
-  std::size_t degree(Asn asn) const;
+  /// `asn`'s adjacency row, ascending by neighbour. A view into the graph:
+  /// valid until the graph is next modified or destroyed.
+  std::span<const Neighbor> neighbors(Asn asn) const;
+  std::size_t degree(Asn asn) const { return node(asn).row.size(); }
 
   std::vector<Asn> nodes() const;
-  std::vector<Asn> stubs() const;
-  std::vector<Asn> transits() const;
+  std::vector<Asn> stubs() const { return nodes_of_kind(AsKind::Stub); }
+  std::vector<Asn> transits() const { return nodes_of_kind(AsKind::Transit); }
 
   /// All edges once each, as (a, b, rel_of_b) with a < b.
   struct Edge {
@@ -61,8 +74,8 @@ class AsGraph {
   };
   std::vector<Edge> edges() const;
 
-  std::size_t node_count() const { return adj_.size(); }
-  std::size_t edge_count() const;
+  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t edge_count() const { return edge_count_; }
 
   /// True if every node can reach every other (empty graph counts as
   /// connected).
@@ -79,9 +92,16 @@ class AsGraph {
   AsGraph induced(const AsnSet& keep) const;
 
  private:
-  std::map<Asn, AsKind> kind_;
-  // adj_[a][b] = relationship of b from a's viewpoint.
-  std::map<Asn, std::map<Asn, bgp::Relationship>> adj_;
+  struct Node {
+    AsKind kind = AsKind::Stub;
+    util::FlatMap<Asn, bgp::Relationship> row;
+  };
+
+  const Node& node(Asn asn) const;
+  std::vector<Asn> nodes_of_kind(AsKind kind) const;
+
+  util::FlatMap<Asn, Node> nodes_;
+  std::size_t edge_count_ = 0;
 };
 
 }  // namespace moas::topo

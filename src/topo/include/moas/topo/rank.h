@@ -10,20 +10,17 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <vector>
 
 #include "moas/topo/graph.h"
 
 namespace moas::topo {
 
-/// Rank of every AS plus the rank-bucketed visit order the wave engine
-/// sweeps. Peer edges do not participate: ranks are a property of the
-/// customer→provider hierarchy alone.
+/// The rank-bucketed visit order the wave engine sweeps. An AS's rank is 0
+/// when it has no customers, else 1 + the max rank of its customers (the
+/// longest customer chain below it). Peer edges do not participate: ranks
+/// are a property of the customer→provider hierarchy alone.
 struct RankAssignment {
-  /// rank[a] = 0 when a has no customers, else 1 + max rank of a's
-  /// customers (longest customer chain below a).
-  std::map<Asn, std::size_t> rank;
   /// levels[r] = the ASes at rank r, ascending ASN. Never contains an
   /// empty level: every rank up to max_rank() is populated.
   std::vector<std::vector<Asn>> levels;

@@ -47,7 +47,7 @@ double fraction_cut_off(const AsGraph& graph, const AsnSet& sources, const AsnSe
   while (!frontier.empty()) {
     const Asn cur = frontier.front();
     frontier.pop_front();
-    for (Asn nbr : graph.neighbors(cur)) {
+    for (const auto& [nbr, _] : graph.neighbors(cur)) {
       if (removed.contains(nbr) || !seen.insert(nbr).second) continue;
       frontier.push_back(nbr);
     }
@@ -80,7 +80,7 @@ double mean_path_length(const AsGraph& graph, std::size_t samples, std::uint64_t
     while (!frontier.empty() && !found) {
       const Asn cur = frontier.front();
       frontier.pop_front();
-      for (Asn nbr : graph.neighbors(cur)) {
+      for (const auto& [nbr, _] : graph.neighbors(cur)) {
         if (depth.contains(nbr)) continue;
         depth[nbr] = depth[cur] + 1;
         if (nbr == b) {

@@ -43,7 +43,7 @@ AsGraph sample_topology(const AsGraph& internet, double stub_fraction, util::Rng
     const Asn stub = stubs[i];
     keep.push_back(stub);
     // "and their ISP peers": every transit neighbor comes along.
-    for (Asn nbr : internet.neighbors(stub)) {
+    for (const auto& [nbr, _] : internet.neighbors(stub)) {
       if (internet.is_transit(nbr)) keep.push_back(nbr);
     }
   }

@@ -41,7 +41,7 @@ std::map<Asn, unsigned> bfs_distances(const topo::AsGraph& g, Asn origin) {
   while (!frontier.empty()) {
     const Asn cur = frontier.front();
     frontier.pop_front();
-    for (Asn nbr : g.neighbors(cur)) {
+    for (const auto& [nbr, _] : g.neighbors(cur)) {
       if (depth.contains(nbr)) continue;
       depth[nbr] = depth[cur] + 1;
       frontier.push_back(nbr);

@@ -51,7 +51,9 @@ TEST(RegistryOutage, WindowsStayInsideHorizonAndSorted) {
       EXPECT_LT(windows[i].start, busy_config().horizon);
       EXPECT_LE(windows[i].end, busy_config().horizon);
       EXPECT_LT(windows[i].start, windows[i].end);
-      if (i > 0) EXPECT_LE(windows[i - 1].start, windows[i].start);
+      if (i > 0) {
+        EXPECT_LE(windows[i - 1].start, windows[i].start);
+      }
     }
   };
   check(schedule.outages);

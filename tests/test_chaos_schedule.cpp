@@ -80,6 +80,8 @@ TEST(ChaosSchedule, DownUpAndCrashRestartAlternateAndClose) {
         break;
       case FaultKind::SessionReset:
         break;  // self-recovering; no pairing to track
+      case FaultKind::AttrCorrupt:
+        break;  // damages one announcement; no pairing to track
     }
   }
   for (const auto& [link, depth] : link_depth) EXPECT_EQ(depth, 0);

@@ -46,7 +46,9 @@ TEST(Planner, DegreeRankedPicksTheCore) {
   std::size_t min_deployed = ~std::size_t{0};
   for (bgp::Asn asn : deployed) min_deployed = std::min(min_deployed, graph().degree(asn));
   for (bgp::Asn asn : graph().nodes()) {
-    if (!deployed.contains(asn)) EXPECT_LE(graph().degree(asn), min_deployed);
+    if (!deployed.contains(asn)) {
+      EXPECT_LE(graph().degree(asn), min_deployed);
+    }
   }
 }
 

@@ -33,7 +33,9 @@ TEST(TraceGen, CaseInvariants) {
     for (std::size_t i = 0; i < c.active_days.size(); ++i) {
       EXPECT_GE(c.active_days[i], 0);
       EXPECT_LT(c.active_days[i], trace.days);
-      if (i > 0) EXPECT_LT(c.active_days[i - 1], c.active_days[i]) << "sorted, no dups";
+      if (i > 0) {
+        EXPECT_LT(c.active_days[i - 1], c.active_days[i]) << "sorted, no dups";
+      }
     }
     prefixes.insert(c.prefix);
   }

@@ -11,6 +11,7 @@
 #include "moas/core/multi_prefix.h"
 #include "moas/sim/wave_engine.h"
 #include "moas/topo/gen_internet.h"
+#include "moas/topo/rank.h"
 #include "moas/topo/sampler.h"
 #include "moas/util/thread_pool.h"
 
@@ -36,9 +37,9 @@ topo::AsGraph random_graph(std::uint64_t seed) {
 }
 
 /// The serial sweep order: rank levels, ascending except for the down sweep.
-std::vector<std::vector<bgp::Asn>> serial_order(const sim::WaveEngine& wave,
+std::vector<std::vector<bgp::Asn>> serial_order(const topo::AsGraph& graph,
                                                 Relationship from_rel) {
-  std::vector<std::vector<bgp::Asn>> levels = wave.ranks().levels;
+  std::vector<std::vector<bgp::Asn>> levels = topo::rank_by_customer_cone(graph).levels;
   if (from_rel == Relationship::Provider) std::reverse(levels.begin(), levels.end());
   return levels;
 }
@@ -59,7 +60,7 @@ TEST(WaveGroups, PartitionTheNodesIntoNeighbourFreeGroupsInLevelOrder) {
     const sim::WaveEngine serial(graph, bgp::PolicyMode::ShortestPath);
     for (Relationship from_rel : kSweeps) {
       SCOPED_TRACE("sweep from " + std::string(bgp::to_string(from_rel)));
-      const auto levels = serial_order(serial, from_rel);
+      const auto levels = serial_order(graph, from_rel);
       // Without a pool the groups are the levels, in the serial order.
       EXPECT_EQ(serial.sweep_groups(from_rel), levels);
 

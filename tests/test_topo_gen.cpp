@@ -41,10 +41,10 @@ TEST(GenInternet, EveryStubHasAtLeastOneProvider) {
   for (bgp::Asn stub : g.stubs()) {
     EXPECT_GE(g.degree(stub), 1u);
     bool has_provider = false;
-    for (bgp::Asn nbr : g.neighbors(stub)) {
-      if (g.relationship(stub, nbr) == bgp::Relationship::Provider) has_provider = true;
+    for (const auto& [nbr, rel] : g.neighbors(stub)) {
+      if (rel == bgp::Relationship::Provider) has_provider = true;
       // Stubs never transit: none of their edges makes them a provider.
-      EXPECT_NE(g.relationship(stub, nbr), bgp::Relationship::Customer);
+      EXPECT_NE(rel, bgp::Relationship::Customer) << "stub " << stub << " -> " << nbr;
     }
     EXPECT_TRUE(has_provider) << "stub " << stub;
   }

@@ -8,6 +8,7 @@
 
 #include "moas/topo/gen_internet.h"
 #include "moas/topo/route_views.h"
+#include "moas/topo/sampler.h"
 #include "moas/util/rng.h"
 
 namespace moas::topo {
@@ -76,14 +77,6 @@ TEST(AsGraph, RemoveNodeDropsIncidentEdges) {
   EXPECT_TRUE(g.has_edge(1, 3));
 }
 
-TEST(AsGraph, RemoveEdge) {
-  AsGraph g = triangle();
-  EXPECT_TRUE(g.remove_edge(1, 2));
-  EXPECT_FALSE(g.remove_edge(1, 2));
-  EXPECT_EQ(g.edge_count(), 2u);
-  EXPECT_FALSE(g.has_edge(2, 1));
-}
-
 TEST(AsGraph, Connectivity) {
   AsGraph g = triangle();
   EXPECT_TRUE(g.is_connected());
@@ -115,24 +108,29 @@ std::set<bgp::Asn> plain_bfs(const AsGraph& g, bgp::Asn start,
   std::set<bgp::Asn> seen{start};
   std::vector<bgp::Asn> queue{start};
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    for (bgp::Asn nbr : g.neighbors(queue[head])) {
+    for (const auto& [nbr, _] : g.neighbors(queue[head])) {
       if (!blocked.contains(nbr) && seen.insert(nbr).second) queue.push_back(nbr);
     }
   }
   return seen;
 }
 
-TEST(AsGraph, ReachableFromMatchesPlainBfsOnTheGeneratedInternet) {
-  // The 20,200-AS Internet of the scale workloads: the visited set grows to
-  // graph size, so this also pins the walk's result at that size.
+/// The 20,200-AS Internet of the scale workloads.
+AsGraph scale_internet(util::Rng& rng) {
   InternetConfig config;
   config.tier1 = 12;
   config.tier2 = 288;
   config.tier3 = 700;
   config.stubs = 19'200;
   config.first_asn = 60'000;
+  return generate_internet(config, rng);
+}
+
+TEST(AsGraph, ReachableFromMatchesPlainBfsOnTheGeneratedInternet) {
+  // The visited set grows to graph size, so this also pins the walk's
+  // result at that size.
   util::Rng rng(0xf00d);
-  const AsGraph g = generate_internet(config, rng);
+  const AsGraph g = scale_internet(rng);
   ASSERT_EQ(g.node_count(), 20'200u);
   const bgp::Asn start = g.stubs().front();
 
@@ -150,6 +148,76 @@ TEST(AsGraph, ReachableFromMatchesPlainBfsOnTheGeneratedInternet) {
   EXPECT_LT(cut.size(), all.size() - blocked.size());
   EXPECT_TRUE(std::equal(cut.begin(), cut.end(), expected_cut.begin(), expected_cut.end()));
   EXPECT_TRUE(g.is_connected());
+}
+
+/// Every row ascending and duplicate-free, every edge mirrored, and the
+/// kept edge count equal to both recounts of the table.
+void expect_table_invariants(const AsGraph& g) {
+  std::size_t degree_sum = 0;
+  for (bgp::Asn a : g.nodes()) {
+    const auto row = g.neighbors(a);
+    degree_sum += row.size();
+    EXPECT_EQ(std::adjacent_find(row.begin(), row.end(),
+                                 [](const auto& x, const auto& y) { return x.first >= y.first; }),
+              row.end())
+        << "row of " << a << " not strictly ascending";
+    for (const auto& [b, rel] : row) {
+      EXPECT_EQ(g.relationship(b, a), bgp::reverse(rel)) << a << " - " << b;
+    }
+  }
+  EXPECT_EQ(degree_sum % 2, 0u);
+  EXPECT_EQ(g.edge_count(), degree_sum / 2);
+  EXPECT_EQ(g.edge_count(), g.edges().size());
+}
+
+/// Re-annotate an edge, remove the best-connected transit AS, and take the
+/// subgraph induced by every other node, checking the table after each.
+void expect_invariants_survive_edits(AsGraph g) {
+  expect_table_invariants(g);
+
+  const std::vector<AsGraph::Edge> edges = g.edges();
+  const auto transit_edge = std::find_if(edges.begin(), edges.end(), [](const auto& e) {
+    return e.rel_of_b != bgp::Relationship::Peer;
+  });
+  ASSERT_NE(transit_edge, edges.end());
+  const std::size_t before = g.edge_count();
+  g.add_edge(transit_edge->b, transit_edge->a, transit_edge->rel_of_b);  // swap the roles
+  EXPECT_EQ(g.edge_count(), before) << "a re-annotated edge counted twice";
+  EXPECT_EQ(g.relationship(transit_edge->a, transit_edge->b), bgp::reverse(transit_edge->rel_of_b));
+  expect_table_invariants(g);
+
+  const std::vector<bgp::Asn> transits = g.transits();
+  const bgp::Asn hub = *std::max_element(transits.begin(), transits.end(),
+                                         [&](bgp::Asn x, bgp::Asn y) {
+                                           return g.degree(x) < g.degree(y);
+                                         });
+  const std::size_t hub_degree = g.degree(hub);
+  ASSERT_TRUE(g.remove_node(hub));
+  EXPECT_EQ(g.edge_count(), before - hub_degree);
+  expect_table_invariants(g);
+
+  const std::vector<bgp::Asn> nodes = g.nodes();
+  bgp::AsnSet keep;
+  for (std::size_t i = 0; i < nodes.size(); i += 2) keep.insert(nodes[i]);
+  const AsGraph sub = g.induced(keep);
+  EXPECT_EQ(sub.node_count(), keep.size());
+  expect_table_invariants(sub);
+}
+
+TEST(AsGraph, TableInvariantsHold) {
+  util::Rng rng(0xf00d);
+  const AsGraph internet = scale_internet(rng);
+  ASSERT_EQ(internet.node_count(), 20'200u);
+  {
+    SCOPED_TRACE("generated Internet");
+    expect_invariants_survive_edits(internet);
+  }
+  {
+    SCOPED_TRACE("sample_to_size");
+    const AsGraph sampled = sample_to_size(internet, 460, rng);
+    ASSERT_GE(sampled.node_count(), 3u);
+    expect_invariants_survive_edits(sampled);
+  }
 }
 
 TEST(AsGraph, LargestComponent) {
