@@ -47,7 +47,7 @@ std::vector<double> paper_attacker_fractions();
 /// by default). `--trace-full` or MOAS_TRACE_LEVEL=full upgrades the level
 /// from Summary to Full (per-UPDATE send/receive). The dump is JSONL, one
 /// event per line, runs concatenated in plan order — bit-identical for any
-/// --jobs. Schema: docs/EXPERIMENTS.md.
+/// --jobs. Schema: EXPERIMENTS.md.
 struct TraceOptions {
   std::string path;  // empty = no dump
   obs::TraceLevel level = obs::TraceLevel::Off;

@@ -13,7 +13,7 @@
 // describe. Wave runs are timeless (mrai 0, no route-age preference), so
 // every size in extended mode uses the wave engine for comparability.
 // Not part of CI; run it to regenerate the extended-figure rows in
-// docs/EXPERIMENTS.md.
+// EXPERIMENTS.md.
 #include <string>
 
 #include "bench_util.h"

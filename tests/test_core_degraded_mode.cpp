@@ -301,21 +301,40 @@ TEST(DegradedMode, ExperimentSettlesEveryAlarm) {
 }
 
 TEST(DegradedMode, SweepBitIdenticalAcrossJobCounts) {
+  // The async resolution chain racing across the worker pool: CI runs this
+  // under ThreadSanitizer as well as ASan. Every SweepPoint field is compared
+  // with EXPECT_EQ — doubles included, since the contract is bit-identity.
   Experiment experiment(shared_topology(), outage_config());
-  const std::vector<double> fractions = {0.05};
+  const std::vector<double> fractions = {0.05, 0.20};
   auto run_sweep = [&](std::size_t jobs) {
     util::Rng rng(7);
     return experiment.sweep(fractions, 2, 2, rng, jobs);
   };
   const auto serial = run_sweep(1);
+  ASSERT_EQ(serial.size(), fractions.size());
+  obs::MetricsRegistry merged;
+  for (const SweepPoint& point : serial) merged.merge(point.metrics);
+  EXPECT_GT(merged.counter("resolver.requests"), 0u) << "the async chain must be exercised";
+  EXPECT_GT(merged.counter("detector.alarms_raised"), 0u);
+
   for (std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
     const auto parallel = run_sweep(jobs);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].metrics, serial[i].metrics)
-          << "jobs=" << jobs << " diverged at point " << i;
-      EXPECT_DOUBLE_EQ(parallel[i].mean_adopted_false, serial[i].mean_adopted_false);
-      EXPECT_DOUBLE_EQ(parallel[i].mean_alarms, serial[i].mean_alarms);
+      SCOPED_TRACE("jobs=" + std::to_string(jobs) + " point " + std::to_string(i));
+      const SweepPoint& e = serial[i];
+      const SweepPoint& a = parallel[i];
+      EXPECT_EQ(a.attacker_fraction, e.attacker_fraction);
+      EXPECT_EQ(a.runs, e.runs);
+      EXPECT_EQ(a.mean_adopted_false, e.mean_adopted_false);
+      EXPECT_EQ(a.stddev_adopted_false, e.stddev_adopted_false);
+      EXPECT_EQ(a.mean_affected, e.mean_affected);
+      EXPECT_EQ(a.mean_no_route, e.mean_no_route);
+      EXPECT_EQ(a.mean_alarms, e.mean_alarms);
+      EXPECT_EQ(a.mean_false_alarms, e.mean_false_alarms);
+      EXPECT_EQ(a.mean_structural_cutoff, e.mean_structural_cutoff);
+      EXPECT_EQ(a.runs_false_route_stuck, e.runs_false_route_stuck);
+      EXPECT_EQ(a.metrics, e.metrics);
     }
   }
 }
