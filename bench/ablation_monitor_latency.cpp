@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
                "per row; monitor watches the 5 best-connected ASes)\n\n";
 
   util::TablePrinter table(
-      {"mechanism", "detection_rate", "mean_latency_s", "p95_latency_s"});
+      {"mechanism", "detection_rate", "median_latency_s", "p95_latency_s"});
   auto add_row = [&](const std::string& label, bool inline_detection, double period) {
     // Trials carry explicit per-trial seeds, so they run across the pool;
     // the reduction walks trial order to keep the row deterministic.
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
       }
     }
     table.add_row(
-        {label, util::fmt_double(detected * 100.0 / 25.0, 0) + "%",
+        {label, util::fmt_double(detected * 100.0 / static_cast<double>(kTrials), 0) + "%",
          latencies.empty() ? "-" : util::fmt_double(util::median(latencies), 2),
          latencies.empty() ? "-" : util::fmt_double(util::percentile(latencies, 95), 2)});
   };

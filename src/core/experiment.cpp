@@ -450,23 +450,17 @@ std::vector<SweepPoint> Experiment::reduce_plan(const SweepPlan& plan,
     std::size_t stuck = 0;
   };
   std::vector<PointAccumulators> accumulators(plan.attacker_fractions.size());
-  // merge() of a single-sample accumulator takes the exact add() path, so
-  // this plan-order reduction is bit-identical to the historical serial
-  // loop no matter what order the runs completed in.
-  const auto take = [](util::Accumulator& into, double x) {
-    util::Accumulator sample;
-    sample.add(x);
-    into.merge(sample);
-  };
+  // add() in plan order: the reduction is bit-identical to the historical
+  // serial loop no matter what order the runs completed in.
   for (std::size_t i = 0; i < plan.runs.size(); ++i) {
     PointAccumulators& acc = accumulators[plan.runs[i].point];
     const RunResult& run = results[i];
-    take(acc.adopted, run.adopted_false_fraction());
-    take(acc.affected, run.affected_fraction());
-    take(acc.no_route, run.no_route_fraction());
-    take(acc.alarms, static_cast<double>(run.alarms));
-    take(acc.false_alarms, static_cast<double>(run.false_alarms));
-    take(acc.cutoff, run.structural_cutoff);
+    acc.adopted.add(run.adopted_false_fraction());
+    acc.affected.add(run.affected_fraction());
+    acc.no_route.add(run.no_route_fraction());
+    acc.alarms.add(static_cast<double>(run.alarms));
+    acc.false_alarms.add(static_cast<double>(run.false_alarms));
+    acc.cutoff.add(run.structural_cutoff);
     // Counters sum, histograms merge bucket-wise — both order-independent,
     // but this loop walks plan order anyway so gauges (last-writer-wins)
     // stay deterministic across --jobs too.

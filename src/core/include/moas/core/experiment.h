@@ -13,8 +13,8 @@
 // consuming the shared Rng stream in exactly the order the historical
 // serial loop did. The independent runs then execute across a
 // util::ThreadPool in any order (execute_plan), each seeded run fully
-// self-contained. Finally reduce_plan merges per-run results into
-// SweepPoints in plan order via util::Accumulator::merge.
+// self-contained. Finally reduce_plan adds per-run results into
+// SweepPoints' util::Accumulators in plan order.
 //
 // Determinism contract: for a fixed topology, config, and seed, sweep()
 // output is bit-identical for ANY job count — including jobs=1 versus the

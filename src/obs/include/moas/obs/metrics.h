@@ -58,14 +58,18 @@ class FixedHistogram {
   /// [0, 1]; underflow counts at `lo`, overflow at `hi`. 0.0 when empty.
   double quantile(double q) const;
 
-  /// Rebuild a histogram from persisted state (the stream checkpoint
-  /// format). `counts` must match the spec's bucket count and `count` the
-  /// total including under/overflow; min/max/sum are restored bit-exact so
-  /// a restored histogram compares equal to the one that was saved.
-  static FixedHistogram restore(const HistogramSpec& spec,
-                                std::vector<std::uint64_t> counts, std::uint64_t underflow,
-                                std::uint64_t overflow, std::uint64_t count, double sum,
-                                double min, double max);
+  /// The persisted state, const or mutable, as `fn(underflow, overflow,
+  /// count, sum, min, max, bucket_counts)`: the stream checkpoint saves and
+  /// restores a histogram through this one list, bit-exact, so a restored
+  /// histogram compares equal to the one that was saved. The bucket count
+  /// is the spec's; restore writes into the existing buckets, then checks
+  /// counts_add_up().
+  template <typename Self, typename Fn>
+  static void fields(Self& h, Fn&& fn) {
+    fn(h.underflow_, h.overflow_, h.count_, h.sum_, h.min_, h.max_, h.counts_);
+  }
+  /// count() is the total of the buckets and under/overflow.
+  bool counts_add_up() const;
 
   bool operator==(const FixedHistogram&) const = default;
 

@@ -61,27 +61,10 @@ void FixedHistogram::merge(const FixedHistogram& other) {
   max_ = std::max(max_, other.max_);
 }
 
-FixedHistogram FixedHistogram::restore(const HistogramSpec& spec,
-                                       std::vector<std::uint64_t> counts, std::uint64_t underflow,
-                                       std::uint64_t overflow, std::uint64_t count, double sum,
-                                       double min, double max) {
-  FixedHistogram hist(spec);
-  if (counts.size() != spec.buckets) {
-    throw std::invalid_argument("histogram restore: bucket count mismatch");
-  }
-  std::uint64_t in_buckets = underflow + overflow;
-  for (std::uint64_t c : counts) in_buckets += c;
-  if (in_buckets != count) {
-    throw std::invalid_argument("histogram restore: counts do not add up");
-  }
-  hist.counts_ = std::move(counts);
-  hist.underflow_ = underflow;
-  hist.overflow_ = overflow;
-  hist.count_ = count;
-  hist.sum_ = sum;
-  hist.min_ = min;
-  hist.max_ = max;
-  return hist;
+bool FixedHistogram::counts_add_up() const {
+  std::uint64_t total = underflow_ + overflow_;
+  for (const std::uint64_t c : counts_) total += c;
+  return total == count_;
 }
 
 double FixedHistogram::mean() const {

@@ -1,5 +1,6 @@
 #include "moas/stream/checkpoint.h"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <istream>
@@ -139,20 +140,66 @@ const std::string& CheckpointReader::next() {
   return lines_[cursor_++];
 }
 
+CheckpointReader& CheckpointReader::line(const std::string_view tag) {
+  fields_ = LineParser(next());
+  fields_.expect(tag);
+  return *this;
+}
+
+CheckpointReader& CheckpointReader::i64(std::int64_t& value) {
+  value = fields_.i64();
+  return *this;
+}
+
+CheckpointReader& CheckpointReader::day(int& value) {
+  const std::int64_t raw = fields_.i64();
+  MOAS_REQUIRE(raw >= std::numeric_limits<int>::min() && raw <= std::numeric_limits<int>::max(),
+               "checkpoint: day out of range");
+  value = static_cast<int>(raw);
+  return *this;
+}
+
+CheckpointReader& CheckpointReader::f64(double& value) {
+  value = fields_.f64();
+  return *this;
+}
+
+CheckpointReader& CheckpointReader::prefix(net::Prefix& prefix) {
+  const auto parsed = net::Prefix::parse(fields_.token());
+  MOAS_REQUIRE(parsed.has_value(), "checkpoint: bad prefix");
+  prefix = *parsed;
+  return *this;
+}
+
+CheckpointReader& CheckpointReader::asn_set(bgp::AsnSet& set) {
+  const std::uint64_t n = fields_.u64();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    bgp::Asn asn = 0;
+    u64(asn);
+    set.insert(asn);
+  }
+  return *this;
+}
+
 std::string double_bits(double value) {
   std::string out;
   append_hex16(out, std::bit_cast<std::uint64_t>(value));
   return out;
 }
 
-double double_from_bits(const std::string& text) {
+double double_from_bits(const std::string_view text) {
   return std::bit_cast<double>(parse_hex16(text));
 }
 
-std::string LineParser::token() {
-  std::string t;
-  in_ >> t;
-  MOAS_REQUIRE(!t.empty(), "checkpoint: truncated line");
+std::string_view LineParser::token() {
+  // The whitespace set of `std::istream >> std::string` in the C locale.
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  const std::size_t begin = rest_.find_first_not_of(kSpace);
+  MOAS_REQUIRE(begin != std::string_view::npos, "checkpoint: truncated line");
+  rest_.remove_prefix(begin);
+  const std::size_t end = std::min(rest_.find_first_of(kSpace), rest_.size());
+  const std::string_view t = rest_.substr(0, end);
+  rest_.remove_prefix(end);
   return t;
 }
 
@@ -163,8 +210,8 @@ std::uint64_t LineParser::u64() {
 }
 
 std::int64_t LineParser::i64() {
-  const std::string t = token();
-  if (!t.empty() && t.front() == '-') {
+  const std::string_view t = token();
+  if (t.front() == '-') {
     std::uint64_t mag = 0;
     MOAS_REQUIRE(util::parse_u64(t.substr(1), mag) && mag <= 1ULL << 62,
                  "checkpoint: expected an integer");
@@ -178,16 +225,10 @@ std::int64_t LineParser::i64() {
 
 double LineParser::f64() { return double_from_bits(token()); }
 
-std::uint64_t LineParser::line_count(const CheckpointReader& reader) {
-  const std::uint64_t n = u64();
-  MOAS_REQUIRE(n <= reader.remaining(), "checkpoint: line count overruns the payload");
-  return n;
-}
-
-void LineParser::expect(std::string_view expected) {
-  const std::string t = token();
-  MOAS_REQUIRE(t == expected,
-               "checkpoint: expected '" + std::string(expected) + "', got '" + t + "'");
+void LineParser::expect(const std::string_view expected) {
+  const std::string_view t = token();
+  MOAS_REQUIRE(t == expected, "checkpoint: expected '" + std::string(expected) + "', got '" +
+                                  std::string(t) + "'");
 }
 
 }  // namespace moas::stream

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
+#include <sstream>
+#include <type_traits>
 
 #include "moas/stream/checkpoint.h"
 #include "moas/util/assert.h"
@@ -57,33 +59,23 @@ void StreamDetector::ingest(StreamUpdate u) {
     ++front_.late_updates;
     key = last_flushed_day_ + 1;
   }
-  for (auto& [day, count] : later_counts_) {
-    if (day < key) ++count;
+  for (auto it = open_days_.begin(); it != open_days_.end() && it->first < key; ++it) {
+    ++it->second.later;
   }
-  later_counts_.try_emplace(key, 0);
-  buffered_[key].push_back(std::move(u));
-  flush_ready();
-}
-
-void StreamDetector::flush_ready() {
-  while (!buffered_.empty()) {
-    const int oldest = buffered_.begin()->first;
-    if (later_counts_[oldest] <= static_cast<std::uint64_t>(config_.flush_margin)) break;
-    std::vector<StreamUpdate> batch = std::move(buffered_.begin()->second);
-    buffered_.erase(buffered_.begin());
-    later_counts_.erase(oldest);
-    flush_day(oldest, std::move(batch));
-  }
+  open_days_[key].batch.push_back(std::move(u));
+  flush_open_days(false);
 }
 
 void StreamDetector::flush_all() {
   MOAS_REQUIRE(!finished_, "detector already finished");
-  while (!buffered_.empty()) {
-    const int oldest = buffered_.begin()->first;
-    std::vector<StreamUpdate> batch = std::move(buffered_.begin()->second);
-    buffered_.erase(buffered_.begin());
-    later_counts_.erase(oldest);
-    flush_day(oldest, std::move(batch));
+  flush_open_days(true);
+}
+
+void StreamDetector::flush_open_days(const bool all) {
+  const auto margin = static_cast<std::uint64_t>(config_.flush_margin);
+  while (!open_days_.empty() && (all || open_days_.begin()->second.later > margin)) {
+    auto oldest = open_days_.extract(open_days_.begin());
+    flush_day(oldest.key(), std::move(oldest.mapped().batch));
   }
 }
 
@@ -170,7 +162,7 @@ void StreamDetector::run(UpdateFeed& feed, const CheckpointSink& sink) {
 
 void StreamDetector::finish() {
   MOAS_REQUIRE(!finished_, "detector already finished");
-  MOAS_REQUIRE(buffered_.empty(), "finish with buffered days (call flush_all)");
+  MOAS_REQUIRE(open_days_.empty(), "finish with buffered days (call flush_all)");
   const double at = static_cast<double>(last_flushed_day_ + 1);
   pool().parallel_for(shards_.size(), [&](const std::size_t i) { shards_[i].finish(at); });
   peak_total_bytes_ = std::max(peak_total_bytes_, bytes_held());
@@ -266,154 +258,74 @@ obs::MetricsRegistry StreamDetector::metrics() const {
   return reg;
 }
 
-void StreamDetector::save_checkpoint(std::ostream& os) const {
-  MOAS_REQUIRE(!finished_, "a finished detector has nothing to resume");
-  CheckpointWriter w(os);
+template <typename IO, typename Detector>
+void StreamDetector::describe(IO& io, Detector& d) {
+  const StreamConfig& c = d.config_;
+  io.line("config")
+      .match(c.shards, "shard count")
+      .match(c.flush_margin, "flush margin")
+      .match(kDupWindow, "dup window")
+      .match(kConflictTtlDays, "conflict TTL")
+      .match(c.shard.day_capacity, "day capacity")
+      .match(c.shard.memory_budget_bytes, "memory budget")
+      .match(c.shard.evict_idle_days, "idle window")
+      .match(c.shard.alarm_retention, "alarm retention");
+  io.line("front").u64(d.consumed_).day(d.last_flushed_day_).day(d.last_checkpoint_day_);
+  auto& f = d.front_;
+  io.line("fcounters")
+      .u64(f.delivered)
+      .u64(f.malformed_rejected)
+      .u64(f.duplicates_suppressed)
+      .u64(f.late_updates)
+      .u64(f.gap_days)
+      .u64(f.days_flushed);
+  io.line("peak").u64(d.peak_total_bytes_);
 
-  w.line("config")
-      .u64(config_.shards)
-      .i64(config_.flush_margin)
-      .u64(kDupWindow)
-      .f64(kConflictTtlDays)
-      .u64(config_.shard.day_capacity)
-      .u64(config_.shard.memory_budget_bytes)
-      .i64(config_.shard.evict_idle_days)
-      .u64(config_.shard.alarm_retention);
-  w.line("front").u64(consumed_).i64(last_flushed_day_).i64(last_checkpoint_day_);
-  w.line("fcounters")
-      .u64(front_.delivered)
-      .u64(front_.malformed_rejected)
-      .u64(front_.duplicates_suppressed)
-      .u64(front_.late_updates)
-      .u64(front_.gap_days)
-      .u64(front_.days_flushed);
-  w.line("peak").u64(peak_total_bytes_);
+  io.line("dup").list(d.dup_order_, kDupWindow, [&](auto& seq) { io.u64(seq); });
 
-  w.line("dup").u64(dup_order_.size());
-  for (const std::uint64_t seq : dup_order_) w.u64(seq);
+  io.line("buffered").list(d.open_days_, [&](auto& entry) {
+    auto& open = entry.second;
+    io.line("bday").day(entry.first).u64(open.later).list(open.batch, [&](auto& u) {
+      io.line("u").u64(u.seq).day(u.day).f64(u.at).prefix(u.prefix).asn_set(u.origins);
+    });
+  });
 
-  w.line("buffered").u64(buffered_.size());
-  for (const auto& [day, batch] : buffered_) {
-    const auto later = later_counts_.find(day);
-    MOAS_ENSURE(later != later_counts_.end(), "buffered day without a later-count");
-    w.line("bday").i64(day).u64(later->second).u64(batch.size());
-    for (const StreamUpdate& u : batch) {
-      w.line("u").u64(u.seq).i64(u.day).f64(u.at).prefix(u.prefix).asn_set(u.origins);
+  for (std::size_t i = 0; i < d.shards_.size(); ++i) {
+    io.line("shard").match(i, "shard index");
+    if constexpr (std::is_const_v<Detector>) {
+      d.shards_[i].save(io);
+    } else {
+      d.shards_[i].load(io);
     }
   }
+  io.line("end");
+}
 
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    w.line("shard").u64(i);
-    shards_[i].save(w);
-  }
-  w.line("end");
+void StreamDetector::write_image(std::ostream& os) const {
+  CheckpointWriter w(os);
+  describe(w, *this);
   w.finish();
+}
+
+void StreamDetector::save_checkpoint(std::ostream& os) const {
+  MOAS_REQUIRE(!finished_, "a finished detector has nothing to resume");
+  write_image(os);
 }
 
 StreamDetector StreamDetector::restore_checkpoint(std::istream& is, StreamConfig config) {
   CheckpointReader r(is);
   StreamDetector d(std::move(config));
-
-  {
-    LineParser p(r.next());
-    p.expect("config");
-    MOAS_REQUIRE(p.u64() == d.config_.shards, "checkpoint: shard count mismatch");
-    MOAS_REQUIRE(p.i64() == d.config_.flush_margin, "checkpoint: flush margin mismatch");
-    MOAS_REQUIRE(p.u64() == kDupWindow, "checkpoint: dup window mismatch");
-    MOAS_REQUIRE(p.f64() == kConflictTtlDays, "checkpoint: conflict TTL mismatch");
-    MOAS_REQUIRE(p.u64() == d.config_.shard.day_capacity, "checkpoint: day capacity mismatch");
-    MOAS_REQUIRE(p.u64() == d.config_.shard.memory_budget_bytes,
-                 "checkpoint: memory budget mismatch");
-    MOAS_REQUIRE(p.i64() == d.config_.shard.evict_idle_days, "checkpoint: idle window mismatch");
-    MOAS_REQUIRE(p.u64() == d.config_.shard.alarm_retention,
-                 "checkpoint: alarm retention mismatch");
-  }
-  {
-    LineParser p(r.next());
-    p.expect("front");
-    d.consumed_ = p.u64();
-    d.last_flushed_day_ = p.day();
-    d.last_checkpoint_day_ = p.day();
-  }
-  {
-    LineParser p(r.next());
-    p.expect("fcounters");
-    d.front_.delivered = p.u64();
-    d.front_.malformed_rejected = p.u64();
-    d.front_.duplicates_suppressed = p.u64();
-    d.front_.late_updates = p.u64();
-    d.front_.gap_days = p.u64();
-    d.front_.days_flushed = p.u64();
-  }
-  {
-    LineParser p(r.next());
-    p.expect("peak");
-    d.peak_total_bytes_ = p.u64();
-  }
-  {
-    LineParser p(r.next());
-    p.expect("dup");
-    const std::uint64_t n = p.u64();
-    MOAS_REQUIRE(n <= kDupWindow, "checkpoint: dup list exceeds the window");
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::uint64_t seq = p.u64();
-      d.dup_order_.push_back(seq);
-      d.dup_seen_.insert(seq);
-    }
-  }
-  {
-    LineParser p(r.next());
-    p.expect("buffered");
-    const std::uint64_t days = p.line_count(r);
-    for (std::uint64_t i = 0; i < days; ++i) {
-      LineParser h(r.next());
-      h.expect("bday");
-      const int day = h.day();
-      const std::uint64_t later = h.u64();
-      const std::uint64_t n = h.line_count(r);
-      d.later_counts_[day] = later;
-      auto& batch = d.buffered_[day];
-      batch.reserve(n);
-      for (std::uint64_t j = 0; j < n; ++j) {
-        LineParser up(r.next());
-        up.expect("u");
-        StreamUpdate u;
-        u.seq = up.u64();
-        u.day = up.day();
-        u.at = up.f64();
-        const auto prefix = net::Prefix::parse(up.token());
-        MOAS_REQUIRE(prefix.has_value(), "checkpoint: bad prefix");
-        u.prefix = *prefix;
-        const std::uint64_t origins = up.u64();
-        for (std::uint64_t k = 0; k < origins; ++k) {
-          u.origins.insert(static_cast<bgp::Asn>(up.u64()));
-        }
-        batch.push_back(std::move(u));
-      }
-    }
-  }
-  for (std::size_t i = 0; i < d.shards_.size(); ++i) {
-    LineParser p(r.next());
-    p.expect("shard");
-    MOAS_REQUIRE(p.u64() == i, "checkpoint: shard index out of order");
-    d.shards_[i].load(r);
-  }
-  {
-    LineParser p(r.next());
-    p.expect("end");
-  }
+  describe(r, d);
+  d.dup_seen_.insert(d.dup_order_.begin(), d.dup_order_.end());
   return d;
 }
 
 bool StreamDetector::operator==(const StreamDetector& other) const {
-  return config_.shards == other.config_.shards &&
-         config_.flush_margin == other.config_.flush_margin &&
-         config_.shard == other.config_.shard && shards_ == other.shards_ &&
-         consumed_ == other.consumed_ && last_flushed_day_ == other.last_flushed_day_ &&
-         last_checkpoint_day_ == other.last_checkpoint_day_ &&
-         finished_ == other.finished_ && front_ == other.front_ &&
-         peak_total_bytes_ == other.peak_total_bytes_ && buffered_ == other.buffered_ &&
-         later_counts_ == other.later_counts_ && dup_order_ == other.dup_order_;
+  std::ostringstream mine;
+  std::ostringstream theirs;
+  write_image(mine);
+  other.write_image(theirs);
+  return finished_ == other.finished_ && mine.str() == theirs.str();
 }
 
 }  // namespace moas::stream

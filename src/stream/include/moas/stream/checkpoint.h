@@ -13,17 +13,34 @@
 // single field is parsed. Doubles are serialized as the hex of their bit
 // pattern — restore is bit-exact, which the crash/restore differential
 // tests depend on.
+//
+// Each record is described once, in a function template over the
+// direction. CheckpointWriter and CheckpointReader expose the same
+// chainable calls; the writer takes values and the reader writes into
+// references, checking the tag and every field as it goes:
+//
+//   template <typename IO, typename Gap>
+//   void gap_record(IO& io, Gap& g) {
+//     io.line("gap").day(g.first_day).day(g.last_day);
+//   }
+//
+// With a CheckpointWriter and a const Gap this appends the line; with a
+// CheckpointReader it parses the next line into `g`.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <iosfwd>
-#include <sstream>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "moas/bgp/asn.h"
 #include "moas/net/prefix.h"
+#include "moas/util/assert.h"
 
 namespace moas::stream {
 
@@ -35,9 +52,7 @@ inline constexpr std::string_view kCheckpointHeader = "# moasguard stream checkp
 ///
 /// A payload line starts with line(tag) and takes its fields from the
 /// typed appenders, each of which writes one space and the token straight
-/// into the buffer, with no temporary strings:
-///
-///   w.line("gap").i64(first_day).i64(last_day);
+/// into the buffer, with no temporary strings.
 class CheckpointWriter {
  public:
   explicit CheckpointWriter(std::ostream& os);
@@ -48,12 +63,46 @@ class CheckpointWriter {
 
   CheckpointWriter& u64(std::uint64_t value);
   CheckpointWriter& i64(std::int64_t value);
+  CheckpointWriter& day(int value) { return i64(value); }
   /// A double as double_bits() renders it.
   CheckpointWriter& f64(double value);
   /// "a.b.c.d/len", as net::Prefix::to_string renders it.
   CheckpointWriter& prefix(const net::Prefix& prefix);
   /// The set's size, then each ASN in order.
   CheckpointWriter& asn_set(const bgp::AsnSet& set);
+
+  /// A structural value the reader requires to equal its own (`what` names
+  /// it in the reader's error): f64, i64 or u64 by its type.
+  template <typename T>
+  CheckpointWriter& match(const T& value, std::string_view /*what*/) {
+    if constexpr (std::is_floating_point_v<T>) {
+      return f64(value);
+    } else if constexpr (std::is_signed_v<T>) {
+      return i64(value);
+    } else {
+      return u64(value);
+    }
+  }
+
+  /// An enum as its integer value; the reader rejects one above `last`.
+  template <typename Enum>
+  CheckpointWriter& enumeration(Enum value, Enum /*last*/, std::string_view /*what*/) {
+    return u64(static_cast<std::uint64_t>(value));
+  }
+
+  /// A counted list: the element count on the current line, then
+  /// `each(element)` for every element, which may start lines of its own.
+  /// The reader bounds the count by the payload lines left, or by `max`.
+  template <typename Container, typename Each>
+  CheckpointWriter& list(const Container& items, Each&& each) {
+    u64(items.size());
+    for (const auto& item : items) each(item);
+    return *this;
+  }
+  template <typename Container, typename Each>
+  CheckpointWriter& list(const Container& items, std::uint64_t /*max*/, Each&& each) {
+    return list(items, std::forward<Each>(each));
+  }
 
   /// Write the image and its checksum trailer to the stream. The writer
   /// must not be used afterwards.
@@ -65,10 +114,36 @@ class CheckpointWriter {
   bool finished_ = false;
 };
 
+/// Bit-exact double round-trip: 16 hex digits of the IEEE-754 pattern.
+std::string double_bits(double value);
+double double_from_bits(std::string_view text);
+
+/// Tokenizer for one payload line: whitespace-split fields, typed
+/// extraction, hard failure (std::invalid_argument) on any mismatch. It
+/// views the line, which must outlive it.
+class LineParser {
+ public:
+  LineParser() = default;
+  explicit LineParser(const std::string& line) : rest_(line) {}
+  LineParser(std::string&&) = delete;
+
+  std::string_view token();
+  std::uint64_t u64();
+  std::int64_t i64();
+  double f64();  // reads a double_bits() token
+
+  /// Consume a token and require it to equal `expected`.
+  void expect(std::string_view expected);
+
+ private:
+  std::string_view rest_;
+};
+
 /// Reads a whole checkpoint up front, verifying the header and checksum.
 /// Throws std::invalid_argument on a missing/wrong header, a corrupted or
 /// absent trailer, or a checksum mismatch. Payload lines are then consumed
-/// sequentially with next().
+/// in order, either whole with next() or field by field with the calls
+/// CheckpointWriter offers, which here read into their arguments.
 class CheckpointReader {
  public:
   explicit CheckpointReader(std::istream& is);
@@ -82,35 +157,72 @@ class CheckpointReader {
   /// its counts are sane.
   std::size_t remaining() const { return lines_.size() - cursor_; }
 
+  /// Start the next payload line, which must be tagged `tag`.
+  CheckpointReader& line(std::string_view tag);
+
+  template <std::unsigned_integral T>
+  CheckpointReader& u64(T& value) {
+    const std::uint64_t raw = fields_.u64();
+    if constexpr (sizeof(T) < sizeof(std::uint64_t)) {
+      MOAS_REQUIRE(raw <= std::numeric_limits<T>::max(), "checkpoint: value out of range");
+    }
+    value = static_cast<T>(raw);
+    return *this;
+  }
+  CheckpointReader& i64(std::int64_t& value);
+  CheckpointReader& day(int& value);
+  CheckpointReader& f64(double& value);
+  CheckpointReader& prefix(net::Prefix& prefix);
+  CheckpointReader& asn_set(bgp::AsnSet& set);
+
+  template <typename T>
+  CheckpointReader& match(const T& expected, std::string_view what) {
+    bool same = false;
+    if constexpr (std::is_floating_point_v<T>) {
+      same = fields_.f64() == expected;
+    } else if constexpr (std::is_signed_v<T>) {
+      same = fields_.i64() == expected;
+    } else {
+      same = fields_.u64() == expected;
+    }
+    MOAS_REQUIRE(same, "checkpoint: " + std::string(what) + " mismatch");
+    return *this;
+  }
+
+  template <typename Enum>
+  CheckpointReader& enumeration(Enum& value, Enum last, std::string_view what) {
+    const std::uint64_t raw = fields_.u64();
+    MOAS_REQUIRE(raw <= static_cast<std::uint64_t>(last), "checkpoint: bad " + std::string(what));
+    value = static_cast<Enum>(raw);
+    return *this;
+  }
+
+  /// Appends the elements to `items` (a map takes key/value pairs).
+  template <typename Container, typename Each>
+  CheckpointReader& list(Container& items, Each&& each) {
+    return list(items, remaining(), std::forward<Each>(each));
+  }
+  template <typename Container, typename Each>
+  CheckpointReader& list(Container& items, std::uint64_t max, Each&& each) {
+    const std::uint64_t n = fields_.u64();
+    MOAS_REQUIRE(n <= max, "checkpoint: list count overruns its bound");
+    if constexpr (requires { items.reserve(n); }) items.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if constexpr (requires { typename Container::mapped_type; }) {
+        std::pair<typename Container::key_type, typename Container::mapped_type> entry;
+        each(entry);
+        items.emplace(std::move(entry.first), std::move(entry.second));
+      } else {
+        each(items.emplace_back());
+      }
+    }
+    return *this;
+  }
+
  private:
   std::vector<std::string> lines_;
   std::size_t cursor_ = 0;
-};
-
-/// Bit-exact double round-trip: 16 hex digits of the IEEE-754 pattern.
-std::string double_bits(double value);
-double double_from_bits(const std::string& text);
-
-/// Tokenizer for payload lines: whitespace-split fields, typed extraction,
-/// hard failure (std::invalid_argument) on any mismatch.
-class LineParser {
- public:
-  explicit LineParser(const std::string& line) : in_(line) {}
-
-  std::string token();
-  std::uint64_t u64();
-  std::int64_t i64();
-  int day() { return static_cast<int>(i64()); }
-  double f64();  // reads a double_bits() token
-  /// A u64() counting the payload lines that follow; rejects a count larger
-  /// than `reader.remaining()`.
-  std::uint64_t line_count(const CheckpointReader& reader);
-
-  /// Consume a token and require it to equal `expected`.
-  void expect(std::string_view expected);
-
- private:
-  std::istringstream in_;
+  LineParser fields_;  // the line line() started
 };
 
 }  // namespace moas::stream

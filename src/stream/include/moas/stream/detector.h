@@ -63,8 +63,6 @@ struct FrontCounters {
   std::uint64_t late_updates = 0;  // arrived after their day was flushed
   std::uint64_t gap_days = 0;      // feed-dark days detected
   std::uint64_t days_flushed = 0;
-
-  bool operator==(const FrontCounters&) const = default;
 };
 
 class StreamDetector {
@@ -126,13 +124,21 @@ class StreamDetector {
                                     static_cast<std::uint64_t>(shards_.size()));
   }
 
+  /// Equal checkpoint images (and both finished or both not).
   bool operator==(const StreamDetector& other) const;
 
  private:
-  void flush_ready();
+  /// Flush the open days, oldest first: every one when `all`, else while
+  /// the oldest has seen more than flush_margin later-day updates.
+  void flush_open_days(bool all);
   void flush_day(int day, std::vector<StreamUpdate> batch);
   void maybe_checkpoint(const CheckpointSink& sink);
   util::ThreadPool& pool();
+  void write_image(std::ostream& os) const;
+  /// The detector's checkpoint records, saved from a const detector or
+  /// restored into a freshly constructed one.
+  template <typename IO, typename Detector>
+  static void describe(IO& io, Detector& d);
 
   StreamConfig config_;
   std::vector<DetectorShard> shards_;
@@ -145,10 +151,13 @@ class StreamDetector {
   FrontCounters front_;
   std::uint64_t peak_total_bytes_ = 0;
 
-  std::map<int, std::vector<StreamUpdate>> buffered_;  // open day batches
-  std::map<int, std::uint64_t> later_counts_;  // per open day: later-day deliveries
-  std::deque<std::uint64_t> dup_order_;        // dedup window, FIFO
-  std::set<std::uint64_t> dup_seen_;
+  struct OpenDay {
+    std::uint64_t later = 0;  // later-day updates delivered while it was open
+    std::vector<StreamUpdate> batch;
+  };
+  std::map<int, OpenDay> open_days_;
+  std::deque<std::uint64_t> dup_order_;  // dedup window, FIFO
+  std::set<std::uint64_t> dup_seen_;     // dup_order_ as a set
 
   obs::TraceBus* trace_ = nullptr;
 };

@@ -72,8 +72,6 @@ struct PrefixState {
   std::int64_t alarm_id = -1;   // open alarm in the shard log (-1 = none)
   double conflict_since = -1.0;
   int conflict_day = -1;
-
-  bool operator==(const PrefixState&) const = default;
 };
 
 struct ShardCounters {
@@ -86,8 +84,6 @@ struct ShardCounters {
   std::uint64_t alarms_parked = 0;     // settled to Pending across a feed gap
   std::uint64_t evicted_prefixes = 0;
   std::uint64_t evicted_live = 0;      // evicted while still inside the idle window
-
-  bool operator==(const ShardCounters&) const = default;
 };
 
 class DetectorShard {
@@ -128,9 +124,13 @@ class DetectorShard {
   /// Restores into a freshly constructed shard with an equal config.
   void load(CheckpointReader& r);
 
-  bool operator==(const DetectorShard&) const;
-
  private:
+  struct LogHead;
+  /// The shard's checkpoint records, saved from a const shard or restored
+  /// into a fresh one. The alarm log goes through `head` and `alarms`.
+  template <typename IO, typename Shard, typename Alarms>
+  static void describe(IO& io, Shard& s, LogHead& head, Alarms& alarms);
+
   void process(int flush_day, const StreamUpdate& u, bool full);
   void end_day(int day);
   /// Close the open alarm of `st` (at `prefix`) as `state` at time `at`.
@@ -140,8 +140,8 @@ class DetectorShard {
   ShardConfig config_;
   std::map<net::Prefix, PrefixState> states_;
   /// (conflict_day, prefix) of every open alarm, oldest conflict first:
-  /// the TTL expires from its front. Derived from states_, so it is
-  /// neither checkpointed nor compared; load() rebuilds it.
+  /// the TTL expires from its front. Derived from states_, so it is not
+  /// checkpointed; load() rebuilds it.
   std::set<std::pair<int, net::Prefix>> ttl_index_;
   core::AlarmLog log_;
   std::vector<chaos::GapWindow> gaps_;  // every gap window seen so far

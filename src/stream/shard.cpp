@@ -36,48 +36,15 @@ bool covered_by(const bgp::AsnSet& reference, const bgp::AsnSet& observed) {
   return std::includes(reference.begin(), reference.end(), observed.begin(), observed.end());
 }
 
-bgp::AsnSet read_asn_set(LineParser& p) {
-  bgp::AsnSet set;
-  const std::uint64_t n = p.u64();
-  for (std::uint64_t i = 0; i < n; ++i) set.insert(static_cast<bgp::Asn>(p.u64()));
-  return set;
-}
-
-/// An enum stored as its integer value, at most `last`.
-template <typename Enum>
-Enum read_enum(LineParser& p, Enum last, const char* what) {
-  const std::uint64_t value = p.u64();
-  MOAS_REQUIRE(value <= static_cast<std::uint64_t>(last),
-               std::string("checkpoint: bad alarm ") + what);
-  return static_cast<Enum>(value);
-}
-
-net::Prefix read_prefix(LineParser& p) {
-  const auto prefix = net::Prefix::parse(p.token());
-  MOAS_REQUIRE(prefix.has_value(), "checkpoint: bad prefix");
-  return *prefix;
-}
-
-void write_histogram(CheckpointWriter& w, const char* tag, const obs::FixedHistogram& h) {
-  w.line(tag).u64(h.underflow()).u64(h.overflow()).u64(h.count());
-  w.f64(h.sum()).f64(h.min()).f64(h.max());
-  for (const std::uint64_t c : h.bucket_counts()) w.u64(c);
-}
-
-obs::FixedHistogram read_histogram(CheckpointReader& r, const char* tag,
-                                   const obs::HistogramSpec& spec) {
-  LineParser p(r.next());
-  p.expect(tag);
-  const std::uint64_t underflow = p.u64();
-  const std::uint64_t overflow = p.u64();
-  const std::uint64_t count = p.u64();
-  const double sum = p.f64();
-  const double min = p.f64();
-  const double max = p.f64();
-  std::vector<std::uint64_t> counts(spec.buckets);
-  for (auto& c : counts) c = p.u64();
-  return obs::FixedHistogram::restore(spec, std::move(counts), underflow, overflow, count, sum,
-                                      min, max);
+/// durations/latencies <underflow> <overflow> <count> <sum> <min> <max>
+/// <bucket counts...>
+template <typename IO, typename Histogram>
+void histogram_record(IO& io, const char* tag, Histogram& h) {
+  obs::FixedHistogram::fields(h, [&](auto& underflow, auto& overflow, auto& count, auto& sum,
+                                     auto& min, auto& max, auto& buckets) {
+    io.line(tag).u64(underflow).u64(overflow).u64(count).f64(sum).f64(min).f64(max);
+    for (auto& c : buckets) io.u64(c);
+  });
 }
 
 }  // namespace
@@ -269,148 +236,84 @@ obs::FixedHistogram DetectorShard::duration_histogram() const {
   return out;
 }
 
-void DetectorShard::save(CheckpointWriter& w) const {
-  w.line("counters")
-      .u64(counters_.processed)
-      .u64(counters_.shed_updates)
-      .u64(counters_.moas_days_shed)
-      .u64(counters_.alarms_raised)
-      .u64(counters_.alarms_resolved)
-      .u64(counters_.alarms_expired)
-      .u64(counters_.alarms_parked)
-      .u64(counters_.evicted_prefixes)
-      .u64(counters_.evicted_live);
-  w.line("bytes").u64(bytes_held_).u64(peak_bytes_);
+/// The alarm log's own fields: the first retained id and the compaction
+/// tallies. save() copies them out of the log; load() seeds a fresh log
+/// with them.
+struct DetectorShard::LogHead {
+  std::size_t base = 0;
+  std::array<std::uint64_t, 4> by_state{};
+  std::array<std::uint64_t, 3> by_cause{};
+};
 
-  w.line("gaps").u64(gaps_.size());
-  for (const auto& g : gaps_) w.line("gap").i64(g.first_day).i64(g.last_day);
+template <typename IO, typename Shard, typename Alarms>
+void DetectorShard::describe(IO& io, Shard& s, LogHead& head, Alarms& alarms) {
+  auto& c = s.counters_;
+  io.line("counters")
+      .u64(c.processed)
+      .u64(c.shed_updates)
+      .u64(c.moas_days_shed)
+      .u64(c.alarms_raised)
+      .u64(c.alarms_resolved)
+      .u64(c.alarms_expired)
+      .u64(c.alarms_parked)
+      .u64(c.evicted_prefixes)
+      .u64(c.evicted_live);
+  io.line("bytes").u64(s.bytes_held_).u64(s.peak_bytes_);
 
-  write_histogram(w, "durations", durations_);
-  write_histogram(w, "latencies", latencies_);
+  io.line("gaps").list(s.gaps_, [&](auto& g) {
+    io.line("gap").day(g.first_day).day(g.last_day);
+  });
 
-  w.line("alarmlog").u64(log_.first_retained());
-  for (const std::uint64_t v : log_.compacted_by_state()) w.u64(v);
-  for (const std::uint64_t v : log_.compacted_by_cause()) w.u64(v);
-  w.u64(log_.alarms().size());
-  for (const auto& a : log_.alarms()) {
-    w.line("alarm")
+  histogram_record(io, "durations", s.durations_);
+  histogram_record(io, "latencies", s.latencies_);
+
+  io.line("alarmlog").u64(head.base);
+  for (auto& v : head.by_state) io.u64(v);
+  for (auto& v : head.by_cause) io.u64(v);
+  io.list(alarms, [&](auto& a) {
+    io.line("alarm")
         .f64(a.at)
         .f64(a.settled_at)
         .u64(a.observer)
-        .u64(static_cast<unsigned>(a.cause))
-        .u64(static_cast<unsigned>(a.state))
+        .enumeration(a.cause, core::MoasAlarm::Cause::BannedOriginSeen, "alarm cause")
+        .enumeration(a.state, core::MoasAlarm::State::Expired, "alarm state")
         .prefix(a.prefix)
         .asn_set(a.reference_list)
         .asn_set(a.observed_list)
         .asn_set(a.offending_origins);
-  }
+  });
 
-  w.line("states").u64(states_.size());
-  for (const auto& [prefix, st] : states_) {
-    w.line("state")
-        .prefix(prefix)
-        .i64(st.first_day)
-        .i64(st.last_day)
-        .i64(st.last_moas_day)
-        .i64(st.duration_days)
+  io.line("states").list(s.states_, [&](auto& entry) {
+    auto& st = entry.second;
+    io.line("state")
+        .prefix(entry.first)
+        .day(st.first_day)
+        .day(st.last_day)
+        .day(st.last_moas_day)
+        .day(st.duration_days)
         .u64(st.max_origins)
         .i64(st.alarm_id)
         .f64(st.conflict_since)
-        .i64(st.conflict_day)
+        .day(st.conflict_day)
         .asn_set(st.reference)
         .asn_set(st.observed);
-  }
+  });
+}
+
+void DetectorShard::save(CheckpointWriter& w) const {
+  LogHead head{log_.first_retained(), log_.compacted_by_state(), log_.compacted_by_cause()};
+  describe(w, *this, head, log_.alarms());
 }
 
 void DetectorShard::load(CheckpointReader& r) {
   MOAS_REQUIRE(states_.empty() && log_.empty(), "shard restore needs a fresh shard");
-
-  {
-    LineParser p(r.next());
-    p.expect("counters");
-    counters_.processed = p.u64();
-    counters_.shed_updates = p.u64();
-    counters_.moas_days_shed = p.u64();
-    counters_.alarms_raised = p.u64();
-    counters_.alarms_resolved = p.u64();
-    counters_.alarms_expired = p.u64();
-    counters_.alarms_parked = p.u64();
-    counters_.evicted_prefixes = p.u64();
-    counters_.evicted_live = p.u64();
-  }
-  {
-    LineParser p(r.next());
-    p.expect("bytes");
-    bytes_held_ = p.u64();
-    peak_bytes_ = p.u64();
-  }
-
-  {
-    LineParser p(r.next());
-    p.expect("gaps");
-    const std::uint64_t n = p.line_count(r);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      LineParser g(r.next());
-      g.expect("gap");
-      chaos::GapWindow window;
-      window.first_day = g.day();
-      window.last_day = g.day();
-      gaps_.push_back(window);
-    }
-  }
-
-  durations_ = read_histogram(r, "durations", duration_spec());
-  latencies_ = read_histogram(r, "latencies", latency_spec());
-
-  {
-    LineParser p(r.next());
-    p.expect("alarmlog");
-    const std::size_t base = p.u64();
-    std::array<std::uint64_t, 4> by_state{};
-    std::array<std::uint64_t, 3> by_cause{};
-    for (auto& v : by_state) v = p.u64();
-    for (auto& v : by_cause) v = p.u64();
-    const std::uint64_t retained = p.line_count(r);
-    log_.restore_compacted(base, by_state, by_cause);
-    for (std::uint64_t i = 0; i < retained; ++i) {
-      LineParser a(r.next());
-      a.expect("alarm");
-      core::MoasAlarm alarm;
-      alarm.at = a.f64();
-      alarm.settled_at = a.f64();
-      alarm.observer = static_cast<bgp::Asn>(a.u64());
-      alarm.cause = read_enum(a, core::MoasAlarm::Cause::BannedOriginSeen, "cause");
-      alarm.state = read_enum(a, core::MoasAlarm::State::Expired, "state");
-      alarm.prefix = read_prefix(a);
-      alarm.reference_list = read_asn_set(a);
-      alarm.observed_list = read_asn_set(a);
-      alarm.offending_origins = read_asn_set(a);
-      log_.record(std::move(alarm));
-    }
-  }
-
-  {
-    LineParser p(r.next());
-    p.expect("states");
-    const std::uint64_t n = p.line_count(r);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      LineParser s(r.next());
-      s.expect("state");
-      const net::Prefix prefix = read_prefix(s);
-      PrefixState st;
-      st.first_day = s.day();
-      st.last_day = s.day();
-      st.last_moas_day = s.day();
-      st.duration_days = s.day();
-      st.max_origins = s.u64();
-      st.alarm_id = s.i64();
-      st.conflict_since = s.f64();
-      st.conflict_day = s.day();
-      st.reference = read_asn_set(s);
-      st.observed = read_asn_set(s);
-      states_.emplace(prefix, std::move(st));
-    }
-  }
+  LogHead head;
+  std::vector<core::MoasAlarm> alarms;
+  describe(r, *this, head, alarms);
+  MOAS_REQUIRE(durations_.counts_add_up() && latencies_.counts_add_up(),
+               "checkpoint: histogram counts do not add up");
+  log_.restore_compacted(head.base, head.by_state, head.by_cause);
+  for (core::MoasAlarm& alarm : alarms) log_.record(std::move(alarm));
 
   // Open alarms and the states naming them must pair up one to one: a
   // dangling id only surfaces later, when a shard worker settles it. An
@@ -443,13 +346,6 @@ void DetectorShard::load(CheckpointReader& r) {
   // would stay wrong for the rest of the run.
   MOAS_REQUIRE(bytes_held_ == recompute_bytes(),
                "checkpoint: byte count differs from the restored footprint");
-}
-
-bool DetectorShard::operator==(const DetectorShard& other) const {
-  return config_ == other.config_ && states_ == other.states_ && log_ == other.log_ &&
-         gaps_ == other.gaps_ && durations_ == other.durations_ &&
-         latencies_ == other.latencies_ && counters_ == other.counters_ &&
-         bytes_held_ == other.bytes_held_ && peak_bytes_ == other.peak_bytes_;
 }
 
 }  // namespace moas::stream

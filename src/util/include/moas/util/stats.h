@@ -15,13 +15,6 @@ class Accumulator {
  public:
   void add(double x);
 
-  /// Fold another accumulator's samples into this one (Chan et al.'s
-  /// parallel Welford combination). Merging a single-sample accumulator
-  /// takes the exact add() code path, so reducing per-run samples with
-  /// merge() in plan order is bit-identical to the serial add() loop —
-  /// the parallel sweep's determinism contract rests on this.
-  void merge(const Accumulator& other);
-
   std::size_t count() const { return n_; }
   double mean() const;
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.

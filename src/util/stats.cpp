@@ -21,31 +21,6 @@ void Accumulator::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void Accumulator::merge(const Accumulator& other) {
-  if (other.n_ == 0) return;
-  if (other.n_ == 1) {
-    // A single-sample accumulator stores its sample exactly (mean_ == x),
-    // so delegating to add() keeps merge-reduction bit-identical to the
-    // sequential add() loop.
-    add(other.mean_);
-    return;
-  }
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double n = na + nb;
-  mean_ += delta * (nb / n);
-  m2_ += other.m2_ + delta * delta * (na * nb / n);
-  n_ += other.n_;
-  sum_ += other.sum_;
-}
-
 double Accumulator::mean() const {
   MOAS_REQUIRE(n_ > 0, "mean of empty accumulator");
   return mean_;

@@ -57,6 +57,7 @@ std::vector<SweepPoint> golden_serial_sweep(const Experiment& experiment,
         std::lround(fraction * static_cast<double>(graph.node_count())));
     if (fraction > 0.0 && num_attackers == 0) num_attackers = 1;
     util::Accumulator adopted, affected, no_route, alarms, false_alarms, cutoff;
+    std::size_t stuck = 0;
     for (std::size_t i = 0; i < origin_sets; ++i) {
       const bgp::AsnSet origins = experiment.draw_origins(rng);
       for (std::size_t j = 0; j < attacker_sets; ++j) {
@@ -69,6 +70,7 @@ std::vector<SweepPoint> golden_serial_sweep(const Experiment& experiment,
         alarms.add(static_cast<double>(run.alarms));
         false_alarms.add(static_cast<double>(run.false_alarms));
         cutoff.add(run.structural_cutoff);
+        if (run.false_route_stuck) ++stuck;
       }
     }
     SweepPoint point;
@@ -81,6 +83,7 @@ std::vector<SweepPoint> golden_serial_sweep(const Experiment& experiment,
     point.mean_alarms = alarms.mean();
     point.mean_false_alarms = false_alarms.mean();
     point.mean_structural_cutoff = cutoff.mean();
+    point.runs_false_route_stuck = stuck;
     points.push_back(point);
   }
   return points;
@@ -104,6 +107,7 @@ void expect_points_bitwise_equal(const std::vector<SweepPoint>& expected,
     EXPECT_EQ(e.mean_alarms, a.mean_alarms);
     EXPECT_EQ(e.mean_false_alarms, a.mean_false_alarms);
     EXPECT_EQ(e.mean_structural_cutoff, a.mean_structural_cutoff);
+    EXPECT_EQ(e.runs_false_route_stuck, a.runs_false_route_stuck);
   }
 }
 
@@ -176,12 +180,17 @@ TEST(SweepParallel, TraceAndMetricsIdenticalAcrossJobs) {
   // The observability layer rides the same plan → execute → reduce contract:
   // each run owns its trace bus and registry, and the harness serializes
   // them in plan order — so the concatenated JSONL trace and the reduced
-  // per-point registries must be byte-identical for any job count.
+  // per-point registries must be byte-identical for any job count. Summary
+  // tracing is also the only setting that scores stuck false routes, so
+  // the points are held to the serial golden here too.
   ExperimentConfig config = sweep_config();
   config.trace_level = obs::TraceLevel::Summary;
   config.keep_trace = true;
   const Experiment experiment(shared_topology(), config);
   const std::vector<double> fractions{0.05, 0.20};
+  util::Rng golden_rng(77);
+  const std::vector<SweepPoint> golden_points =
+      golden_serial_sweep(experiment, fractions, 2, 2, golden_rng);
 
   std::string golden_trace;
   std::vector<std::string> golden_metrics;
@@ -196,6 +205,7 @@ TEST(SweepParallel, TraceAndMetricsIdenticalAcrossJobs) {
     for (const RunResult& run : results) obs::write_trace_jsonl(trace, run.trace);
 
     const std::vector<SweepPoint> points = experiment.reduce_plan(plan, results);
+    expect_points_bitwise_equal(golden_points, points);
     std::vector<std::string> metrics;
     for (const SweepPoint& point : points) metrics.push_back(point.metrics.to_json());
 

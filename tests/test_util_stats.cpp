@@ -42,91 +42,6 @@ TEST(Accumulator, NegativeValues) {
   EXPECT_DOUBLE_EQ(acc.max(), 5.0);
 }
 
-TEST(AccumulatorMerge, EmptyOtherIsNoOp) {
-  Accumulator acc;
-  acc.add(2.0);
-  acc.add(4.0);
-  Accumulator empty;
-  acc.merge(empty);
-  EXPECT_EQ(acc.count(), 2u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(acc.sum(), 6.0);
-}
-
-TEST(AccumulatorMerge, IntoEmptyCopiesState) {
-  Accumulator other;
-  for (double v : {1.0, 2.0, 7.0}) other.add(v);
-  Accumulator acc;
-  acc.merge(other);
-  EXPECT_EQ(acc.count(), other.count());
-  EXPECT_EQ(acc.mean(), other.mean());
-  EXPECT_EQ(acc.variance(), other.variance());
-  EXPECT_EQ(acc.min(), other.min());
-  EXPECT_EQ(acc.max(), other.max());
-  EXPECT_EQ(acc.sum(), other.sum());
-}
-
-TEST(AccumulatorMerge, SingleSampleChainIsBitwiseSequential) {
-  // The reduce step of a parallel sweep wraps each run metric in a
-  // one-sample Accumulator and merges in plan order. That chain must be
-  // bit-identical (EXPECT_EQ, not NEAR) to the historical sequential
-  // add() loop — the determinism contract of Experiment::sweep rests on
-  // the n == 1 merge delegating to add().
-  const std::vector<double> xs{0.1, 0.7, 0.3, 1e-9, 5.5, 0.0, -2.25};
-  Accumulator seq;
-  Accumulator merged;
-  for (double x : xs) {
-    seq.add(x);
-    Accumulator one;
-    one.add(x);
-    merged.merge(one);
-  }
-  EXPECT_EQ(seq.count(), merged.count());
-  EXPECT_EQ(seq.mean(), merged.mean());
-  EXPECT_EQ(seq.variance(), merged.variance());
-  EXPECT_EQ(seq.min(), merged.min());
-  EXPECT_EQ(seq.max(), merged.max());
-  EXPECT_EQ(seq.sum(), merged.sum());
-}
-
-TEST(AccumulatorMerge, MultiSampleMergeMatchesOneShot) {
-  // The general (Chan et al.) combination is exact on count/min/max and
-  // agrees with the one-shot accumulation to rounding error on moments.
-  const std::vector<double> xs{3.0, -1.5, 8.0, 0.25, 4.0, 4.0, -7.0, 2.5};
-  Accumulator one_shot;
-  for (double x : xs) one_shot.add(x);
-  Accumulator left;
-  Accumulator right;
-  for (std::size_t i = 0; i < xs.size(); ++i) (i < 3 ? left : right).add(xs[i]);
-  left.merge(right);
-  EXPECT_EQ(left.count(), one_shot.count());
-  EXPECT_EQ(left.min(), one_shot.min());
-  EXPECT_EQ(left.max(), one_shot.max());
-  EXPECT_NEAR(left.mean(), one_shot.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), one_shot.variance(), 1e-12);
-  EXPECT_NEAR(left.sum(), one_shot.sum(), 1e-12);
-}
-
-TEST(AccumulatorMerge, Associative) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 5.0, 8.0, 13.0};
-  Accumulator a, b, c;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    (i < 2 ? a : i < 4 ? b : c).add(xs[i]);
-  }
-  Accumulator ab = a;
-  ab.merge(b);
-  ab.merge(c);  // (a + b) + c
-  Accumulator bc = b;
-  bc.merge(c);
-  Accumulator a_bc = a;
-  a_bc.merge(bc);  // a + (b + c)
-  EXPECT_EQ(ab.count(), a_bc.count());
-  EXPECT_EQ(ab.min(), a_bc.min());
-  EXPECT_EQ(ab.max(), a_bc.max());
-  EXPECT_NEAR(ab.mean(), a_bc.mean(), 1e-12);
-  EXPECT_NEAR(ab.variance(), a_bc.variance(), 1e-12);
-}
-
 TEST(Median, OddCount) { EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0); }
 
 TEST(Median, EvenCountAveragesMiddlePair) {
