@@ -85,6 +85,11 @@ struct SyntheticTrace {
   /// Materialize one day's dump (cases active that day).
   DailyDump day_dump(int day) const;
 
+  /// The indices into `cases` of the cases active on `day`, ascending.
+  /// Each case has its own prefix, so this is day_dump's key set without
+  /// copying an origin set.
+  const std::vector<std::size_t>& day_cases(int day) const;
+
   /// Ground-truth daily counts (number of cases active per day).
   std::vector<std::size_t> daily_case_counts() const;
 

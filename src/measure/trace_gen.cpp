@@ -80,14 +80,18 @@ const char* to_string(CaseKind kind) {
 }
 
 DailyDump SyntheticTrace::day_dump(int day) const {
-  MOAS_REQUIRE(day >= 0 && day < days, "day out of range");
   DailyDump dump;
   dump.day = day;
-  for (std::size_t idx : by_day_[static_cast<std::size_t>(day)]) {
+  for (std::size_t idx : day_cases(day)) {
     const SyntheticCase& c = cases[idx];
     dump.origins[c.prefix] = c.origins;
   }
   return dump;
+}
+
+const std::vector<std::size_t>& SyntheticTrace::day_cases(int day) const {
+  MOAS_REQUIRE(day >= 0 && day < days, "day out of range");
+  return by_day_[static_cast<std::size_t>(day)];
 }
 
 std::vector<std::size_t> SyntheticTrace::daily_case_counts() const {

@@ -24,22 +24,22 @@ std::uint64_t fnv1a(std::uint64_t hash, std::string_view bytes) {
   return hash;
 }
 
-void append_hex16(std::string& out, std::uint64_t value) {
+/// Writes 16 lowercase hex digits of `value` at `out`; returns the end.
+char* put_hex16(char* out, std::uint64_t value) {
   static const char digits[] = "0123456789abcdef";
-  char text[16];
   for (int i = 15; i >= 0; --i) {
-    text[i] = digits[value & 0xf];
+    out[i] = digits[value & 0xf];
     value >>= 4;
   }
-  out.append(text, sizeof text);
+  return out + 16;
 }
 
-template <typename Int>
-void append_int(std::string& out, Int value) {
-  char text[24];
-  const auto result = std::to_chars(text, text + sizeof text, value);
-  out.append(text, result.ptr);
-}
+/// Longest tokens, leading space included: a 64-bit integer in decimal
+/// (20 characters with a sign), 16 hex digits, "255.255.255.255/255".
+constexpr std::size_t kIntRoom = 1 + 20;
+constexpr std::size_t kHexRoom = 1 + 16;
+constexpr std::size_t kPrefixRoom = 1 + 19;
+constexpr std::string_view kTrailer = "checksum ";
 
 std::uint64_t parse_hex16(std::string_view text) {
   MOAS_REQUIRE(text.size() == 16, "checkpoint: expected 16 hex digits");
@@ -59,41 +59,66 @@ std::uint64_t parse_hex16(std::string_view text) {
 
 }  // namespace
 
-CheckpointWriter::CheckpointWriter(std::ostream& os) : os_(&os), image_(kCheckpointHeader) {}
+CheckpointWriter::CheckpointWriter(std::ostream& os)
+    : os_(&os),
+      hash_(kFnvOffset),
+      buffer_(std::make_unique_for_overwrite<char[]>(kBufferBytes)),
+      cursor_(buffer_.get()),
+      end_(buffer_.get() + kBufferBytes) {
+  cursor_ = std::copy(kCheckpointHeader.begin(), kCheckpointHeader.end(), cursor_);
+}
+
+void CheckpointWriter::flush() {
+  const std::string_view bytes(buffer_.get(), static_cast<std::size_t>(cursor_ - buffer_.get()));
+  hash_ = fnv1a(hash_, bytes);
+  os_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  cursor_ = buffer_.get();
+}
 
 CheckpointWriter& CheckpointWriter::line(std::string_view text) {
   MOAS_REQUIRE(!finished_, "checkpoint writer already finished");
-  image_ += '\n';
-  image_ += text;
+  *room(1) = '\n';
+  ++cursor_;
+  // A preformatted line may outgrow the buffer: copy it a piece at a time.
+  while (!text.empty()) {
+    char* out = room(1);
+    const std::size_t n = std::min(text.size(), static_cast<std::size_t>(end_ - out));
+    cursor_ = std::copy_n(text.begin(), n, out);
+    text.remove_prefix(n);
+  }
   return *this;
 }
 
 CheckpointWriter& CheckpointWriter::u64(std::uint64_t value) {
-  image_ += ' ';
-  append_int(image_, value);
+  char* out = room(kIntRoom);
+  *out++ = ' ';
+  cursor_ = std::to_chars(out, end_, value).ptr;
   return *this;
 }
 
 CheckpointWriter& CheckpointWriter::i64(std::int64_t value) {
-  image_ += ' ';
-  append_int(image_, value);
+  char* out = room(kIntRoom);
+  *out++ = ' ';
+  cursor_ = std::to_chars(out, end_, value).ptr;
   return *this;
 }
 
 CheckpointWriter& CheckpointWriter::f64(double value) {
-  image_ += ' ';
-  append_hex16(image_, std::bit_cast<std::uint64_t>(value));
+  char* out = room(kHexRoom);
+  *out++ = ' ';
+  cursor_ = put_hex16(out, std::bit_cast<std::uint64_t>(value));
   return *this;
 }
 
 CheckpointWriter& CheckpointWriter::prefix(const net::Prefix& prefix) {
+  char* out = room(kPrefixRoom);
   const std::uint32_t address = prefix.network().value();
   for (int shift = 24; shift >= 0; shift -= 8) {
-    image_ += shift == 24 ? ' ' : '.';
-    append_int(image_, (address >> shift) & 0xffu);
+    *out++ = shift == 24 ? ' ' : '.';
+    out = std::to_chars(out, end_, (address >> shift) & 0xffu).ptr;
   }
-  image_ += '/';
-  append_int(image_, prefix.length());
+  *out++ = '/';
+  cursor_ = std::to_chars(out, end_, prefix.length()).ptr;
   return *this;
 }
 
@@ -105,12 +130,14 @@ CheckpointWriter& CheckpointWriter::asn_set(const bgp::AsnSet& set) {
 
 void CheckpointWriter::finish() {
   MOAS_REQUIRE(!finished_, "checkpoint writer already finished");
-  image_ += '\n';
-  const std::uint64_t hash = fnv1a(kFnvOffset, image_);
-  image_ += "checksum ";
-  append_hex16(image_, hash);
-  image_ += '\n';
-  os_->write(image_.data(), static_cast<std::streamsize>(image_.size()));
+  *room(1) = '\n';
+  ++cursor_;
+  flush();
+  // The trailer is not hashed.
+  char* out = std::copy(kTrailer.begin(), kTrailer.end(), cursor_);
+  out = put_hex16(out, hash_);
+  *out++ = '\n';
+  os_->write(buffer_.get(), static_cast<std::streamsize>(out - buffer_.get()));
   finished_ = true;
 }
 
@@ -181,9 +208,16 @@ CheckpointReader& CheckpointReader::asn_set(bgp::AsnSet& set) {
   return *this;
 }
 
+CheckpointReader& CheckpointReader::asn_set(core::MoasList& list) {
+  bgp::AsnSet set;
+  asn_set(set);
+  list = core::MoasList::of(set);
+  return *this;
+}
+
 std::string double_bits(double value) {
-  std::string out;
-  append_hex16(out, std::bit_cast<std::uint64_t>(value));
+  std::string out(16, '0');
+  put_hex16(out.data(), std::bit_cast<std::uint64_t>(value));
   return out;
 }
 

@@ -12,13 +12,6 @@
 
 namespace moas::stream {
 
-namespace {
-
-/// Sliding window of recent sequence numbers for duplicate suppression.
-constexpr std::size_t kDupWindow = 4096;
-
-}  // namespace
-
 StreamDetector::StreamDetector(StreamConfig config) : config_(std::move(config)) {
   MOAS_REQUIRE(config_.shards > 0, "need at least one shard");
   MOAS_REQUIRE(config_.flush_margin > 0, "flush margin must be positive");
@@ -40,11 +33,10 @@ void StreamDetector::ingest(StreamUpdate u) {
     ++front_.malformed_rejected;
     return;
   }
-  if (dup_seen_.contains(u.seq)) {
+  if (!dup_seen_.insert(u.seq)) {
     ++front_.duplicates_suppressed;
     return;
   }
-  dup_seen_.insert(u.seq);
   dup_order_.push_back(u.seq);
   if (dup_order_.size() > kDupWindow) {
     dup_seen_.erase(dup_order_.front());
@@ -316,8 +308,40 @@ StreamDetector StreamDetector::restore_checkpoint(std::istream& is, StreamConfig
   CheckpointReader r(is);
   StreamDetector d(std::move(config));
   describe(r, d);
-  d.dup_seen_.insert(d.dup_order_.begin(), d.dup_order_.end());
+  // A live window never holds a seq twice; a repeat would leave the table
+  // one member short of the FIFO, and the later erase would miss.
+  for (const std::uint64_t seq : d.dup_order_) {
+    MOAS_REQUIRE(d.dup_seen_.insert(seq), "checkpoint: repeated seq in the dedup window");
+  }
   return d;
+}
+
+bool StreamDetector::SeqTable::insert(const std::uint64_t seq) {
+  std::size_t i = home(seq);
+  for (; slots_[i].used; i = (i + 1) & (kSlots - 1)) {
+    if (slots_[i].seq == seq) return false;
+  }
+  slots_[i] = Slot{seq, true};
+  return true;
+}
+
+void StreamDetector::SeqTable::erase(const std::uint64_t seq) {
+  std::size_t hole = home(seq);
+  while (!slots_[hole].used || slots_[hole].seq != seq) {
+    MOAS_ENSURE(slots_[hole].used, "dedup table erase of an absent seq");
+    hole = (hole + 1) & (kSlots - 1);
+  }
+  // Backward shift: pull each later member of the probe run into the hole
+  // unless that would move it before its home slot.
+  for (std::size_t next = (hole + 1) & (kSlots - 1); slots_[next].used;
+       next = (next + 1) & (kSlots - 1)) {
+    const std::size_t from_home = (next - home(slots_[next].seq)) & (kSlots - 1);
+    if (from_home >= ((next - hole) & (kSlots - 1))) {
+      slots_[hole] = slots_[next];
+      hole = next;
+    }
+  }
+  slots_[hole].used = false;
 }
 
 bool StreamDetector::operator==(const StreamDetector& other) const {

@@ -23,7 +23,7 @@ void FaultyFeed::fill() {
     if (decision.garble) {
       ++counters_.garbled;
       u->malformed = true;
-      u->origins.clear();
+      u->origins = {};
     }
     std::uint64_t release = slot;
     if (decision.reorder_skew > 0) {

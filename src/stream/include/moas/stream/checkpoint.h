@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "moas/bgp/asn.h"
+#include "moas/core/moas_list.h"
 #include "moas/net/prefix.h"
 #include "moas/util/assert.h"
 
@@ -46,13 +48,18 @@ namespace moas::stream {
 
 inline constexpr std::string_view kCheckpointHeader = "# moasguard stream checkpoint v1";
 
-/// Builds a checkpoint image in one buffer, then hashes it and writes it to
-/// `os` in one piece. The constructor starts the version header; finish()
-/// writes the image and its checksum trailer.
+/// Streams a checkpoint image to `os` through one fixed buffer. The
+/// constructor starts the version header; finish() writes the rest and the
+/// checksum trailer. A writer dropped before finish() leaves an image with
+/// no trailer, which CheckpointReader rejects.
 ///
 /// A payload line starts with line(tag) and takes its fields from the
-/// typed appenders, each of which writes one space and the token straight
-/// into the buffer, with no temporary strings.
+/// typed appenders. Each appender checks once for room for its longest
+/// token, then writes one space and the token through a cursor into the
+/// buffer, with no temporary strings and no per-token string append. A
+/// full buffer is hashed (FNV-1a runs over the bytes in order, so a piece
+/// at a time gives the whole image's hash) and written out, so the writer
+/// holds at most kBufferBytes of the image.
 class CheckpointWriter {
  public:
   explicit CheckpointWriter(std::ostream& os);
@@ -70,6 +77,7 @@ class CheckpointWriter {
   CheckpointWriter& prefix(const net::Prefix& prefix);
   /// The set's size, then each ASN in order.
   CheckpointWriter& asn_set(const bgp::AsnSet& set);
+  CheckpointWriter& asn_set(core::MoasList list) { return asn_set(list.set()); }
 
   /// A structural value the reader requires to equal its own (`what` names
   /// it in the reader's error): f64, i64 or u64 by its type.
@@ -109,8 +117,22 @@ class CheckpointWriter {
   void finish();
 
  private:
+  static constexpr std::size_t kBufferBytes = std::size_t{1} << 16;
+
+  /// The cursor, with room for at least `n` (at most kBufferBytes) more
+  /// bytes behind it.
+  char* room(std::size_t n) {
+    if (static_cast<std::size_t>(end_ - cursor_) < n) flush();
+    return cursor_;
+  }
+  /// Hash the buffered bytes, write them out and empty the buffer.
+  void flush();
+
   std::ostream* os_;
-  std::string image_;
+  std::uint64_t hash_;              // FNV-1a of every byte flushed so far
+  std::unique_ptr<char[]> buffer_;  // [buffer_, cursor_) is not yet flushed
+  char* cursor_;                    // where the next byte goes
+  char* end_;                       // one past the buffer
   bool finished_ = false;
 };
 
@@ -174,6 +196,8 @@ class CheckpointReader {
   CheckpointReader& f64(double& value);
   CheckpointReader& prefix(net::Prefix& prefix);
   CheckpointReader& asn_set(bgp::AsnSet& set);
+  /// Reads the set as above and interns it.
+  CheckpointReader& asn_set(core::MoasList& list);
 
   template <typename T>
   CheckpointReader& match(const T& expected, std::string_view what) {
@@ -211,7 +235,7 @@ class CheckpointReader {
       if constexpr (requires { typename Container::mapped_type; }) {
         std::pair<typename Container::key_type, typename Container::mapped_type> entry;
         each(entry);
-        items.emplace(std::move(entry.first), std::move(entry.second));
+        items.try_emplace(std::move(entry.first), std::move(entry.second));
       } else {
         each(items.emplace_back());
       }

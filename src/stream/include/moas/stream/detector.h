@@ -24,7 +24,6 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -35,6 +34,9 @@
 #include "moas/util/thread_pool.h"
 
 namespace moas::stream {
+
+/// Duplicate suppression remembers this many of the latest sequence numbers.
+inline constexpr std::size_t kDupWindow = 4096;
 
 struct StreamConfig {
   /// Number of prefix-hash shards (parallelism grain, not thread count).
@@ -155,9 +157,30 @@ class StreamDetector {
     std::uint64_t later = 0;  // later-day updates delivered while it was open
     std::vector<StreamUpdate> batch;
   };
+  /// The members of the dedup window as a fixed open-addressed table:
+  /// linear probing over twice the window's slots, so it never grows, and
+  /// erase by backward shift, so it leaves no tombstones.
+  class SeqTable {
+   public:
+    /// Adds `seq`; false if it is already there.
+    bool insert(std::uint64_t seq);
+    /// Removes `seq`, which must be there.
+    void erase(std::uint64_t seq);
+
+   private:
+    static constexpr std::size_t kSlots = 2 * kDupWindow;
+    struct Slot {
+      std::uint64_t seq = 0;
+      bool used = false;
+    };
+    static std::size_t home(std::uint64_t seq) { return mix64(seq) & (kSlots - 1); }
+
+    std::vector<Slot> slots_ = std::vector<Slot>(kSlots);
+  };
+
   std::map<int, OpenDay> open_days_;
   std::deque<std::uint64_t> dup_order_;  // dedup window, FIFO
-  std::set<std::uint64_t> dup_seen_;     // dup_order_ as a set
+  SeqTable dup_seen_;                    // dup_order_'s members
 
   obs::TraceBus* trace_ = nullptr;
 };

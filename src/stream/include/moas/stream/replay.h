@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <vector>
 
@@ -90,14 +89,28 @@ class TraceReplaySource final : public UpdateFeed {
   std::uint64_t emitted() const { return next_seq_; }
 
  private:
+  /// The origin set one case announces, overrides applied, from the day
+  /// it was computed until (not including) day `until`.
+  struct CaseMemo {
+    core::MoasList origins;
+    std::int64_t until = 0;  // 0: not computed yet
+  };
+
   void load_day(int day);
+  /// The origin set case `index` announces on `day`, overrides applied. It
+  /// is interned when the case first appears and again only when one of
+  /// its override windows opens or closes.
+  core::MoasList origins_on(int day, std::size_t index);
 
   const measure::SyntheticTrace* trace_;
   std::map<net::Prefix, std::vector<OriginOverride>> overrides_;
   int days_ = 0;
   int next_day_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::deque<StreamUpdate> queue_;
+  std::vector<CaseMemo> memo_;     // by case index, sized by the first load_day
+  bgp::AsnSet scratch_;            // a memo's set before interning, reused
+  std::vector<StreamUpdate> day_;  // the loaded day, in emission order
+  std::size_t cursor_ = 0;         // next update of day_ to hand out
 };
 
 /// Ground-truth evaluation of one attack after a run.

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -32,10 +31,12 @@
 #include "moas/bgp/asn.h"
 #include "moas/chaos/feed_fault.h"
 #include "moas/core/alarm.h"
+#include "moas/core/moas_list.h"
 #include "moas/net/prefix.h"
 #include "moas/obs/metrics.h"
 #include "moas/stream/checkpoint.h"
 #include "moas/stream/update.h"
+#include "moas/util/flat_map.h"
 
 namespace moas::stream {
 
@@ -60,10 +61,11 @@ struct ShardConfig {
   bool operator==(const ShardConfig&) const = default;
 };
 
-/// Everything the shard remembers about one prefix.
+/// Everything the shard remembers about one prefix. Both origin sets are
+/// interned handles, so copying one is a pointer copy.
 struct PrefixState {
-  bgp::AsnSet reference;  // the adopted MOAS list
-  bgp::AsnSet observed;   // last conflicting origin set (empty when clear)
+  core::MoasList reference;  // the adopted MOAS list
+  core::MoasList observed;   // last conflicting origin set (empty when clear)
   int first_day = 0;
   int last_day = -1;       // last day an update for the prefix was seen
   int last_moas_day = -1;  // last day duration accrued
@@ -111,7 +113,7 @@ class DetectorShard {
   std::uint64_t recompute_bytes() const;
   std::size_t live_prefixes() const { return states_.size(); }
   std::size_t open_alarms() const { return ttl_index_.size(); }
-  const std::map<net::Prefix, PrefixState>& states() const { return states_; }
+  const util::FlatMap<net::Prefix, PrefixState>& states() const { return states_; }
 
   /// Evicted case durations plus the live states' current durations.
   obs::FixedHistogram duration_histogram() const;
@@ -131,14 +133,22 @@ class DetectorShard {
   template <typename IO, typename Shard, typename Alarms>
   static void describe(IO& io, Shard& s, LogHead& head, Alarms& alarms);
 
-  void process(int flush_day, const StreamUpdate& u, bool full);
+  /// Apply `u` to its prefix's state `st`, which `fresh` says was created
+  /// for it.
+  void process(int flush_day, const StreamUpdate& u, PrefixState& st, bool fresh, bool full);
   void end_day(int day);
   /// Close the open alarm of `st` (at `prefix`) as `state` at time `at`.
   void close_alarm(const net::Prefix& prefix, PrefixState& st, core::MoasAlarm::State state,
                    double at);
 
+  /// Drop alarm-free states, coldest first, until the footprint fits the
+  /// budget. States unseen for evict_idle_days before `day` go first.
+  void evict(int day);
+
   ShardConfig config_;
-  std::map<net::Prefix, PrefixState> states_;
+  /// One sorted vector: a lookup is a binary search over contiguous
+  /// entries, and the checkpoint walks it in prefix order.
+  util::FlatMap<net::Prefix, PrefixState> states_;
   /// (conflict_day, prefix) of every open alarm, oldest conflict first:
   /// the TTL expires from its front. Derived from states_, so it is not
   /// checkpointed; load() rebuilds it.

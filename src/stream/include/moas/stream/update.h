@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <optional>
 
-#include "moas/bgp/asn.h"
+#include "moas/core/moas_list.h"
 #include "moas/net/prefix.h"
 
 namespace moas::stream {
@@ -27,7 +27,9 @@ struct StreamUpdate {
   /// carries no parseable observation. The ingest front-end rejects it.
   bool malformed = false;
   net::Prefix prefix;
-  bgp::AsnSet origins;
+  /// The announced origin set, interned: a copy is a pointer copy, and two
+  /// updates announce the same set exactly when their handles are equal.
+  core::MoasList origins;
 
   bool operator==(const StreamUpdate&) const = default;
 };

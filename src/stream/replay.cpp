@@ -1,6 +1,7 @@
 #include "moas/stream/replay.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "moas/util/assert.h"
@@ -110,38 +111,51 @@ TraceReplaySource::TraceReplaySource(const measure::SyntheticTrace& trace,
   }
 }
 
-void TraceReplaySource::load_day(int day) {
-  measure::DailyDump dump = trace_->day_dump(day);
-  std::vector<StreamUpdate> batch;
-  batch.reserve(dump.origins.size());
-  for (auto& [prefix, origins] : dump.origins) {
-    if (const auto it = overrides_.find(prefix); it != overrides_.end()) {
-      for (const auto& o : it->second) {
-        if (day >= o.first_day && day <= o.last_day) origins.insert(o.add_origin);
+core::MoasList TraceReplaySource::origins_on(const int day, const std::size_t index) {
+  // Days only increase, so the memo holds until the next override window
+  // of the case opens or closes.
+  CaseMemo& memo = memo_[index];
+  if (day < memo.until) return memo.origins;
+  const measure::SyntheticCase& c = trace_->cases[index];
+  memo.until = std::numeric_limits<std::int64_t>::max();
+  scratch_ = c.origins;
+  if (const auto it = overrides_.find(c.prefix); it != overrides_.end()) {
+    for (const OriginOverride& o : it->second) {
+      if (day < o.first_day) {
+        memo.until = std::min<std::int64_t>(memo.until, o.first_day);
+      } else if (day <= o.last_day) {
+        scratch_.insert(o.add_origin);
+        memo.until = std::min(memo.until, std::int64_t{o.last_day} + 1);
       }
     }
-    StreamUpdate u;
-    u.day = day;
-    u.at = static_cast<double>(day) + intra_day_frac(prefix);
-    u.prefix = prefix;
-    u.origins = std::move(origins);
-    batch.push_back(std::move(u));
   }
-  std::sort(batch.begin(), batch.end(), [](const StreamUpdate& a, const StreamUpdate& b) {
+  memo.origins = core::MoasList::of(scratch_);
+  return memo.origins;
+}
+
+void TraceReplaySource::load_day(const int day) {
+  // Sized here rather than in the constructor, which callers build inside
+  // their set-up; the memo fills as cases first appear.
+  if (memo_.size() != trace_->cases.size()) memo_.resize(trace_->cases.size());
+  day_.clear();
+  cursor_ = 0;
+  for (const std::size_t index : trace_->day_cases(day)) {
+    StreamUpdate& u = day_.emplace_back();
+    u.day = day;
+    u.prefix = trace_->cases[index].prefix;
+    u.at = static_cast<double>(day) + intra_day_frac(u.prefix);
+    u.origins = origins_on(day, index);
+  }
+  std::sort(day_.begin(), day_.end(), [](const StreamUpdate& a, const StreamUpdate& b) {
     return a.at != b.at ? a.at < b.at : a.prefix < b.prefix;
   });
-  for (auto& u : batch) {
-    u.seq = next_seq_++;
-    queue_.push_back(std::move(u));
-  }
+  for (StreamUpdate& u : day_) u.seq = next_seq_++;
 }
 
 std::optional<StreamUpdate> TraceReplaySource::next() {
-  while (queue_.empty() && next_day_ < days_) load_day(next_day_++);
-  if (queue_.empty()) return std::nullopt;
-  StreamUpdate u = std::move(queue_.front());
-  queue_.pop_front();
-  return u;
+  while (cursor_ == day_.size() && next_day_ < days_) load_day(next_day_++);
+  if (cursor_ == day_.size()) return std::nullopt;
+  return day_[cursor_++];
 }
 
 void fast_forward(UpdateFeed& feed, std::uint64_t n) {

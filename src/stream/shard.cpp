@@ -1,6 +1,7 @@
 #include "moas/stream/shard.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "moas/util/assert.h"
 
@@ -14,15 +15,19 @@ namespace {
 /// a per-ASN cost for the origin sets.
 constexpr std::uint64_t kShardBaseBytes = 256;
 constexpr std::uint64_t kMapNodeBytes = 64;
-// Per origin-set member, sized as a std::set node. AsnSet members are
-// 4-byte vector slots, so this overstates; changing it moves evictions.
+// Per origin-set member, sized as a std::set node when each state owned its
+// sets. A state now holds two handles onto sets shared through the
+// MoasList pool, so this charges storage the shard no longer owns; it stays
+// until the fingerprint can move (ROADMAP item 6), since changing it moves
+// evictions.
 constexpr std::uint64_t kAsnBytes = 48;
 constexpr std::uint64_t kGapBytes = 16;
 
 /// One prefix entry: its map node plus the state.
 std::uint64_t state_bytes(const PrefixState& st) {
   return kMapNodeBytes + 96 +
-         kAsnBytes * static_cast<std::uint64_t>(st.reference.size() + st.observed.size());
+         kAsnBytes *
+             static_cast<std::uint64_t>(st.reference.set().size() + st.observed.set().size());
 }
 
 std::uint64_t alarm_bytes(const core::MoasAlarm& a) {
@@ -31,9 +36,13 @@ std::uint64_t alarm_bytes(const core::MoasAlarm& a) {
                                                       a.offending_origins.size());
 }
 
-/// observed introduces no origin outside the reference list.
-bool covered_by(const bgp::AsnSet& reference, const bgp::AsnSet& observed) {
-  return std::includes(reference.begin(), reference.end(), observed.begin(), observed.end());
+/// observed introduces no origin outside the reference list. Equal sets
+/// are one handle, so the common case is a pointer compare.
+bool covered_by(const core::MoasList reference, const core::MoasList observed) {
+  if (reference == observed) return true;
+  const bgp::AsnSet& r = reference.set();
+  const bgp::AsnSet& o = observed.set();
+  return std::includes(r.begin(), r.end(), o.begin(), o.end());
 }
 
 /// durations/latencies <underflow> <overflow> <count> <sum> <min> <max>
@@ -62,9 +71,8 @@ DetectorShard::DetectorShard(ShardConfig config)
   log_.set_retention(config.alarm_retention);
 }
 
-void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bool full) {
-  auto [it, fresh] = states_.try_emplace(u.prefix);
-  PrefixState& st = it->second;
+void DetectorShard::process(const int flush_day, const StreamUpdate& u, PrefixState& st,
+                            const bool fresh, const bool full) {
   const std::uint64_t before = fresh ? 0 : state_bytes(st);
   if (fresh) {
     st.reference = u.origins;  // first sight: adopt as the MOAS list
@@ -78,10 +86,10 @@ void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bo
       alarm.at = u.at;
       alarm.observer = kStreamObserver;
       alarm.prefix = u.prefix;
-      alarm.reference_list = st.reference;
-      alarm.observed_list = u.origins;
-      for (const bgp::Asn asn : u.origins) {
-        if (!st.reference.contains(asn)) alarm.offending_origins.insert(asn);
+      alarm.reference_list = st.reference.set();
+      alarm.observed_list = u.origins.set();
+      for (const bgp::Asn asn : u.origins.set()) {
+        if (!st.reference.set().contains(asn)) alarm.offending_origins.insert(asn);
       }
       alarm.cause = core::MoasAlarm::Cause::ListMismatch;
       const std::uint64_t cost = alarm_bytes(alarm);
@@ -115,17 +123,18 @@ void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bo
   } else if (st.alarm_id >= 0) {
     // The announced set is covered by the reference again: conflict over.
     close_alarm(u.prefix, st, core::MoasAlarm::State::Resolved, u.at);
-    st.observed.clear();
+    st.observed = {};
   }
 
-  const bool accrues = u.origins.size() >= 2 && u.day > st.last_moas_day;
+  const std::size_t origins = u.origins.set().size();
+  const bool accrues = origins >= 2 && u.day > st.last_moas_day;
   if (full) {
     ++counters_.processed;
     if (accrues) {
       ++st.duration_days;
       st.last_moas_day = u.day;
     }
-    st.max_origins = std::max(st.max_origins, u.origins.size());
+    st.max_origins = std::max(st.max_origins, origins);
   } else {
     ++counters_.shed_updates;
     if (accrues) ++counters_.moas_days_shed;
@@ -153,14 +162,14 @@ void DetectorShard::process_day(const int day, const std::vector<chaos::GapWindo
   std::size_t full_used = 0;
   for (const StreamUpdate* u : batch) {
     MOAS_REQUIRE(!u->malformed, "malformed update reached a shard");
-    const auto it = states_.find(u->prefix);
-    const bool alarm_open = it != states_.end() && it->second.alarm_id >= 0;
+    const auto [it, fresh] = states_.try_emplace(u->prefix);
+    const bool alarm_open = it->second.alarm_id >= 0;
     // Admission control: alarm-carrying prefixes always get the full path;
     // everyone else does until the day's capacity runs out.
     const bool full =
         alarm_open || config_.day_capacity == 0 || full_used < config_.day_capacity;
     if (full && !alarm_open) ++full_used;
-    process(day, *u, full);
+    process(day, *u, it->second, fresh, full);
   }
   end_day(day);
 }
@@ -175,41 +184,56 @@ void DetectorShard::end_day(const int day) {
     PrefixState& st = states_.find(prefix)->second;
     const std::uint64_t before = state_bytes(st);
     close_alarm(prefix, st, core::MoasAlarm::State::Expired, static_cast<double>(day) + 1.0);
-    st.reference.insert(st.observed.begin(), st.observed.end());
-    st.observed.clear();
+    bgp::AsnSet adopted = st.reference.set();
+    adopted.insert(st.observed.set().begin(), st.observed.set().end());
+    st.reference = core::MoasList::of(adopted);
+    st.observed = {};
     bytes_held_ = bytes_held_ + state_bytes(st) - before;
   }
 
-  if (config_.memory_budget_bytes > 0 && bytes_held_ > config_.memory_budget_bytes) {
-    // Two eviction passes over alarm-free prefixes, coldest first: idle
-    // ones, then (under sustained pressure) warm ones too.
-    std::vector<std::pair<int, net::Prefix>> idle;
-    std::vector<std::pair<int, net::Prefix>> warm;
-    for (const auto& [prefix, st] : states_) {
-      if (st.alarm_id >= 0) continue;
-      auto& bucket = (day - st.last_day >= config_.evict_idle_days) ? idle : warm;
-      bucket.emplace_back(st.last_day, prefix);
-    }
-    std::sort(idle.begin(), idle.end());
-    std::sort(warm.begin(), warm.end());
-
-    const auto evict_from = [&](const std::vector<std::pair<int, net::Prefix>>& order,
-                                const bool live) {
-      for (const auto& [last_day, prefix] : order) {
-        if (bytes_held_ <= config_.memory_budget_bytes) return;
-        const auto it = states_.find(prefix);
-        const PrefixState& st = it->second;
-        if (st.duration_days > 0) durations_.add(static_cast<double>(st.duration_days));
-        bytes_held_ -= state_bytes(st);
-        ++counters_.evicted_prefixes;
-        if (live) ++counters_.evicted_live;
-        states_.erase(it);
-      }
-    };
-    evict_from(idle, false);
-    evict_from(warm, true);
-  }
+  if (config_.memory_budget_bytes > 0 && bytes_held_ > config_.memory_budget_bytes) evict(day);
   peak_bytes_ = std::max(peak_bytes_, bytes_held_);
+}
+
+void DetectorShard::evict(const int day) {
+  // Two passes over alarm-free prefixes, coldest first: idle ones, then
+  // (under sustained pressure) warm ones too. A candidate is (last_day,
+  // position); positions follow prefix order, so candidates order as
+  // (last_day, prefix) do. Each pass pops a min-heap, so only the victims
+  // are ever put in order.
+  using Candidate = std::pair<int, std::size_t>;
+  std::vector<Candidate> idle;
+  std::vector<Candidate> warm;
+  std::size_t position = 0;
+  for (const auto& [prefix, st] : states_) {
+    if (st.alarm_id < 0) {
+      auto& bucket = (day - st.last_day >= config_.evict_idle_days) ? idle : warm;
+      bucket.emplace_back(st.last_day, position);
+    }
+    ++position;
+  }
+
+  std::vector<bool> victim(states_.size(), false);
+  const auto evict_from = [&](std::vector<Candidate>& order, const bool live) {
+    std::make_heap(order.begin(), order.end(), std::greater<>{});
+    for (auto end = order.end(); end != order.begin(); --end) {
+      if (bytes_held_ <= config_.memory_budget_bytes) return;
+      std::pop_heap(order.begin(), end, std::greater<>{});
+      const std::size_t at = (end - 1)->second;
+      const PrefixState& st = (states_.begin() + static_cast<std::ptrdiff_t>(at))->second;
+      if (st.duration_days > 0) durations_.add(static_cast<double>(st.duration_days));
+      bytes_held_ -= state_bytes(st);
+      ++counters_.evicted_prefixes;
+      if (live) ++counters_.evicted_live;
+      victim[at] = true;
+    }
+  };
+  evict_from(idle, false);
+  evict_from(warm, true);
+
+  // One compaction pass; erase_if visits the entries in order.
+  position = 0;
+  states_.erase_if([&](const auto&) { return victim[position++]; });
 }
 
 void DetectorShard::finish(const double at) {
@@ -301,6 +325,14 @@ void DetectorShard::describe(IO& io, Shard& s, LogHead& head, Alarms& alarms) {
 }
 
 void DetectorShard::save(CheckpointWriter& w) const {
+  // Each state line reads its reference set two dependent loads away (the
+  // pool entry, then its members), and formatting a line takes too long
+  // for the core to overlap one state's misses with the next one's. This
+  // tight pass overlaps them: the walk then finds the sets in cache.
+  for (const auto& [prefix, st] : states_) {
+    const bgp::AsnSet& reference = st.reference.set();
+    if (!reference.empty()) __builtin_prefetch(&*reference.begin());
+  }
   LogHead head{log_.first_retained(), log_.compacted_by_state(), log_.compacted_by_cause()};
   describe(w, *this, head, log_.alarms());
 }

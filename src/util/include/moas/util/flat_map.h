@@ -29,6 +29,8 @@ namespace moas::util {
 template <typename Key, typename Value, typename Compare = std::less<Key>>
 class FlatMap {
  public:
+  using key_type = Key;
+  using mapped_type = Value;
   using value_type = std::pair<Key, Value>;
   using iterator = typename std::vector<value_type>::iterator;
   using const_iterator = typename std::vector<value_type>::const_iterator;
@@ -97,6 +99,22 @@ class FlatMap {
 
   iterator erase(iterator it) { return data_.erase(it); }
   iterator erase(const_iterator it) { return data_.erase(it); }
+
+  /// Erases every entry `pred` holds for in one compaction pass, where n
+  /// single erases would shift the tail n times. `pred` sees each entry
+  /// once, in key order. Returns the number erased.
+  template <typename Pred>
+  std::size_t erase_if(Pred pred) {
+    auto kept = data_.begin();
+    for (auto it = data_.begin(); it != data_.end(); ++it) {
+      if (pred(std::as_const(*it))) continue;
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
+    }
+    const auto erased = static_cast<std::size_t>(data_.end() - kept);
+    data_.erase(kept, data_.end());
+    return erased;
+  }
 
   /// Contiguous heap footprint of the container itself (capacity, not just
   /// size — slack is real memory). Excludes whatever the values own.

@@ -241,6 +241,25 @@ TEST(FlatMap, FindEraseAndAssignSemantics) {
   EXPECT_EQ(flat, other);
 }
 
+TEST(FlatMap, EraseIfVisitsInKeyOrderAndCompactsOnce) {
+  // The stream shard marks eviction victims by position and relies on
+  // erase_if seeing each entry once, in key order.
+  util::FlatMap<int, int> flat;
+  for (int key : {4, 0, 3, 1, 2, 5}) flat.try_emplace(key, 10 * key);
+
+  std::vector<int> seen;
+  const std::vector<bool> victim = {false, true, true, false, true, false};
+  std::size_t position = 0;
+  EXPECT_EQ(flat.erase_if([&](const std::pair<int, int>& entry) {
+              seen.push_back(entry.first);
+              return victim[position++];
+            }),
+            3u);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  std::vector<std::pair<int, int>> kept(flat.begin(), flat.end());
+  EXPECT_EQ(kept, (std::vector<std::pair<int, int>>{{0, 0}, {3, 30}, {5, 50}}));
+}
+
 TEST(FlatSet, SortedUniqueMembership) {
   util::FlatSet<int> set;
   EXPECT_TRUE(set.insert(5));

@@ -40,6 +40,34 @@ TEST(CheckpointFraming, WriterReaderRoundTrip) {
   EXPECT_THROW(reader.next(), std::invalid_argument);  // logical truncation
 }
 
+TEST(CheckpointFraming, ImagesLongerThanTheWriterBufferRoundTrip) {
+  // The writer hashes and writes its buffer a piece at a time; the reader
+  // hashes the whole image at once. A 400 KB image, one of its lines
+  // longer than the buffer, must still verify and read back intact.
+  std::ostringstream os;
+  CheckpointWriter writer(os);
+  const std::string wide(100'000, 'x');
+  for (std::uint64_t i = 0; i < 20'000; ++i) {
+    writer.line("n").u64(i).i64(-static_cast<std::int64_t>(i));
+    if (i == 10'000) writer.line(wide);
+  }
+  writer.finish();
+
+  std::istringstream is(os.str());
+  CheckpointReader reader(is);
+  for (std::uint64_t i = 0; i < 20'000; ++i) {
+    std::uint64_t u = 0;
+    std::int64_t n = 0;
+    reader.line("n").u64(u).i64(n);
+    ASSERT_EQ(u, i);
+    ASSERT_EQ(n, -static_cast<std::int64_t>(i));
+    if (i == 10'000) {
+      ASSERT_EQ(reader.next(), wide);
+    }
+  }
+  EXPECT_TRUE(reader.done());
+}
+
 TEST(CheckpointFraming, DoubleBitsAreBitExact) {
   for (const double v : {0.0, -0.0, 1.0 / 3.0, -123.456e-30, 0.1 + 0.2,
                          std::numeric_limits<double>::denorm_min(),
@@ -535,6 +563,25 @@ TEST(CheckpointRestore, DupListBeyondTheWindowIsRejected) {
   EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument);
 }
 
+TEST(CheckpointRestore, RepeatedDupSeqIsRejected) {
+  // dup <n> <seq>...: a live window never holds a seq twice. A repeat would
+  // leave the dedup table one member short of the FIFO, and the erase that
+  // later slides the repeat out would probe for a seq that is not there.
+  const std::string image = fuzz_image();
+  ASSERT_FALSE(image.empty());
+  std::vector<std::string> lines = payload_lines(image);
+  const auto dup = std::find_if(lines.begin(), lines.end(), [](const std::string& line) {
+    return line.rfind("dup ", 0) == 0;
+  });
+  ASSERT_NE(dup, lines.end());
+  std::vector<std::string> tokens = util::split(*dup, ' ');
+  ASSERT_GE(tokens.size(), 4u);
+  tokens[3] = tokens[2];
+  *dup = util::join(tokens, " ");
+  std::istringstream is(reseal(lines));
+  EXPECT_THROW(StreamDetector::restore_checkpoint(is, crash_config()), std::invalid_argument);
+}
+
 TEST(CheckpointRestore, OutOfRangeAlarmEnumsAreRejected) {
   // alarm <at> <settled_at> <observer> <cause> <state> ...
   const std::string image = fuzz_image();
@@ -608,7 +655,9 @@ TEST_P(CheckpointFuzz, ResealedMutationsRestoreOrReject) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzz, ::testing::Values(1, 2, 3, 4));
+// Each seed's one-digit and small-count edits of the dup line also repeat
+// a seq a dozen times or more, which restore must reject, not merge.
+INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzz, ::testing::Values(1, 2, 3, 4, 5));
 
 }  // namespace
 }  // namespace moas::stream

@@ -109,6 +109,44 @@ TEST(StreamDetector, ChurnExpiresViaTtlAndAdopts) {
     for (const auto& a : detector.merged_alarms()) alarms += a.prefix == o.prefix ? 1 : 0;
     EXPECT_EQ(alarms, 1u) << o.prefix.to_string();
   }
+
+  // Replay again up to the last TTL expiry (finish expires nothing yet):
+  // each adopted reference is the interned union of the case's origins and
+  // the churned one, and a checkpoint taken there restores equal at any
+  // --jobs.
+  TraceReplaySource replay(trace, overrides);
+  StreamDetector live(small_config());
+  const auto expired = [&] {
+    std::uint64_t n = 0;
+    for (const DetectorShard& shard : live.shards()) n += shard.counters().alarms_expired;
+    return n;
+  };
+  while (expired() < overrides.size()) {
+    auto u = replay.next();
+    ASSERT_TRUE(u.has_value());
+    live.ingest(std::move(*u));
+  }
+  for (const auto& o : overrides) {
+    const auto c = std::find_if(trace.cases.begin(), trace.cases.end(),
+                                [&](const measure::SyntheticCase& k) { return k.prefix == o.prefix; });
+    ASSERT_NE(c, trace.cases.end());
+    bgp::AsnSet adopted = c->origins;
+    adopted.insert(o.add_origin);
+    const auto& states = live.shards()[live.shard_of(o.prefix)].states();
+    const auto st = states.find(o.prefix);
+    ASSERT_NE(st, states.end()) << o.prefix.to_string();
+    EXPECT_TRUE(st->second.reference == core::MoasList::of(adopted)) << o.prefix.to_string();
+    EXPECT_TRUE(st->second.observed.empty()) << o.prefix.to_string();
+  }
+  std::ostringstream image;
+  live.save_checkpoint(image);
+  for (const std::size_t jobs : {1u, 4u}) {
+    StreamConfig config = small_config();
+    config.jobs = jobs;
+    std::istringstream is(image.str());
+    const StreamDetector restored = StreamDetector::restore_checkpoint(is, config);
+    EXPECT_TRUE(restored == live) << "jobs=" << jobs;
+  }
 }
 
 /// A hand-made update: `prefix` announced by `origins` on `day`.
@@ -119,8 +157,44 @@ StreamUpdate update_on(std::uint64_t seq, int day, const net::Prefix& prefix,
   u.day = day;
   u.at = static_cast<double>(day) + intra_day_frac(prefix);
   u.prefix = prefix;
-  u.origins = std::move(origins);
+  u.origins = core::MoasList::of(origins);
   return u;
+}
+
+TEST(StreamDetector, DedupWindowSuppressesWithinItAndForgetsBeyondIt) {
+  // Direct ingest calls, one prefix, one day. A seq delivered again while
+  // it is among the last kDupWindow admitted is suppressed; once kDupWindow
+  // other seqs were admitted after it, it is delivered. The window first
+  // slides twice its length, so the dedup table has erased thousands of
+  // members, and the second pass saves and restores half way through.
+  const net::Prefix prefix(net::Ipv4Addr(10, 3, 0, 0), 16);
+  const auto admitted = [&](StreamDetector& d, const std::uint64_t seq) {
+    const std::uint64_t before = d.front_counters().duplicates_suppressed;
+    d.ingest(update_on(seq, 0, prefix, bgp::AsnSet{1}));
+    return d.front_counters().duplicates_suppressed == before;
+  };
+  const std::uint64_t probe = 2 * kDupWindow;
+  for (const bool restore : {false, true}) {
+    StreamDetector detector(small_config());
+    for (std::uint64_t seq = 0; seq < probe + kDupWindow; ++seq) {
+      ASSERT_TRUE(admitted(detector, seq)) << seq;
+      if (restore && seq == probe + kDupWindow / 2) {
+        std::ostringstream image;
+        detector.save_checkpoint(image);
+        std::istringstream is(image.str());
+        detector = StreamDetector::restore_checkpoint(is, small_config());
+      }
+    }
+    // The window is [probe, probe + kDupWindow): all suppressed, and the
+    // seq just before it is forgotten. Suppression changes no state.
+    for (std::uint64_t seq = probe; seq < probe + kDupWindow; ++seq) {
+      EXPECT_FALSE(admitted(detector, seq)) << seq << " restore=" << restore;
+    }
+    EXPECT_TRUE(admitted(detector, probe - 1)) << "restore=" << restore;
+    // That re-admission slid `probe` out; its successor is still in.
+    EXPECT_FALSE(admitted(detector, probe + 1)) << "restore=" << restore;
+    EXPECT_TRUE(admitted(detector, probe)) << "restore=" << restore;
+  }
 }
 
 TEST(StreamDetector, ReRaisedConflictExpiresOneTtlAfterTheReRaise) {
