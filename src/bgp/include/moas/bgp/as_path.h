@@ -5,11 +5,12 @@
 // footnote 1). The "origin AS" is the last element; when the last segment is
 // a set, any member is a candidate origin.
 //
-// Representation: AsPath is a handle onto a process-wide interned PathData
-// (see intern.h / DESIGN.md §13). A converged RIB holds the same few paths
-// hundreds of thousands of times; structural sharing makes each copy one
-// pointer, equality one pointer compare, and selection_length() a cached
-// field instead of an O(segments) walk per decision-process comparison.
+// Representation: AsPath is a handle onto an interned PathData in the
+// current intern arena (see intern.h / DESIGN.md §13). A converged RIB
+// holds the same few paths hundreds of thousands of times; structural
+// sharing makes each copy one pointer, equality one pointer compare, and
+// selection_length() a cached field instead of an O(segments) walk per
+// decision-process comparison.
 // Value semantics are unchanged: ordering still compares segment contents,
 // mutators rebuild and re-intern, and nothing observable depends on where
 // the shared data lives.
@@ -28,6 +29,8 @@
 
 namespace moas::bgp {
 
+class AsPath;
+
 /// One path segment.
 struct PathSegment {
   enum class Kind { Sequence, Set };
@@ -43,11 +46,12 @@ namespace intern {
 
 /// One interned AS path: the canonical copy of a segment vector, plus the
 /// derived values every holder would otherwise recompute. Lives in the
-/// process-wide arena (stable address for the life of the process); all
-/// AsPath handles with equal contents point at the same PathData.
+/// arena that interned it (stable address for the life of that arena); all
+/// AsPath handles of one arena with equal contents point at the same
+/// PathData.
 struct PathData {
   std::vector<PathSegment> segments;
-  /// Stable 32-bit id, unique per distinct path value within a process.
+  /// Stable 32-bit id, unique per distinct path value within an arena.
   /// Assignment order depends on thread interleaving — ids are for
   /// diagnostics and tests, never for output or ordering.
   std::uint32_t id = 0;
@@ -55,9 +59,14 @@ struct PathData {
   std::uint32_t selection_length = 0;
 };
 
-/// Canonical handle for `segments`; nullptr for the empty path. Thread-safe;
-/// the returned pointer is valid for the rest of the process.
+/// Canonical handle for `segments` in the calling thread's current arena;
+/// nullptr for the empty path. Thread-safe; the returned pointer is valid
+/// for the life of that arena (the process arena outside a run).
 const PathData* make_path(std::vector<PathSegment> segments);
+
+/// `path` with its segments interned into the process arena, for a handle
+/// that must outlive the run arena that interned it.
+AsPath to_process_arena(const AsPath& path);
 
 /// The shared empty segment vector (what AsPath::segments() returns for the
 /// empty path).
@@ -106,7 +115,7 @@ class AsPath {
   /// origin_candidates() without the copy: a view into the interned
   /// trailing segment, ascending and duplicate-free (a set segment is
   /// stored sorted; a sequence contributes its last element). Valid for the
-  /// life of the process, like the handle itself.
+  /// life of the handle's arena, like the handle itself.
   std::span<const Asn> origin_view() const;
 
   bool empty() const { return data_ == nullptr; }
@@ -115,7 +124,7 @@ class AsPath {
   }
 
   /// The interned id (0 for the empty path). Diagnostics/tests only — ids
-  /// are process-local and interleaving-dependent; never emit them.
+  /// are arena-local and interleaving-dependent; never emit them.
   std::uint32_t intern_id() const { return data_ ? data_->id : 0; }
 
   /// "3 2 1" with set segments braced: "3 {4,5}".
@@ -124,7 +133,8 @@ class AsPath {
   /// Parse the to_string format. Returns nullopt on malformed input.
   static std::optional<AsPath> parse(std::string_view s);
 
-  /// Interning canonicalizes: equal contents == same pointer.
+  /// Interning canonicalizes within an arena: equal contents == same
+  /// pointer. Handles from two arenas compare by <=>, never by ==.
   friend bool operator==(const AsPath& a, const AsPath& b) { return a.data_ == b.data_; }
   /// Value ordering, identical to the pre-intern defaulted comparison over
   /// the segment vector (with a pointer fast path for the equal case).
@@ -134,6 +144,7 @@ class AsPath {
   }
 
  private:
+  friend AsPath intern::to_process_arena(const AsPath& path);
   explicit AsPath(const intern::PathData* data) : data_(data) {}
 
   const intern::PathData* data_ = nullptr;

@@ -7,10 +7,11 @@
 // attribute only has a 2-octet AS field; members with 4-octet ASNs (RFC
 // 6793) ride a large community <asn:MLVal:0> instead — see core/moas_list.h.
 //
-// CommunitySet / LargeCommunitySet are handles onto process-wide interned
-// sorted vectors (see intern.h / as_path.h for the representation
-// rationale): a MOAS list is carried by every copy of the route in every
-// Adj-RIB-In, so structural sharing is what keeps multi-prefix RIBs small.
+// CommunitySet / LargeCommunitySet are handles onto interned sorted vectors
+// in the current intern arena (see intern.h / as_path.h for the
+// representation rationale): a MOAS list is carried by every copy of the
+// route in every Adj-RIB-In, so structural sharing is what keeps
+// multi-prefix RIBs small.
 #pragma once
 
 #include <compare>
@@ -79,6 +80,9 @@ class LargeCommunity {
   std::uint32_t data2_ = 0;
 };
 
+class CommunitySet;
+class LargeCommunitySet;
+
 namespace intern {
 
 /// One interned community set: the canonical sorted duplicate-free value
@@ -93,10 +97,16 @@ struct LargeCommunitySetData {
   std::uint32_t id = 0;
 };
 
-/// Canonical handle for `values` (sorted + deduplicated internally);
-/// nullptr for the empty set. Thread-safe; pointers live for the process.
+/// Canonical handle for `values` (sorted + deduplicated internally) in the
+/// calling thread's current arena; nullptr for the empty set. Thread-safe;
+/// pointers live as long as that arena (the process arena outside a run).
 const CommunitySetData* make_community_set(std::vector<Community> values);
 const LargeCommunitySetData* make_large_community_set(std::vector<LargeCommunity> values);
+
+/// `set` with its values interned into the process arena, for a handle that
+/// must outlive the run arena that interned it.
+CommunitySet to_process_arena(const CommunitySet& set);
+LargeCommunitySet to_process_arena(const LargeCommunitySet& set);
 
 const std::vector<Community>& empty_communities();
 const std::vector<LargeCommunity>& empty_large_communities();
@@ -125,8 +135,8 @@ class CommunitySet {
   /// Diagnostics/tests only (see AsPath::intern_id).
   std::uint32_t intern_id() const { return data_ ? data_->id : 0; }
 
-  /// The interned data (nullptr for the empty set): a stable identity for
-  /// memo keys.
+  /// The interned data (nullptr for the empty set): an identity for memo
+  /// keys, stable for the life of its arena.
   const intern::CommunitySetData* interned() const { return data_; }
 
   /// "AS:val AS:val ..." in ascending raw order.
@@ -141,6 +151,9 @@ class CommunitySet {
   }
 
  private:
+  friend CommunitySet intern::to_process_arena(const CommunitySet& set);
+  explicit CommunitySet(const intern::CommunitySetData* data) : data_(data) {}
+
   const intern::CommunitySetData* data_ = nullptr;
 };
 
@@ -179,6 +192,9 @@ class LargeCommunitySet {
   }
 
  private:
+  friend LargeCommunitySet intern::to_process_arena(const LargeCommunitySet& set);
+  explicit LargeCommunitySet(const intern::LargeCommunitySetData* data) : data_(data) {}
+
   const intern::LargeCommunitySetData* data_ = nullptr;
 };
 

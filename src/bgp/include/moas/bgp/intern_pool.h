@@ -1,11 +1,12 @@
 // The sharded hash-consing pool behind the intern handles (intern.h), for
 // code that keeps a pool of its own; handle users need only intern.h.
 //
-// A pool holds each distinct payload once in a per-shard std::deque arena
-// (stable addresses, never freed), indexed by a hash set keyed on the
-// content hash. Shards are picked by that hash, one mutex each. The three
-// bgp pools are summed by pool_stats(); core::MoasList keeps another
-// instance that pool_stats() does not read (DESIGN.md §13).
+// A pool holds each distinct payload once in a per-shard std::deque
+// (stable addresses, freed only with the pool), indexed by a hash set keyed
+// on the content hash. Shards are picked by that hash, one mutex each. An
+// intern arena is three pools, which pool_stats() sums; core::MoasList
+// keeps another, process-wide instance that pool_stats() does not read
+// (DESIGN.md §13).
 #pragma once
 
 #include <algorithm>
@@ -153,7 +154,7 @@ class Pool {
 
   struct Shard {
     mutable std::mutex mutex;
-    std::deque<Data> arena;  // stable addresses for the life of the process
+    std::deque<Data> arena;  // stable addresses for the life of the pool
     std::unordered_set<Key, Hash, Eq> index;
     std::size_t payload_bytes = 0;
   };

@@ -79,7 +79,7 @@ class AdjRibIn {
 
   /// Heap bytes of the table containers themselves (rows, index, stale
   /// bookkeeping) — excludes the interned attribute data the entries
-  /// share (intern::pool_stats() accounts for that once, process-wide).
+  /// share (intern::pool_stats() accounts for that once per arena).
   std::size_t container_bytes() const;
 
   // --- graceful restart (RFC 4724) stale-route tracking ---------------------

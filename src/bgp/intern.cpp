@@ -50,25 +50,31 @@ void shrink(std::vector<PathSegment>& segments) {
   segments.shrink_to_fit();
 }
 
+/// One arena: the three pools every handle interns into.
+struct Arena {
+  Pool<PathData, std::vector<PathSegment>> paths;
+  Pool<CommunitySetData, std::vector<Community>> communities;
+  Pool<LargeCommunitySetData, std::vector<LargeCommunity>> large_communities;
+};
+
 namespace {
 
-// Meyers singletons: constructed on first intern, destroyed at static
-// teardown in reverse construction order (so they outlive anything built
-// after program start; handles held by other statics of earlier
-// construction would be the only hazard, and none exist).
-Pool<PathData, std::vector<PathSegment>>& path_pool() {
-  static Pool<PathData, std::vector<PathSegment>> pool;
-  return pool;
+// Constructed on first intern, destroyed at static teardown in reverse
+// construction order (so it outlives anything built after program start;
+// handles held by other statics of earlier construction would be the only
+// hazard, and none exist).
+Arena& process_arena() {
+  static Arena arena;
+  return arena;
 }
 
-Pool<CommunitySetData, std::vector<Community>>& community_pool() {
-  static Pool<CommunitySetData, std::vector<Community>> pool;
-  return pool;
-}
+// The innermost ScopedArena of this thread, or null outside any scope.
+thread_local Arena* t_scoped = nullptr;
+thread_local std::uint64_t t_generation = 0;
 
-Pool<LargeCommunitySetData, std::vector<LargeCommunity>>& large_community_pool() {
-  static Pool<LargeCommunitySetData, std::vector<LargeCommunity>> pool;
-  return pool;
+Arena& current_arena() {
+  Arena* scoped = t_scoped;
+  return scoped ? *scoped : process_arena();
 }
 
 std::uint32_t path_selection_length(const std::vector<PathSegment>& segments) {
@@ -79,13 +85,43 @@ std::uint32_t path_selection_length(const std::vector<PathSegment>& segments) {
   return static_cast<std::uint32_t>(n);
 }
 
-}  // namespace
-
-const PathData* make_path(std::vector<PathSegment> segments) {
+const PathData* intern_path(Arena& arena, std::vector<PathSegment> segments) {
   if (segments.empty()) return nullptr;
-  return path_pool().intern(std::move(segments), [](PathData& entry) {
+  return arena.paths.intern(std::move(segments), [](PathData& entry) {
     entry.selection_length = path_selection_length(entry.segments);
   });
+}
+
+// Sorts and dedupes `values` first: the pools hold canonical sets.
+template <typename Data, typename T>
+const Data* intern_set(Pool<Data, std::vector<T>>& pool, std::vector<T> values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  if (values.empty()) return nullptr;
+  return pool.intern(std::move(values), [](Data&) {});
+}
+
+}  // namespace
+
+ScopedArena::ScopedArena() : arena_(std::make_unique<Arena>()), previous_(t_scoped) {
+  t_scoped = arena_.get();
+}
+
+ScopedArena::~ScopedArena() {
+  t_scoped = previous_;
+  ++t_generation;
+}
+
+bool in_scoped_arena() { return t_scoped != nullptr; }
+
+std::uint64_t arena_generation() { return t_generation; }
+
+const PathData* make_path(std::vector<PathSegment> segments) {
+  return intern_path(current_arena(), std::move(segments));
+}
+
+AsPath to_process_arena(const AsPath& path) {
+  return AsPath(intern_path(process_arena(), path.segments()));
 }
 
 const std::vector<PathSegment>& empty_path_segments() {
@@ -94,17 +130,19 @@ const std::vector<PathSegment>& empty_path_segments() {
 }
 
 const CommunitySetData* make_community_set(std::vector<Community> values) {
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  if (values.empty()) return nullptr;
-  return community_pool().intern(std::move(values), [](CommunitySetData&) {});
+  return intern_set(current_arena().communities, std::move(values));
 }
 
 const LargeCommunitySetData* make_large_community_set(std::vector<LargeCommunity> values) {
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  if (values.empty()) return nullptr;
-  return large_community_pool().intern(std::move(values), [](LargeCommunitySetData&) {});
+  return intern_set(current_arena().large_communities, std::move(values));
+}
+
+CommunitySet to_process_arena(const CommunitySet& set) {
+  return CommunitySet(intern_set(process_arena().communities, set.values()));
+}
+
+LargeCommunitySet to_process_arena(const LargeCommunitySet& set) {
+  return LargeCommunitySet(intern_set(process_arena().large_communities, set.values()));
 }
 
 const std::vector<Community>& empty_communities() {
@@ -118,10 +156,11 @@ const std::vector<LargeCommunity>& empty_large_communities() {
 }
 
 PoolStats pool_stats() {
+  const Arena& arena = current_arena();
   PoolStats out;
-  out.paths = path_pool().usage();
-  out.community_sets = community_pool().usage();
-  out.large_community_sets = large_community_pool().usage();
+  out.paths = arena.paths.usage();
+  out.community_sets = arena.communities.usage();
+  out.large_community_sets = arena.large_communities.usage();
   return out;
 }
 

@@ -383,10 +383,11 @@ std::optional<Route> Router::rebuild_export(Asn peer, const net::Prefix& prefix)
   auto it = peers_.find(peer);
   MOAS_REQUIRE(it != peers_.end(), "unknown peer");
   const RibEntry* entry = loc_rib_.best(prefix);
-  if (!entry || !export_permitted(*entry, it->second)) return std::nullopt;
-  Route out = exported_route(*entry);
-  if (entry->learned_from == peer) return std::nullopt;  // split horizon
-  return out;
+  // Split horizon before building the route: the build interns a path.
+  if (!entry || entry->learned_from == peer || !export_permitted(*entry, it->second)) {
+    return std::nullopt;
+  }
+  return exported_route(*entry);
 }
 
 std::optional<Asn> Router::best_origin(const net::Prefix& prefix) const {

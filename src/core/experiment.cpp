@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 
+#include "moas/bgp/intern.h"
 #include "moas/chaos/engine.h"
 #include "moas/chaos/invariants.h"
 #include "moas/core/moas_invariants.h"
@@ -117,6 +118,12 @@ RunResult Experiment::run_with(const bgp::AsnSet& origins, const bgp::AsnSet& at
     MOAS_REQUIRE(graph_->has_node(o), "origin not in topology");
     MOAS_REQUIRE(!attackers.contains(o), "an origin cannot also be an attacker");
   }
+  // The run interns into its own arena, freed when it returns: a sweep
+  // process then holds one run's paths, not every finished run's. Both
+  // engines run on this thread, and run_wave passes its engine no pool, so
+  // every intern of the run lands here; Run::finish moves the final RIBs
+  // into the process arena.
+  const bgp::intern::ScopedArena arena;
   if (config_.engine == Engine::Wave) return run_wave(origins, attackers, seed);
   return run_event(origins, attackers, seed);
 }

@@ -102,8 +102,8 @@ class MoasDetector final : public bgp::ImportValidator {
   /// Heap bytes of the per-prefix state: the state table's capacity (which
   /// holds each reference as a MoasList handle), each prefix's supporter
   /// set, and the out-of-line ban tables. The pooled lists behind the
-  /// handles are shared process-wide and not counted, nor are in-flight
-  /// async conflicts.
+  /// handles live in the process-wide MoasList pool (no run arena holds
+  /// them) and are not counted, nor are in-flight async conflicts.
   std::size_t state_bytes() const;
 
  private:

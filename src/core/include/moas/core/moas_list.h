@@ -74,8 +74,9 @@ bool has_explicit_moas_list(const bgp::Route& route);
 /// becomes a pointer compare. The default handle is the empty list.
 ///
 /// The pool is one more bgp::intern::Pool (intern_pool.h: hashed by
-/// content, sharded, one mutex per shard); entries are never freed, so a
-/// handle stays valid for the life of the process. pool_stats() does not
+/// content, sharded, one mutex per shard). It is process-wide, not part of
+/// any intern arena: entries are never freed, so a handle stays valid for
+/// the life of the process, across run arenas. pool_stats() does not
 /// read it (DESIGN.md §13), and a holder's byte accounting counts the
 /// handle, not the shared list.
 class MoasList {
@@ -105,7 +106,9 @@ class MoasList {
 /// decode_moas_list(attrs) as a canonical handle. Each distinct
 /// (community set, large-community set) pair is decoded once per thread
 /// and memoized by the two interned handles, so a repeat costs one hash
-/// probe of a thread-local table: no allocation, no shared lock.
+/// probe of a thread-local table: no allocation, no shared lock. The keys
+/// live only as long as their intern arena, so the memo is dropped when
+/// an arena of the thread dies (bgp::intern::arena_generation).
 MoasList moas_list_of(const bgp::PathAttributes& attrs);
 
 /// Set equality — "the order in the list may differ, but the set of ASes

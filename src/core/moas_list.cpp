@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "moas/bgp/intern.h"
 #include "moas/bgp/intern_pool.h"
 #include "moas/util/assert.h"
 
@@ -41,6 +42,12 @@ struct MemoHash {
   }
 };
 
+struct Memo {
+  std::unordered_map<MemoKey, MoasList, MemoHash> lists;
+  /// The bgp::intern::arena_generation() the entries were made under.
+  std::uint64_t generation = 0;
+};
+
 }  // namespace
 
 MoasList MoasList::of(std::span<const Asn> members) {
@@ -64,12 +71,19 @@ bool MoasList::equals(std::span<const Asn> members) const {
 MoasList moas_list_of(const bgp::PathAttributes& attrs) {
   const MemoKey key{attrs.communities.interned(), attrs.large_communities.interned()};
   if (key.communities == nullptr && key.large == nullptr) return {};
-  // Per thread: the keys are immortal interned handles, so an entry never
-  // goes stale, and no worker waits on another to read it.
-  thread_local std::unordered_map<MemoKey, MoasList, MemoHash> memo;
-  if (const auto it = memo.find(key); it != memo.end()) return it->second;
+  // Per thread, so no worker waits on another to read it. The keys are
+  // handle addresses, valid as long as their arena: the memo forgets every
+  // entry once an arena of this thread has died, since a later arena may
+  // hand the same addresses to other sets.
+  thread_local Memo memo;
+  if (const std::uint64_t generation = bgp::intern::arena_generation();
+      generation != memo.generation) {
+    memo.lists.clear();
+    memo.generation = generation;
+  }
+  if (const auto it = memo.lists.find(key); it != memo.lists.end()) return it->second;
   const MoasList list = MoasList::of(decode_moas_list(attrs));
-  memo.emplace(key, list);
+  memo.lists.emplace(key, list);
   return list;
 }
 

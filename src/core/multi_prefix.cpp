@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "moas/bgp/intern.h"
 #include "moas/core/alarm.h"
 #include "moas/core/detector.h"
 #include "moas/core/resolver.h"
@@ -69,6 +70,11 @@ MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
                "attacked fraction must be in [0, 1]");
   MOAS_REQUIRE(config.deployment_fraction >= 0.0 && config.deployment_fraction <= 1.0,
                "deployment_fraction must be in [0, 1]");
+  // The pool workers intern into the process arena, whatever arena the
+  // caller installed: two arenas in one run would break handle equality.
+  MOAS_REQUIRE(!bgp::intern::in_scoped_arena(),
+               "run_multi_prefix interns into the process arena: call it outside a "
+               "ScopedArena");
 
   const std::vector<bgp::Asn> all_ases = graph.nodes();
   const std::vector<bgp::Asn> stubs = graph.stubs();

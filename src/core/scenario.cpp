@@ -3,10 +3,25 @@
 #include <algorithm>
 #include <cmath>
 
+#include "moas/bgp/intern.h"
 #include "moas/topo/metrics.h"
 #include "moas/topo/route_views.h"
 
 namespace moas::core::scenario {
+
+namespace {
+
+/// `entry` with its three handles re-interned into the process arena, so
+/// it outlives the run arena that interned them.
+bgp::RibEntry intern(bgp::RibEntry entry) {
+  bgp::PathAttributes& attrs = entry.route.attrs;
+  attrs.path = bgp::intern::to_process_arena(attrs.path);
+  attrs.communities = bgp::intern::to_process_arena(attrs.communities);
+  attrs.large_communities = bgp::intern::to_process_arena(attrs.large_communities);
+  return entry;
+}
+
+}  // namespace
 
 std::vector<std::shared_ptr<MoasDetector>> install_detectors(
     Deployment deployment, double fraction, const std::vector<bgp::Asn>& ases,
@@ -202,7 +217,7 @@ double Run::finish(RunResult& result, const RouterAt& at) const {
     for (bgp::Asn asn : ases) {
       const bgp::LocRib& rib = at(asn).loc_rib();
       for (const net::Prefix& prefix : rib.prefixes()) {
-        result.final_ribs.push_back({asn, *rib.best(prefix)});
+        result.final_ribs.push_back({asn, intern(*rib.best(prefix))});
       }
     }
   }

@@ -1,6 +1,6 @@
 // Interning-layer tests: canonicalization (equal contents == same handle),
-// arena lifetime, cached selection length, id stability, mutator
-// re-interning, the thread-safety of the sharded pools, and the FlatMap /
+// arena lifetime and scoped arenas, cached selection length, id stability,
+// mutator re-interning, the thread-safety of the sharded pools, and the FlatMap /
 // FlatSet containers the compact RIBs are built on. This binary carries the
 // `intern` ctest label so the sanitizer CI subset exercises the arena and
 // the lock-free read paths under ASan.
@@ -172,6 +172,91 @@ TEST(InternPools, ConcurrentInterningCanonicalizes) {
       EXPECT_EQ(shared[t][i].intern_id(), shared[0][i].intern_id());
     }
   }
+}
+
+TEST(InternArena, ScopeStartsEmptyAndRestoresTheProcessArena) {
+  AsPath outside({91'001, 91'002});
+  const bgp::intern::PoolStats process = bgp::intern::pool_stats();
+  EXPECT_FALSE(bgp::intern::in_scoped_arena());
+  {
+    const bgp::intern::ScopedArena run;
+    EXPECT_TRUE(bgp::intern::in_scoped_arena());
+    EXPECT_EQ(bgp::intern::pool_stats().paths.entries, 0u);
+    EXPECT_EQ(bgp::intern::pool_stats().paths.payload_bytes, 0u);
+    AsPath inside({91'001, 91'002});
+    bgp::CommunitySet communities{bgp::Community(911, 1), bgp::Community(912, 2)};
+    EXPECT_EQ(bgp::intern::pool_stats().paths.entries, 1u);
+    EXPECT_EQ(bgp::intern::pool_stats().community_sets.entries, 1u);
+    // Equal contents, two arenas: == is identity, the ordering is content.
+    EXPECT_NE(inside, outside);
+    EXPECT_TRUE((inside <=> outside) == 0);
+    {
+      const bgp::intern::ScopedArena nested;
+      EXPECT_EQ(bgp::intern::pool_stats().paths.entries, 0u);
+      AsPath deeper({91'001, 91'002});
+      EXPECT_NE(deeper, inside);
+    }
+    EXPECT_EQ(bgp::intern::pool_stats().paths.entries, 1u);
+    EXPECT_EQ(AsPath({91'001, 91'002}), inside);
+  }
+  EXPECT_FALSE(bgp::intern::in_scoped_arena());
+  const bgp::intern::PoolStats after = bgp::intern::pool_stats();
+  EXPECT_EQ(after.paths.entries, process.paths.entries);
+  EXPECT_EQ(after.total_bytes(), process.total_bytes());
+  EXPECT_EQ(AsPath({91'001, 91'002}), outside);
+}
+
+TEST(InternArena, ProcessCopiesOutliveTheScope) {
+  AsPath kept;
+  bgp::CommunitySet kept_communities;
+  bgp::LargeCommunitySet kept_large;
+  const std::uint64_t generation = bgp::intern::arena_generation();
+  {
+    const bgp::intern::ScopedArena run;
+    AsPath path({92'003, 92'002});
+    path.append_set({92'010, 92'011});
+    const bgp::CommunitySet communities{bgp::Community(921, 1)};
+    const bgp::LargeCommunitySet large{bgp::LargeCommunity(92'000, 1, 2)};
+    kept = bgp::intern::to_process_arena(path);
+    kept_communities = bgp::intern::to_process_arena(communities);
+    kept_large = bgp::intern::to_process_arena(large);
+    EXPECT_TRUE((kept <=> path) == 0);
+    EXPECT_EQ(kept.selection_length(), path.selection_length());
+    EXPECT_TRUE(bgp::intern::to_process_arena(AsPath()).empty());
+    EXPECT_EQ(bgp::intern::arena_generation(), generation);
+  }
+  EXPECT_EQ(bgp::intern::arena_generation(), generation + 1);
+  // The copies are canonical in the process arena and still readable.
+  AsPath expected({92'003, 92'002});
+  expected.append_set({92'010, 92'011});
+  EXPECT_EQ(kept, expected);
+  EXPECT_EQ(kept.to_string(), "92003 92002 {92010,92011}");
+  EXPECT_EQ(kept.selection_length(), 3u);
+  EXPECT_EQ(kept_communities, (bgp::CommunitySet{bgp::Community(921, 1)}));
+  EXPECT_EQ(kept_large, (bgp::LargeCommunitySet{bgp::LargeCommunity(92'000, 1, 2)}));
+}
+
+TEST(InternArena, ConcurrentScopesStayOnTheirThreads) {
+  // Each thread runs arenas of its own in a row while the others intern
+  // into theirs: a thread's values never land in another thread's arena or
+  // in the process arena.
+  constexpr int kThreads = 4;
+  const bgp::intern::PoolStats process = bgp::intern::pool_stats();
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([t] {
+      for (int round = 0; round < 20; ++round) {
+        const bgp::intern::ScopedArena run;
+        for (Asn base = 0; base < 32; ++base) {
+          AsPath path({93'000 + base, 94'000 + static_cast<Asn>(t)});
+          EXPECT_EQ(path, AsPath({93'000 + base, 94'000 + static_cast<Asn>(t)}));
+        }
+        EXPECT_EQ(bgp::intern::pool_stats().paths.entries, 32u);
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(bgp::intern::pool_stats().paths.entries, process.paths.entries);
 }
 
 /// Counts every move, to tell an appending insert from a shifting one.

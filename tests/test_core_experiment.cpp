@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "moas/bgp/intern.h"
 #include "moas/topo/gen_internet.h"
 #include "moas/topo/sampler.h"
 
@@ -240,6 +241,68 @@ TEST(Experiment, SubPrefixHijackEvadesDetection) {
   // The Section 4.3 limitation: full deployment, yet the more-specific
   // hijack captures essentially the whole population.
   EXPECT_GT(result.adopted_false_fraction(), 0.9);
+}
+
+ExperimentConfig wave_config() {
+  ExperimentConfig config;
+  config.engine = Engine::Wave;
+  config.mrai = 0.0;
+  config.prefer_established = false;
+  return config;
+}
+
+TEST(RunArena, RunLeavesTheProcessArenaUnchanged) {
+  // Each run interns into an arena of its own, freed when it returns.
+  ExperimentConfig event;
+  event.deployment = Deployment::Full;
+  event.num_origins = 2;  // the valid routes carry a MOAS list
+  ExperimentConfig wave = wave_config();
+  wave.deployment = Deployment::Full;
+  wave.num_origins = 2;
+  for (const ExperimentConfig& config : {event, wave}) {
+    SCOPED_TRACE(to_string(config.engine));
+    const Experiment experiment(shared_topology(), config);
+    util::Rng rng(18);
+    const bgp::AsnSet origins = experiment.draw_origins(rng);
+    const bgp::AsnSet attackers = experiment.draw_attackers(6, origins, rng);
+    const bgp::intern::PoolStats before = bgp::intern::pool_stats();
+    const RunResult result = experiment.run_with(origins, attackers, rng.next());
+    EXPECT_GT(result.announcements, 0u);
+    const bgp::intern::PoolStats after = bgp::intern::pool_stats();
+    EXPECT_EQ(after.paths.entries, before.paths.entries);
+    EXPECT_EQ(after.community_sets.entries, before.community_sets.entries);
+    EXPECT_EQ(after.large_community_sets.entries, before.large_community_sets.entries);
+    EXPECT_EQ(after.total_bytes(), before.total_bytes());
+  }
+}
+
+TEST(RunArena, FinalRibsOutliveTheirRuns) {
+  // The final RIBs are copied into the process arena, so two runs' routes
+  // compare by handle and stay readable after both arenas are gone.
+  ExperimentConfig event;
+  event.mrai = 0.0;
+  event.prefer_established = false;
+  event.num_origins = 2;
+  event.keep_final_ribs = true;
+  ExperimentConfig wave = wave_config();
+  wave.num_origins = 2;
+  wave.keep_final_ribs = true;
+  util::Rng rng(19);
+  const Experiment event_experiment(shared_topology(), event);
+  const bgp::AsnSet origins = event_experiment.draw_origins(rng);
+  const bgp::AsnSet attackers = event_experiment.draw_attackers(4, origins, rng);
+  const std::uint64_t seed = rng.next();
+  const RunResult a = event_experiment.run_with(origins, attackers, seed);
+  const RunResult b = Experiment(shared_topology(), wave).run_with(origins, attackers, seed);
+  ASSERT_FALSE(a.final_ribs.empty());
+  EXPECT_EQ(a.final_ribs, b.final_ribs);
+  bool any_list = false;
+  for (std::size_t i = 0; i < a.final_ribs.size(); ++i) {
+    const bgp::Route& route = a.final_ribs[i].entry.route;
+    EXPECT_EQ(route.to_string(), b.final_ribs[i].entry.route.to_string());
+    any_list = any_list || !route.attrs.communities.empty();
+  }
+  EXPECT_TRUE(any_list) << "two origins attach a MOAS list";
 }
 
 TEST(Experiment, DeploymentNames) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "moas/bgp/intern.h"
 #include "moas/util/rng.h"
 
 namespace moas::core {
@@ -165,6 +166,19 @@ TEST(MoasList, HandleEqualityIsSetEquality) {
   EXPECT_FALSE(MoasList::of(members).equals(std::vector<Asn>{3}));
   EXPECT_TRUE(MoasList{}.equals({}));
   EXPECT_EQ(MoasList::of(std::vector<Asn>{}), MoasList{});
+}
+
+TEST(MoasList, MemoForgetsADeadArena) {
+  // Arenas in a row, each interning one distinct list: the allocator tends
+  // to hand a new arena the addresses of the one before, so a memo still
+  // keyed by a dead arena's handles would decode this set to an old list.
+  for (Asn i = 0; i < 256; ++i) {
+    const bgp::intern::ScopedArena arena;
+    const AsnSet list{1000 + i, 30'000 + i};
+    bgp::PathAttributes attrs;
+    attach_moas_list(attrs, list);
+    ASSERT_EQ(moas_list_of(attrs).set(), list) << "arena " << i;
+  }
 }
 
 /// Property sweep: decode(encode(S)) == S for random sets.

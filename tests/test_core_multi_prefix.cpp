@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "moas/bgp/intern.h"
 #include "moas/topo/gen_internet.h"
 #include "moas/topo/sampler.h"
 
@@ -57,6 +58,12 @@ TEST(MultiPrefix, ValidatesConfig) {
   config.deployment = Deployment::Full;  // unused under Full, still rejected
   config.deployment_fraction = 1.5;
   EXPECT_THROW(run_multi_prefix(small_topology(), config), std::invalid_argument);
+}
+
+TEST(MultiPrefix, RefusesAScopedArena) {
+  // Its pool workers intern into the process arena, not the caller's.
+  const bgp::intern::ScopedArena arena;
+  EXPECT_THROW(run_multi_prefix(small_topology(), small_config()), std::invalid_argument);
 }
 
 TEST(MultiPrefix, FullDeploymentRaisesAlarmsWithoutFalsePositives) {

@@ -271,5 +271,25 @@ TEST(SweepParallel, SharedPoolAcrossPlansMatchesPerSweepPools) {
   expect_points_bitwise_equal(solo, shared);
 }
 
+TEST(SweepParallel, WorkerArenasKeepFinalRibsCanonical) {
+  // Every worker runs in arenas of its own; the final RIBs each copies into
+  // the shared process arena must come back as the serial run's handles.
+  ExperimentConfig config = sweep_config();
+  config.num_origins = 2;
+  config.keep_final_ribs = true;
+  const Experiment experiment(shared_topology(), config);
+  util::Rng rng(23);
+  const SweepPlan plan = experiment.plan_sweep({0.05, 0.20}, 2, 2, rng);
+  util::ThreadPool serial(1);
+  const std::vector<RunResult> golden = experiment.execute_plan(plan, serial);
+  util::ThreadPool pool(4);
+  const std::vector<RunResult> results = experiment.execute_plan(plan, pool);
+  ASSERT_EQ(results.size(), golden.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_FALSE(results[i].final_ribs.empty());
+    EXPECT_EQ(results[i].final_ribs, golden[i].final_ribs) << "run " << i;
+  }
+}
+
 }  // namespace
 }  // namespace moas::core

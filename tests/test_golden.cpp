@@ -438,8 +438,9 @@ TEST(GoldenTopology, MatchesExpected) {
 }
 
 TEST(GoldenRibSmoke, MatchesExpected) {
-  // micro_rib_footprint --smoke's run. Counts only: the interning pools
-  // behind its byte figures are process-global.
+  // micro_rib_footprint --smoke's run. Counts only: run_multi_prefix
+  // interns into the process arena, so its byte figures depend on what ran
+  // before it in the process.
   MultiPrefixConfig config;
   config.num_prefixes = 64;
   config.block_size = 16;
