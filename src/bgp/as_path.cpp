@@ -4,27 +4,8 @@
 #include <utility>
 
 #include "moas/util/assert.h"
-#include "moas/util/strings.h"
 
 namespace moas::bgp {
-
-namespace {
-
-/// Append `asns` to a raw segment vector, extending a trailing sequence
-/// segment or starting one — the shared mutation core of append_sequence,
-/// the sequence constructor, and parse.
-void raw_append_sequence(std::vector<PathSegment>& segments, const std::vector<Asn>& asns) {
-  for (Asn asn : asns) {
-    MOAS_REQUIRE(asn != kNoAs, "cannot append the null ASN");
-    if (segments.empty() || segments.back().kind != PathSegment::Kind::Sequence) {
-      segments.push_back(PathSegment{PathSegment::Kind::Sequence, {asn}});
-    } else {
-      segments.back().asns.push_back(asn);
-    }
-  }
-}
-
-}  // namespace
 
 AsPath::AsPath(std::vector<Asn> sequence) {
   if (!sequence.empty()) {
@@ -60,7 +41,14 @@ void AsPath::append_set(AsnSet asns) {
 void AsPath::append_sequence(const std::vector<Asn>& asns) {
   if (asns.empty()) return;
   std::vector<PathSegment> segments = this->segments();
-  raw_append_sequence(segments, asns);
+  for (Asn asn : asns) {
+    MOAS_REQUIRE(asn != kNoAs, "cannot append the null ASN");
+    if (segments.empty() || segments.back().kind != PathSegment::Kind::Sequence) {
+      segments.push_back(PathSegment{PathSegment::Kind::Sequence, {asn}});
+    } else {
+      segments.back().asns.push_back(asn);
+    }
+  }
   data_ = intern::make_path(std::move(segments));
 }
 
@@ -116,38 +104,6 @@ std::string AsPath::to_string() const {
     }
   }
   return out;
-}
-
-std::optional<AsPath> AsPath::parse(std::string_view s) {
-  std::vector<PathSegment> segments;
-  for (const auto& raw : util::split(s, ' ')) {
-    const auto token = util::trim(raw);
-    if (token.empty()) continue;
-    if (token.front() == '{') {
-      if (token.back() != '}') return std::nullopt;
-      AsnSet set;
-      for (const auto& member : util::split(token.substr(1, token.size() - 2), ',')) {
-        std::uint64_t asn = 0;
-        if (!util::parse_u64(util::trim(member), asn) || asn > ~0u) return std::nullopt;
-        set.insert(static_cast<Asn>(asn));
-      }
-      if (set.empty()) return std::nullopt;
-      segments.push_back(PathSegment{PathSegment::Kind::Set, {set.begin(), set.end()}});
-    } else {
-      std::uint64_t asn = 0;
-      if (!util::parse_u64(token, asn) || asn > ~0u) return std::nullopt;
-      // Extend a trailing sequence segment, or start one. (No null-ASN
-      // REQUIRE here: parse reports malformed input via nullopt, and the
-      // pre-intern parser accepted "0" — behavior is pinned by tests.)
-      if (segments.empty() || segments.back().kind != PathSegment::Kind::Sequence) {
-        segments.push_back(
-            PathSegment{PathSegment::Kind::Sequence, {static_cast<Asn>(asn)}});
-      } else {
-        segments.back().asns.push_back(static_cast<Asn>(asn));
-      }
-    }
-  }
-  return AsPath(intern::make_path(std::move(segments)));
 }
 
 }  // namespace moas::bgp

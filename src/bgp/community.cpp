@@ -2,32 +2,10 @@
 
 #include <algorithm>
 
-#include "moas/util/strings.h"
-
 namespace moas::bgp {
-
-namespace {
-
-/// Sorted-vector membership (the interned payloads are sorted + unique).
-template <typename T>
-bool sorted_contains(const std::vector<T>& values, const T& v) {
-  return std::binary_search(values.begin(), values.end(), v);
-}
-
-}  // namespace
 
 std::string Community::to_string() const {
   return std::to_string(asn()) + ":" + std::to_string(value());
-}
-
-std::optional<Community> Community::parse(std::string_view s) {
-  const auto colon = s.find(':');
-  if (colon == std::string_view::npos) return std::nullopt;
-  std::uint64_t asn = 0;
-  std::uint64_t value = 0;
-  if (!util::parse_u64(s.substr(0, colon), asn) || asn > 0xffffu) return std::nullopt;
-  if (!util::parse_u64(s.substr(colon + 1), value) || value > 0xffffu) return std::nullopt;
-  return Community(static_cast<std::uint16_t>(asn), static_cast<std::uint16_t>(value));
 }
 
 std::string LargeCommunity::to_string() const {
@@ -35,81 +13,46 @@ std::string LargeCommunity::to_string() const {
          std::to_string(data2_);
 }
 
-std::optional<LargeCommunity> LargeCommunity::parse(std::string_view s) {
-  const auto first = s.find(':');
-  if (first == std::string_view::npos) return std::nullopt;
-  const auto second = s.find(':', first + 1);
-  if (second == std::string_view::npos) return std::nullopt;
-  std::uint64_t admin = 0, data1 = 0, data2 = 0;
-  if (!util::parse_u64(s.substr(0, first), admin) || admin > ~0u) return std::nullopt;
-  if (!util::parse_u64(s.substr(first + 1, second - first - 1), data1) || data1 > ~0u) {
-    return std::nullopt;
-  }
-  if (!util::parse_u64(s.substr(second + 1), data2) || data2 > ~0u) return std::nullopt;
-  return LargeCommunity(static_cast<std::uint32_t>(admin), static_cast<std::uint32_t>(data1),
-                        static_cast<std::uint32_t>(data2));
+namespace intern {
+
+template <typename T>
+Set<T>::Set(std::initializer_list<T> values) : data_(make_set(std::vector<T>(values))) {}
+
+template <typename T>
+void Set<T>::add(T value) {
+  if (contains(value)) return;
+  std::vector<T> values = this->values();
+  values.push_back(value);
+  data_ = make_set(std::move(values));
 }
 
-CommunitySet::CommunitySet(std::initializer_list<Community> cs) {
-  data_ = intern::make_community_set(std::vector<Community>(cs));
+template <typename T>
+void Set<T>::remove(T value) {
+  if (!contains(value)) return;
+  std::vector<T> values = this->values();
+  values.erase(std::remove(values.begin(), values.end(), value), values.end());
+  data_ = make_set(std::move(values));
 }
 
-void CommunitySet::add(Community c) {
-  if (contains(c)) return;
-  std::vector<Community> values = this->values();
-  values.push_back(c);
-  data_ = intern::make_community_set(std::move(values));
+template <typename T>
+bool Set<T>::contains(T value) const {
+  // The interned values are sorted and unique.
+  return data_ && std::binary_search(data_->values.begin(), data_->values.end(), value);
 }
 
-void CommunitySet::remove(Community c) {
-  if (!contains(c)) return;
-  std::vector<Community> values = this->values();
-  values.erase(std::remove(values.begin(), values.end(), c), values.end());
-  data_ = intern::make_community_set(std::move(values));
-}
-
-bool CommunitySet::contains(Community c) const {
-  return data_ && sorted_contains(data_->values, c);
-}
-
-std::string CommunitySet::to_string() const {
+template <typename T>
+std::string Set<T>::to_string() const {
   std::string out;
-  for (const auto& c : values()) {
+  for (const T& value : values()) {
     if (!out.empty()) out += ' ';
-    out += c.to_string();
+    out += value.to_string();
   }
   return out;
 }
 
-LargeCommunitySet::LargeCommunitySet(std::initializer_list<LargeCommunity> cs) {
-  data_ = intern::make_large_community_set(std::vector<LargeCommunity>(cs));
-}
+template class Set<Community>;
+template class Set<LargeCommunity>;
 
-void LargeCommunitySet::add(LargeCommunity c) {
-  if (contains(c)) return;
-  std::vector<LargeCommunity> values = this->values();
-  values.push_back(c);
-  data_ = intern::make_large_community_set(std::move(values));
-}
-
-void LargeCommunitySet::remove(LargeCommunity c) {
-  if (!contains(c)) return;
-  std::vector<LargeCommunity> values = this->values();
-  values.erase(std::remove(values.begin(), values.end(), c), values.end());
-  data_ = intern::make_large_community_set(std::move(values));
-}
-
-bool LargeCommunitySet::contains(LargeCommunity c) const {
-  return data_ && sorted_contains(data_->values, c);
-}
-
-std::string LargeCommunitySet::to_string() const {
-  std::string out;
-  for (const auto& c : values()) {
-    if (!out.empty()) out += ' ';
-    out += c.to_string();
-  }
-  return out;
-}
+}  // namespace intern
 
 }  // namespace moas::bgp

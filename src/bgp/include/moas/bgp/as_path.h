@@ -22,7 +22,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "moas/bgp/asn.h"
@@ -129,9 +128,6 @@ class AsPath {
 
   /// "3 2 1" with set segments braced: "3 {4,5}".
   std::string to_string() const;
-
-  /// Parse the to_string format. Returns nullopt on malformed input.
-  static std::optional<AsPath> parse(std::string_view s);
 
   /// Interning canonicalizes within an arena: equal contents == same
   /// pointer. Handles from two arenas compare by <=>, never by ==.

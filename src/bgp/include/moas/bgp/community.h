@@ -7,18 +7,17 @@
 // attribute only has a 2-octet AS field; members with 4-octet ASNs (RFC
 // 6793) ride a large community <asn:MLVal:0> instead — see core/moas_list.h.
 //
-// CommunitySet / LargeCommunitySet are handles onto interned sorted vectors
-// in the current intern arena (see intern.h / as_path.h for the
-// representation rationale): a MOAS list is carried by every copy of the
-// route in every Adj-RIB-In, so structural sharing is what keeps
-// multi-prefix RIBs small.
+// Both attributes are sets, and both are one handle type: intern::Set<T>
+// is a handle onto an interned sorted vector of T in the current intern
+// arena (see intern.h / as_path.h for the representation rationale), and
+// CommunitySet / LargeCommunitySet are its two instantiations. A MOAS list
+// is carried by every copy of the route in every Adj-RIB-In, so structural
+// sharing is what keeps multi-prefix RIBs small.
 #pragma once
 
 #include <compare>
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "moas/bgp/asn.h"
@@ -39,9 +38,6 @@ class Community {
 
   /// "AS:value".
   std::string to_string() const;
-
-  /// Parse "AS:value" (both decimal, both <= 65535).
-  static std::optional<Community> parse(std::string_view s);
 
   friend constexpr auto operator<=>(Community, Community) = default;
 
@@ -69,9 +65,6 @@ class LargeCommunity {
   /// "admin:data1:data2".
   std::string to_string() const;
 
-  /// Parse "admin:data1:data2" (all decimal, all <= 2^32-1).
-  static std::optional<LargeCommunity> parse(std::string_view s);
-
   friend constexpr auto operator<=>(const LargeCommunity&, const LargeCommunity&) = default;
 
  private:
@@ -80,122 +73,88 @@ class LargeCommunity {
   std::uint32_t data2_ = 0;
 };
 
-class CommunitySet;
-class LargeCommunitySet;
-
 namespace intern {
 
-/// One interned community set: the canonical sorted duplicate-free value
-/// vector. See as_path.h / PathData for the arena contract.
-struct CommunitySetData {
-  std::vector<Community> values;
+template <typename T>
+class Set;
+
+/// One interned set: the canonical sorted duplicate-free value vector. See
+/// as_path.h / PathData for the arena contract.
+template <typename T>
+struct SetData {
+  std::vector<T> values;
   std::uint32_t id = 0;
 };
 
-struct LargeCommunitySetData {
-  std::vector<LargeCommunity> values;
-  std::uint32_t id = 0;
-};
+using CommunitySetData = SetData<Community>;
+using LargeCommunitySetData = SetData<LargeCommunity>;
 
 /// Canonical handle for `values` (sorted + deduplicated internally) in the
 /// calling thread's current arena; nullptr for the empty set. Thread-safe;
 /// pointers live as long as that arena (the process arena outside a run).
-const CommunitySetData* make_community_set(std::vector<Community> values);
-const LargeCommunitySetData* make_large_community_set(std::vector<LargeCommunity> values);
+template <typename T>
+const SetData<T>* make_set(std::vector<T> values);
 
 /// `set` with its values interned into the process arena, for a handle that
 /// must outlive the run arena that interned it.
-CommunitySet to_process_arena(const CommunitySet& set);
-LargeCommunitySet to_process_arena(const LargeCommunitySet& set);
+template <typename T>
+Set<T> to_process_arena(const Set<T>& set);
 
-const std::vector<Community>& empty_communities();
-const std::vector<LargeCommunity>& empty_large_communities();
+/// The shared empty value vector (what Set<T>::values() returns for the
+/// empty set).
+template <typename T>
+const std::vector<T>& empty_values();
 
-}  // namespace intern
-
-/// An (order-irrelevant, duplicate-free) set of communities, as carried on a
-/// route announcement.
-class CommunitySet {
+/// An (order-irrelevant, duplicate-free) set of T, as carried on a route
+/// announcement. Instantiated for Community and LargeCommunity only
+/// (community.cpp); the pools of an arena are per element type.
+template <typename T>
+class Set {
  public:
-  CommunitySet() = default;
-  CommunitySet(std::initializer_list<Community> cs);
+  Set() = default;
+  Set(std::initializer_list<T> values);
 
-  void add(Community c);
-  void remove(Community c);
-  bool contains(Community c) const;
+  /// Each re-interns the new value once, unless it changes nothing.
+  void add(T value);
+  void remove(T value);
+  bool contains(T value) const;
   bool empty() const { return data_ == nullptr; }
   std::size_t size() const { return data_ ? data_->values.size() : 0; }
   void clear() { data_ = nullptr; }
 
-  /// Members in ascending raw order.
-  const std::vector<Community>& values() const {
-    return data_ ? data_->values : intern::empty_communities();
-  }
+  /// Members in ascending order (raw value for a community; admin, data1,
+  /// data2 for a large community).
+  const std::vector<T>& values() const { return data_ ? data_->values : empty_values<T>(); }
 
   /// Diagnostics/tests only (see AsPath::intern_id).
   std::uint32_t intern_id() const { return data_ ? data_->id : 0; }
 
   /// The interned data (nullptr for the empty set): an identity for memo
   /// keys, stable for the life of its arena.
-  const intern::CommunitySetData* interned() const { return data_; }
+  const SetData<T>* interned() const { return data_; }
 
-  /// "AS:val AS:val ..." in ascending raw order.
+  /// The members' to_string forms, space-separated, in ascending order.
   std::string to_string() const;
 
-  friend bool operator==(const CommunitySet& a, const CommunitySet& b) {
-    return a.data_ == b.data_;
-  }
-  friend std::strong_ordering operator<=>(const CommunitySet& a, const CommunitySet& b) {
+  friend bool operator==(const Set& a, const Set& b) { return a.data_ == b.data_; }
+  friend std::strong_ordering operator<=>(const Set& a, const Set& b) {
     if (a.data_ == b.data_) return std::strong_ordering::equal;
     return a.values() <=> b.values();
   }
 
  private:
-  friend CommunitySet intern::to_process_arena(const CommunitySet& set);
-  explicit CommunitySet(const intern::CommunitySetData* data) : data_(data) {}
+  friend Set to_process_arena<T>(const Set& set);
+  explicit Set(const SetData<T>* data) : data_(data) {}
 
-  const intern::CommunitySetData* data_ = nullptr;
+  const SetData<T>* data_ = nullptr;
 };
 
-/// An (order-irrelevant, duplicate-free) set of large communities.
-class LargeCommunitySet {
- public:
-  LargeCommunitySet() = default;
-  LargeCommunitySet(std::initializer_list<LargeCommunity> cs);
+extern template class Set<Community>;
+extern template class Set<LargeCommunity>;
 
-  void add(LargeCommunity c);
-  void remove(LargeCommunity c);
-  bool contains(LargeCommunity c) const;
-  bool empty() const { return data_ == nullptr; }
-  std::size_t size() const { return data_ ? data_->values.size() : 0; }
-  void clear() { data_ = nullptr; }
+}  // namespace intern
 
-  /// Members in ascending (admin, data1, data2) order.
-  const std::vector<LargeCommunity>& values() const {
-    return data_ ? data_->values : intern::empty_large_communities();
-  }
-
-  std::uint32_t intern_id() const { return data_ ? data_->id : 0; }
-
-  const intern::LargeCommunitySetData* interned() const { return data_; }
-
-  /// "a:b:c a:b:c ..." in ascending order.
-  std::string to_string() const;
-
-  friend bool operator==(const LargeCommunitySet& a, const LargeCommunitySet& b) {
-    return a.data_ == b.data_;
-  }
-  friend std::strong_ordering operator<=>(const LargeCommunitySet& a,
-                                          const LargeCommunitySet& b) {
-    if (a.data_ == b.data_) return std::strong_ordering::equal;
-    return a.values() <=> b.values();
-  }
-
- private:
-  friend LargeCommunitySet intern::to_process_arena(const LargeCommunitySet& set);
-  explicit LargeCommunitySet(const intern::LargeCommunitySetData* data) : data_(data) {}
-
-  const intern::LargeCommunitySetData* data_ = nullptr;
-};
+using CommunitySet = intern::Set<Community>;
+using LargeCommunitySet = intern::Set<LargeCommunity>;
 
 }  // namespace moas::bgp

@@ -4,9 +4,10 @@
 // duplication: a converged topology holds only O(edges) distinct AS paths
 // and a handful of distinct MOAS lists, yet every Adj-RIB-In entry of every
 // router used to own a private heap copy. An arena keeps one canonical
-// copy of each distinct value in pools with stable addresses; AsPath /
-// CommunitySet / LargeCommunitySet (declared next to their value types in
-// as_path.h / community.h) are single-pointer handles onto it.
+// copy of each distinct value in pools with stable addresses; AsPath and
+// Set<T> (declared next to their value types in as_path.h / community.h;
+// CommunitySet and LargeCommunitySet are Set<Community> and
+// Set<LargeCommunity>) are single-pointer handles onto it.
 //
 // Contracts:
 //   - Arenas: an arena holds three pools (paths, community sets, large
@@ -14,8 +15,8 @@
 //     ScopedArena installs a fresh arena as the calling thread's current
 //     arena until it goes out of scope; Experiment::run_with holds one per
 //     run, so a run's values live in small pools freed with the run.
-//     make_path / make_community_set / make_large_community_set intern into
-//     the current arena: the process arena outside any scope.
+//     make_path / make_set intern into the current arena: the process
+//     arena outside any scope.
 //   - Stable addresses: interned data is never moved or freed while its
 //     arena lives; a handle stays valid for the life of the arena that
 //     interned it (the process arena outside a run). A handle that must

@@ -3,10 +3,12 @@
 //
 // A pool holds each distinct payload once in a per-shard std::deque
 // (stable addresses, freed only with the pool), indexed by a hash set keyed
-// on the content hash. Shards are picked by that hash, one mutex each. An
-// intern arena is three pools, which pool_stats() sums; core::MoasList
-// keeps another, process-wide instance that pool_stats() does not read
-// (DESIGN.md §13).
+// on the content hash. Shards are picked by that hash, one mutex each, so
+// the hash_payload hooks below fix each value's shard: their seeds and mix
+// orders are pinned by the intern tests. An intern arena is three pools (paths,
+// and one per intern::Set element type), which pool_stats() sums;
+// core::MoasList keeps another, process-wide instance that pool_stats()
+// does not read (DESIGN.md §13).
 #pragma once
 
 #include <algorithm>
@@ -31,8 +33,10 @@ inline std::size_t mix(std::size_t h, std::size_t v) {
 // The payload hooks a Pool calls: the content hash, the heap bytes the
 // payload owns, and trimming its capacity to its size before it is kept.
 std::size_t hash_payload(const std::vector<PathSegment>& segments);
-std::size_t hash_payload(const std::vector<Community>& values);
-std::size_t hash_payload(const std::vector<LargeCommunity>& values);
+/// A community or large-community set: one template, seeded per element
+/// type ("COMM", "LCOM"), instantiated for those two (intern.cpp).
+template <typename T>
+std::size_t hash_payload(const std::vector<T>& values);
 /// An AsnSet, or any ascending, duplicate-free view of one.
 std::size_t hash_payload(std::span<const Asn> members);
 

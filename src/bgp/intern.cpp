@@ -1,6 +1,7 @@
 #include "moas/bgp/intern.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "moas/bgp/intern_pool.h"
@@ -17,21 +18,32 @@ std::size_t hash_payload(const std::vector<PathSegment>& segments) {
   return h;
 }
 
-std::size_t hash_payload(const std::vector<Community>& values) {
-  std::size_t h = 0x434f4d4d;  // "COMM"
-  for (Community c : values) h = mix(h, c.raw());
+namespace {
+
+// A set hash's per-element-type inputs: the seed, and how one member mixes in.
+template <typename T>
+constexpr std::size_t kSetSeed = 0;
+template <>
+constexpr std::size_t kSetSeed<Community> = 0x434f4d4d;  // "COMM"
+template <>
+constexpr std::size_t kSetSeed<LargeCommunity> = 0x4c434f4d;  // "LCOM"
+
+std::size_t mix(std::size_t h, Community c) { return intern::mix(h, c.raw()); }
+std::size_t mix(std::size_t h, const LargeCommunity& c) {
+  return intern::mix(intern::mix(intern::mix(h, c.global_admin()), c.data1()), c.data2());
+}
+
+}  // namespace
+
+template <typename T>
+std::size_t hash_payload(const std::vector<T>& values) {
+  std::size_t h = kSetSeed<T>;
+  for (const T& value : values) h = mix(h, value);
   return h;
 }
 
-std::size_t hash_payload(const std::vector<LargeCommunity>& values) {
-  std::size_t h = 0x4c434f4d;  // "LCOM"
-  for (const LargeCommunity& c : values) {
-    h = mix(h, c.global_admin());
-    h = mix(h, c.data1());
-    h = mix(h, c.data2());
-  }
-  return h;
-}
+template std::size_t hash_payload(const std::vector<Community>&);
+template std::size_t hash_payload(const std::vector<LargeCommunity>&);
 
 std::size_t hash_payload(std::span<const Asn> members) {
   std::size_t h = 0x4d4f4153;  // "MOAS"
@@ -50,11 +62,24 @@ void shrink(std::vector<PathSegment>& segments) {
   segments.shrink_to_fit();
 }
 
+template <typename T>
+using SetPool = Pool<SetData<T>, std::vector<T>>;
+
 /// One arena: the three pools every handle interns into.
 struct Arena {
   Pool<PathData, std::vector<PathSegment>> paths;
-  Pool<CommunitySetData, std::vector<Community>> communities;
-  Pool<LargeCommunitySetData, std::vector<LargeCommunity>> large_communities;
+  SetPool<Community> communities;
+  SetPool<LargeCommunity> large_communities;
+
+  /// The pool of sets of T.
+  template <typename T>
+  SetPool<T>& sets() {
+    if constexpr (std::is_same_v<T, Community>) {
+      return communities;
+    } else {
+      return large_communities;
+    }
+  }
 };
 
 namespace {
@@ -93,12 +118,12 @@ const PathData* intern_path(Arena& arena, std::vector<PathSegment> segments) {
 }
 
 // Sorts and dedupes `values` first: the pools hold canonical sets.
-template <typename Data, typename T>
-const Data* intern_set(Pool<Data, std::vector<T>>& pool, std::vector<T> values) {
+template <typename T>
+const SetData<T>* intern_set(SetPool<T>& pool, std::vector<T> values) {
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());
   if (values.empty()) return nullptr;
-  return pool.intern(std::move(values), [](Data&) {});
+  return pool.intern(std::move(values), [](SetData<T>&) {});
 }
 
 }  // namespace
@@ -129,31 +154,28 @@ const std::vector<PathSegment>& empty_path_segments() {
   return empty;
 }
 
-const CommunitySetData* make_community_set(std::vector<Community> values) {
-  return intern_set(current_arena().communities, std::move(values));
+template <typename T>
+const SetData<T>* make_set(std::vector<T> values) {
+  return intern_set(current_arena().sets<T>(), std::move(values));
 }
 
-const LargeCommunitySetData* make_large_community_set(std::vector<LargeCommunity> values) {
-  return intern_set(current_arena().large_communities, std::move(values));
+template <typename T>
+Set<T> to_process_arena(const Set<T>& set) {
+  return Set<T>(intern_set(process_arena().sets<T>(), set.values()));
 }
 
-CommunitySet to_process_arena(const CommunitySet& set) {
-  return CommunitySet(intern_set(process_arena().communities, set.values()));
-}
-
-LargeCommunitySet to_process_arena(const LargeCommunitySet& set) {
-  return LargeCommunitySet(intern_set(process_arena().large_communities, set.values()));
-}
-
-const std::vector<Community>& empty_communities() {
-  static const std::vector<Community> empty;
+template <typename T>
+const std::vector<T>& empty_values() {
+  static const std::vector<T> empty;
   return empty;
 }
 
-const std::vector<LargeCommunity>& empty_large_communities() {
-  static const std::vector<LargeCommunity> empty;
-  return empty;
-}
+template const CommunitySetData* make_set(std::vector<Community>);
+template const LargeCommunitySetData* make_set(std::vector<LargeCommunity>);
+template CommunitySet to_process_arena(const CommunitySet&);
+template LargeCommunitySet to_process_arena(const LargeCommunitySet&);
+template const std::vector<Community>& empty_values();
+template const std::vector<LargeCommunity>& empty_values();
 
 PoolStats pool_stats() {
   const Arena& arena = current_arena();

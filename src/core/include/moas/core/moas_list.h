@@ -39,8 +39,7 @@ bool is_moas_large_community(const bgp::LargeCommunity& c);
 bgp::LargeCommunity moas_large_community(Asn asn);
 
 /// Encode a full MOAS list into classic communities. Requires every member
-/// <= 0xffff; mixed-width lists go through the PathAttributes overload of
-/// attach_moas_list.
+/// <= 0xffff; mixed-width lists go through attach_moas_list.
 bgp::CommunitySet encode_moas_list(const AsnSet& origins);
 
 /// Extract the MOAS list carried on a community set (empty if none).
@@ -50,14 +49,10 @@ AsnSet decode_moas_list(const bgp::CommunitySet& communities);
 /// large-community members.
 AsnSet decode_moas_list(const bgp::PathAttributes& attrs);
 
-/// Merge a MOAS list into an existing community set, replacing any MOAS
-/// communities already present and leaving other communities untouched.
-/// Requires every member <= 0xffff.
-void attach_moas_list(bgp::CommunitySet& communities, const AsnSet& origins);
-
-/// Width-splitting attach: members that fit 2 octets go to the classic
-/// attribute, wider ones to large communities. Stale MOAS members are
-/// replaced in BOTH attributes, other communities stay untouched.
+/// Merge a MOAS list into a route's attributes, splitting it by width:
+/// members that fit 2 octets go to the classic attribute, wider ones to
+/// large communities. Stale MOAS members are replaced in BOTH attributes,
+/// other communities stay untouched.
 void attach_moas_list(bgp::PathAttributes& attrs, const AsnSet& origins);
 
 /// The list a checker must use for a route (the paper's footnote 3):

@@ -126,15 +126,6 @@ AsnSet decode_moas_list(const bgp::PathAttributes& attrs) {
   return out;
 }
 
-void attach_moas_list(bgp::CommunitySet& communities, const AsnSet& origins) {
-  std::vector<bgp::Community> stale;
-  for (bgp::Community c : communities.values()) {
-    if (is_moas_community(c)) stale.push_back(c);
-  }
-  for (bgp::Community c : stale) communities.remove(c);
-  for (Asn asn : origins) communities.add(moas_community(asn));
-}
-
 void attach_moas_list(bgp::PathAttributes& attrs, const AsnSet& origins) {
   // Replace stale members in both attributes before splitting the new list
   // by width — otherwise a member that changed width would survive in the

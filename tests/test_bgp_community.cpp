@@ -26,60 +26,5 @@ TEST(Community, WellKnownValues) {
 
 TEST(Community, ToString) { EXPECT_EQ(Community(65000, 42).to_string(), "65000:42"); }
 
-TEST(Community, ParseValid) {
-  const auto c = Community::parse("100:200");
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(*c, Community(100, 200));
-}
-
-class CommunityBadParse : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(CommunityBadParse, Rejected) {
-  EXPECT_FALSE(Community::parse(GetParam()).has_value());
-}
-
-INSTANTIATE_TEST_SUITE_P(BadInputs, CommunityBadParse,
-                         ::testing::Values("", "100", "100:", ":200", "65536:1", "1:65536",
-                                           "a:b", "1:2:3"));
-
-TEST(CommunitySet, AddRemoveContains) {
-  CommunitySet set;
-  EXPECT_TRUE(set.empty());
-  set.add(Community(1, 2));
-  set.add(Community(1, 2));  // duplicates collapse
-  EXPECT_EQ(set.size(), 1u);
-  EXPECT_TRUE(set.contains(Community(1, 2)));
-  set.remove(Community(1, 2));
-  EXPECT_TRUE(set.empty());
-}
-
-TEST(CommunitySet, OrderIrrelevantForEquality) {
-  CommunitySet a;
-  a.add(Community(1, 1));
-  a.add(Community(2, 2));
-  CommunitySet b;
-  b.add(Community(2, 2));
-  b.add(Community(1, 1));
-  EXPECT_EQ(a, b);
-}
-
-TEST(CommunitySet, InitializerList) {
-  const CommunitySet set{Community(1, 1), Community(2, 2)};
-  EXPECT_EQ(set.size(), 2u);
-}
-
-TEST(CommunitySet, ToStringSorted) {
-  CommunitySet set;
-  set.add(Community(2, 0));
-  set.add(Community(1, 0));
-  EXPECT_EQ(set.to_string(), "1:0 2:0");
-}
-
-TEST(CommunitySet, Clear) {
-  CommunitySet set{Community(1, 1)};
-  set.clear();
-  EXPECT_TRUE(set.empty());
-}
-
 }  // namespace
 }  // namespace moas::bgp

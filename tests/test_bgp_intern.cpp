@@ -1,7 +1,9 @@
 // Interning-layer tests: canonicalization (equal contents == same handle),
 // arena lifetime and scoped arenas, cached selection length, id stability,
-// mutator re-interning, the thread-safety of the sharded pools, and the FlatMap /
-// FlatSet containers the compact RIBs are built on. This binary carries the
+// mutator re-interning, the set-handle contract over both community types,
+// the pool-layout inputs (payload hashes and sizes), the thread-safety of the
+// sharded pools, and the FlatMap / FlatSet containers the compact RIBs are
+// built on. This binary carries the
 // `intern` ctest label so the sanitizer CI subset exercises the arena and
 // the lock-free read paths under ASan.
 #include <gtest/gtest.h>
@@ -9,12 +11,14 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "moas/bgp/as_path.h"
 #include "moas/bgp/community.h"
 #include "moas/bgp/intern.h"
+#include "moas/bgp/intern_pool.h"
 #include "moas/util/flat_map.h"
 
 namespace {
@@ -123,6 +127,173 @@ TEST(InternLargeCommunitySet, DedupAcrossBuildOrder) {
   bgp::LargeCommunitySet empty;
   EXPECT_EQ(empty.intern_id(), 0u);
   EXPECT_TRUE(empty.empty());
+}
+
+/// The set contract's per-element-type inputs: three members in ascending
+/// order, the to_string form of {a, c}, and the arena pool the sets use.
+template <typename T>
+struct SetCase;
+
+template <>
+struct SetCase<bgp::Community> {
+  static constexpr bgp::Community a{1, 1};
+  static constexpr bgp::Community b{1, 2};
+  static constexpr bgp::Community c{2, 0};
+  static constexpr const char* kAcString = "1:1 2:0";
+  static constexpr auto kPool = &bgp::intern::PoolStats::community_sets;
+};
+
+template <>
+struct SetCase<bgp::LargeCommunity> {
+  static constexpr bgp::LargeCommunity a{70'000, 1, 2};
+  static constexpr bgp::LargeCommunity b{70'000, 2, 0};
+  static constexpr bgp::LargeCommunity c{4'200'000'000u, 0, 0};
+  static constexpr const char* kAcString = "70000:1:2 4200000000:0:0";
+  static constexpr auto kPool = &bgp::intern::PoolStats::large_community_sets;
+};
+
+/// One contract for both intern::Set instantiations.
+template <typename T>
+class InternSet : public ::testing::Test {
+ protected:
+  using Set = bgp::intern::Set<T>;
+  using Case = SetCase<T>;
+
+  static std::size_t entries() { return (bgp::intern::pool_stats().*Case::kPool).entries; }
+};
+
+using SetElements = ::testing::Types<bgp::Community, bgp::LargeCommunity>;
+TYPED_TEST_SUITE(InternSet, SetElements);
+
+TYPED_TEST(InternSet, AddRemoveContains) {
+  using Case = typename TestFixture::Case;
+  // In a fresh arena, so the entry counts show one intern per changing call.
+  const bgp::intern::ScopedArena arena;
+  typename TestFixture::Set set;
+  EXPECT_TRUE(set.empty());
+  set.add(Case::a);
+  set.add(Case::a);  // duplicates collapse
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_TRUE(set.contains(Case::a));
+  EXPECT_FALSE(set.contains(Case::b));
+  EXPECT_EQ(TestFixture::entries(), 1u);
+
+  set.add(Case::c);
+  const auto before = set;
+  set.remove(Case::b);  // absent: the handle stays
+  EXPECT_EQ(set, before);
+  EXPECT_EQ(TestFixture::entries(), 2u);
+
+  set.remove(Case::a);
+  EXPECT_EQ(set.values(), std::vector<TypeParam>{Case::c});
+  EXPECT_EQ(TestFixture::entries(), 3u);
+  set.remove(Case::c);
+  EXPECT_TRUE(set.empty());
+  EXPECT_EQ(set.intern_id(), 0u);
+  EXPECT_EQ(set.interned(), nullptr);
+}
+
+TYPED_TEST(InternSet, OrderIrrelevantForEquality) {
+  using Case = typename TestFixture::Case;
+  typename TestFixture::Set a;
+  a.add(Case::c);
+  a.add(Case::a);
+  typename TestFixture::Set b;
+  b.add(Case::a);
+  b.add(Case::c);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.interned(), b.interned());
+  EXPECT_EQ(a.values(), (std::vector<TypeParam>{Case::a, Case::c}));
+}
+
+TYPED_TEST(InternSet, ValueOrdering) {
+  using Case = typename TestFixture::Case;
+  using Set = typename TestFixture::Set;
+  const Set a{Case::a};
+  const Set ab{Case::a, Case::b};
+  const Set b{Case::b};
+  EXPECT_LT(Set(), a);
+  EXPECT_LT(a, ab);
+  EXPECT_LT(ab, b);
+  EXPECT_EQ(ab <=> (Set{Case::b, Case::a}), std::strong_ordering::equal);
+  // Equal contents in two arenas: == is identity, the ordering is content.
+  const bgp::intern::ScopedArena arena;
+  const Set inside{Case::a, Case::b};
+  EXPECT_NE(inside, ab);
+  EXPECT_EQ(inside <=> ab, std::strong_ordering::equal);
+  EXPECT_LT(inside, b);
+}
+
+TYPED_TEST(InternSet, InitializerList) {
+  using Case = typename TestFixture::Case;
+  typename TestFixture::Set added;
+  added.add(Case::a);
+  added.add(Case::c);
+  const typename TestFixture::Set set{Case::c, Case::a, Case::a};
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_EQ(set, added);
+}
+
+TYPED_TEST(InternSet, ToStringSorted) {
+  using Case = typename TestFixture::Case;
+  typename TestFixture::Set set;
+  EXPECT_EQ(set.to_string(), "");
+  set.add(Case::c);
+  set.add(Case::a);
+  EXPECT_EQ(set.to_string(), Case::kAcString);
+}
+
+TYPED_TEST(InternSet, Clear) {
+  using Case = typename TestFixture::Case;
+  typename TestFixture::Set set{Case::a};
+  set.clear();
+  EXPECT_TRUE(set.empty());
+  EXPECT_EQ(set, typename TestFixture::Set());
+  EXPECT_TRUE(set.values().empty());
+}
+
+TYPED_TEST(InternSet, ProcessCopyOutlivesTheScope) {
+  using Case = typename TestFixture::Case;
+  using Set = typename TestFixture::Set;
+  Set kept;
+  {
+    const bgp::intern::ScopedArena arena;
+    const Set set{Case::a, Case::b};
+    kept = bgp::intern::to_process_arena(set);
+    EXPECT_NE(kept, set);
+    EXPECT_EQ(kept <=> set, std::strong_ordering::equal);
+    EXPECT_TRUE(bgp::intern::to_process_arena(Set()).empty());
+  }
+  EXPECT_EQ(kept, (Set{Case::b, Case::a}));
+  EXPECT_EQ(kept.values(), (std::vector<TypeParam>{Case::a, Case::b}));
+}
+
+TEST(InternPools, PayloadHashesArePinned) {
+  // A value's pool shard is its hash's low bits, and the per-shard index
+  // sizes feed pool_stats().index_bytes: a changed seed or mix order moves
+  // entries between shards and changes the benchmark's internet
+  // fingerprint. These are the hashes the seeds "PATH", "COMM", "LCOM" and
+  // "MOAS" give.
+  using namespace bgp;
+  const std::vector<PathSegment> path{{PathSegment::Kind::Sequence, {3, 2, 1}},
+                                      {PathSegment::Kind::Set, {10, 11}}};
+  const std::vector<Community> communities{Community(4006, 0xff9a), Community(65000, 42)};
+  const std::vector<LargeCommunity> large{LargeCommunity(70'000, 0xff9a, 0),
+                                          LargeCommunity(4'200'000'000u, 1, 2)};
+  const std::vector<Asn> members{3, 7, 70'000};
+  EXPECT_EQ(intern::hash_payload(path), 0x28f4bacdc8f335bdull);
+  EXPECT_EQ(intern::hash_payload(communities), 0xcd94b3730fb3d4cdull);
+  EXPECT_EQ(intern::hash_payload(large), 0xe4812c0f9f126143ull);
+  EXPECT_EQ(intern::hash_payload(std::span<const Asn>(members)), 0xfb5dffcd39d9d8e2ull);
+  EXPECT_EQ(intern::hash_payload(std::vector<Community>{}), 0x434f4d4dull);
+  EXPECT_EQ(intern::hash_payload(std::vector<LargeCommunity>{}), 0x4c434f4dull);
+}
+
+TEST(InternPools, PayloadStructsAre32Bytes) {
+  // pool_stats().payload_bytes charges sizeof(Data) per entry.
+  EXPECT_EQ(sizeof(bgp::intern::PathData), 32u);
+  EXPECT_EQ(sizeof(bgp::intern::CommunitySetData), 32u);
+  EXPECT_EQ(sizeof(bgp::intern::LargeCommunitySetData), 32u);
 }
 
 TEST(InternPools, StatsCountDistinctValuesAndGrowMonotonically) {

@@ -88,12 +88,12 @@ TEST(DetectorAggregation, ExplicitListOverridesAggregateOrigins) {
   // by its AS_SET members.
   Harness h;
   bgp::Route agg = aggregate({701}, {2026, 4006});
-  attach_moas_list(agg.attrs.communities, {2026, 4006});
+  attach_moas_list(agg.attrs, {2026, 4006});
   EXPECT_TRUE(h.detector.accept(agg, 701, h.ctx));
   EXPECT_EQ(h.detector.reference_list(kBlock), (AsnSet{2026, 4006}));
   // Another announcement with the matching explicit list: consistent.
   bgp::Route single = component("10.0.0.0/8", {9, 4006});
-  attach_moas_list(single.attrs.communities, {2026, 4006});
+  attach_moas_list(single.attrs, {2026, 4006});
   EXPECT_TRUE(h.detector.accept(single, 9, h.ctx));
   EXPECT_EQ(h.alarms->size(), 0u);
 }
@@ -103,7 +103,7 @@ TEST(DetectorAggregation, OriginInListCheckCoversAsSets) {
   // candidates is self-inconsistent.
   Harness h;
   bgp::Route agg = aggregate({701}, {2026, 4006});
-  attach_moas_list(agg.attrs.communities, {4006});  // 2026 missing
+  attach_moas_list(agg.attrs, {4006});  // 2026 missing
   EXPECT_FALSE(h.detector.accept(agg, 701, h.ctx));
   ASSERT_EQ(h.alarms->size(), 1u);
   EXPECT_EQ(h.alarms->alarms()[0].cause, MoasAlarm::Cause::OriginNotInList);

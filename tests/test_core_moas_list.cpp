@@ -42,12 +42,14 @@ TEST(MoasList, DecodeIgnoresForeignCommunities) {
 }
 
 TEST(MoasList, AttachReplacesOldListKeepsOtherCommunities) {
-  bgp::CommunitySet communities = encode_moas_list({1, 2});
-  communities.add(bgp::Community(99, 42));
-  attach_moas_list(communities, {7, 8});
-  EXPECT_EQ(decode_moas_list(communities), (AsnSet{7, 8}));
-  EXPECT_TRUE(communities.contains(bgp::Community(99, 42)));
-  EXPECT_FALSE(communities.contains(moas_community(1)));
+  bgp::PathAttributes attrs;
+  attrs.communities = encode_moas_list({1, 2});
+  attrs.communities.add(bgp::Community(99, 42));
+  attach_moas_list(attrs, {7, 8});
+  EXPECT_EQ(decode_moas_list(attrs.communities), (AsnSet{7, 8}));
+  EXPECT_TRUE(attrs.communities.contains(bgp::Community(99, 42)));
+  EXPECT_FALSE(attrs.communities.contains(moas_community(1)));
+  EXPECT_TRUE(attrs.large_communities.empty());
 }
 
 TEST(MoasList, EffectiveListPrefersExplicit) {
