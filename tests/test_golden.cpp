@@ -46,12 +46,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "bench_util.h"
+#include "moas/bgp/network.h"
 #include "moas/core/experiment.h"
 #include "moas/core/multi_prefix.h"
 #include "moas/measure/observer.h"
@@ -418,6 +420,58 @@ std::uint64_t graph_digest(const topo::AsGraph& g) {
 void print_graph(std::ostream& os, const std::string& label, const topo::AsGraph& g) {
   os << label << " nodes=" << g.node_count() << " stubs=" << g.stubs().size()
      << " edges=" << g.edge_count() << " digest=" << graph_digest(g) << '\n';
+}
+
+/// ROADMAP item 12: withdrawal path exploration (Labovitz et al., "Delayed
+/// Internet Routing Convergence", SIGCOMM 2000) on the 200-AS sample. AS
+/// 711 originates, the network converges, and 711 withdraws. Without MRAI
+/// the ghost routes through its neighbours chase each other far past the
+/// cap; MRAI batches them, and the exploration ends at a pinned message
+/// count. The detector runs on the same sample then quiesce at MRAI 1 s.
+TEST(GoldenPathExploration, MraiBoundsWithdrawalExploration) {
+  const topo::AsGraph& graph = sampled(200);
+  ASSERT_EQ(graph.edge_count(), 444u);
+  // Plain BGP: no detector, no attacker. Network seed 7 is the one the
+  // quoted count was first measured with.
+  const auto withdrawal_messages = [&](const double mrai) -> std::optional<std::uint64_t> {
+    bgp::Network::Config net_config;
+    net_config.seed = 7;
+    bgp::Network network(net_config);
+    for (const bgp::Asn asn : graph.nodes()) network.add_router(asn);
+    for (const auto& edge : graph.edges()) network.connect(edge.a, edge.b, edge.rel_of_b);
+    for (const bgp::Asn asn : graph.nodes()) {
+      if (mrai > 0.0) network.router(asn).set_mrai(mrai);
+      network.router(asn).set_prefer_established(false);
+    }
+    const net::Prefix prefix(net::Ipv4Addr(10, 0, 0, 0), 16);
+    network.router(711).originate(prefix);
+    EXPECT_TRUE(network.run_to_quiescence(100'000)) << "origination, mrai=" << mrai;
+    const std::uint64_t before = network.messages_sent();
+    network.router(711).withdraw_origination(prefix);
+    if (!network.run_to_quiescence(200'000)) return std::nullopt;
+    return network.messages_sent() - before;
+  };
+  EXPECT_EQ(withdrawal_messages(0.0), std::nullopt) << "MRAI 0 quiesced within 200k events";
+  EXPECT_EQ(withdrawal_messages(1.0), std::optional<std::uint64_t>(44'478));
+
+  // The detector runs of the sweep recipe, under full, partial and no
+  // deployment: each phase must quiesce within 100k events.
+  util::ThreadPool pool(1);
+  for (const Deployment deployment : {Deployment::Full, Deployment::Partial, Deployment::None}) {
+    ExperimentConfig config;
+    config.mrai = 1.0;
+    config.prefer_established = false;
+    config.deployment = deployment;
+    config.converge_before_attack = true;
+    config.max_events = 100'000;
+    const Experiment experiment(graph, config);
+    util::Rng rng(9001);
+    const SweepPlan plan = experiment.plan_sweep({0.02, 0.1}, 2, 2, rng);
+    ASSERT_EQ(plan.runs.size(), 8u);
+    for (const RunResult& result : experiment.execute_plan(plan, pool)) {
+      EXPECT_TRUE(result.quiesced) << to_string(deployment);
+    }
+  }
 }
 
 TEST(GoldenTopology, MatchesExpected) {
