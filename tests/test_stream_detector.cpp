@@ -132,11 +132,10 @@ TEST(StreamDetector, ChurnExpiresViaTtlAndAdopts) {
     ASSERT_NE(c, trace.cases.end());
     bgp::AsnSet adopted = c->origins;
     adopted.insert(o.add_origin);
-    const auto& states = live.shards()[live.shard_of(o.prefix)].states();
-    const auto st = states.find(o.prefix);
-    ASSERT_NE(st, states.end()) << o.prefix.to_string();
-    EXPECT_TRUE(st->second.reference == core::MoasList::of(adopted)) << o.prefix.to_string();
-    EXPECT_TRUE(st->second.observed.empty()) << o.prefix.to_string();
+    const PrefixState* st = live.shards()[live.shard_of(o.prefix)].find(o.prefix);
+    ASSERT_NE(st, nullptr) << o.prefix.to_string();
+    EXPECT_TRUE(st->reference == core::MoasList::of(adopted)) << o.prefix.to_string();
+    EXPECT_TRUE(st->observed.empty()) << o.prefix.to_string();
   }
   std::ostringstream image;
   live.save_checkpoint(image);
@@ -450,6 +449,101 @@ TEST(StreamDetector, ByteIdenticalAcrossJobsAndShardsConfig) {
     }
   }
   ASSERT_FALSE(reference.empty());
+}
+
+TEST(StreamDetector, CheckpointImagesByteIdenticalAcrossJobs) {
+  // The faulted run above, with a checkpoint every 5 flushed days: every
+  // image, byte for byte, is the same at any --jobs.
+  const auto trace = small_trace(9);
+  const auto plans = plan_attacks(trace, AttackConfig{.seed = 23, .attacks = 3});
+  std::vector<OriginOverride> overrides;
+  for (const auto& p : plans) overrides.push_back(p.inject);
+
+  chaos::FeedFaultConfig fault_config;
+  fault_config.seed = 29;
+  fault_config.duplicate_prob = 0.02;
+  fault_config.reorder_prob = 0.05;
+  fault_config.garble_prob = 0.01;
+  const auto schedule = chaos::compile_feed_faults(fault_config);
+
+  for (const std::size_t shards : {1u, 3u, 8u}) {
+    std::vector<std::string> reference;
+    for (const std::size_t jobs : {1u, 2u, 4u}) {
+      TraceReplaySource source(trace, overrides);
+      FaultyFeed faulty(source, schedule);
+      StreamConfig config = small_config();
+      config.shards = shards;
+      config.jobs = jobs;
+      config.checkpoint_every_days = 5;
+      StreamDetector detector(config);
+      std::vector<std::string> images;
+      detector.run(faulty, [&](const StreamDetector& d, int) {
+        std::ostringstream image;
+        d.save_checkpoint(image);
+        images.push_back(std::move(image).str());
+      });
+      if (reference.empty()) {
+        ASSERT_GT(images.size(), 5u);
+        reference = std::move(images);
+        continue;
+      }
+      ASSERT_EQ(images.size(), reference.size()) << "shards=" << shards << " jobs=" << jobs;
+      for (std::size_t i = 0; i < images.size(); ++i) {
+        EXPECT_TRUE(images[i] == reference[i])
+            << "image " << i << " shards=" << shards << " jobs=" << jobs;
+      }
+    }
+  }
+}
+
+TEST(StreamDetector, StateTableSavesInPrefixOrderAndEvictsTiesByPrefix) {
+  // One shard sees 300 prefixes on day 0, first in descending and then in
+  // shuffled order. All tie on last_day, and the budget holds all but 40
+  // states, so eviction takes the 40 lowest prefixes; the saved state
+  // lines then list the rest in ascending order.
+  constexpr std::size_t kPrefixes = 300;
+  constexpr std::size_t kEvicted = 40;
+  std::vector<net::Prefix> ascending;
+  for (std::size_t i = 0; i < kPrefixes; ++i) {
+    ascending.emplace_back(net::Ipv4Addr(10, static_cast<std::uint8_t>(i >> 8),
+                                         static_cast<std::uint8_t>(i & 0xff), 0),
+                           24);
+  }
+  std::vector<net::Prefix> descending(ascending.rbegin(), ascending.rend());
+  std::vector<net::Prefix> shuffled = ascending;
+  util::Rng rng(47);
+  rng.shuffle(shuffled);
+
+  for (const auto& seen : {descending, shuffled}) {
+    StreamConfig config = small_config();
+    config.shards = 1;
+    // The shard's base cost plus one single-origin state per kept prefix.
+    config.shard.memory_budget_bytes = 256 + 208 * (kPrefixes - kEvicted);
+    StreamDetector detector(config);
+    for (std::size_t k = 0; k < seen.size(); ++k) {
+      // Times rise in the order seen, so the day's batch keeps that order.
+      StreamUpdate u = update_on(k, 0, seen[k], bgp::AsnSet{1});
+      u.at = 0.05 + 0.9 * static_cast<double>(k) / kPrefixes;
+      detector.ingest(std::move(u));
+    }
+    detector.flush_all();
+
+    EXPECT_EQ(detector.metrics().counter("stream.evicted_prefixes"), kEvicted);
+    for (std::size_t i = 0; i < kPrefixes; ++i) {
+      EXPECT_EQ(detector.shards()[0].find(ascending[i]) == nullptr, i < kEvicted)
+          << ascending[i].to_string();
+    }
+
+    std::ostringstream image;
+    detector.save_checkpoint(image);
+    std::istringstream lines(image.str());
+    std::vector<net::Prefix> saved;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("state ", 0) != 0) continue;
+      saved.push_back(*net::Prefix::parse(line.substr(6, line.find(' ', 6) - 6)));
+    }
+    EXPECT_EQ(saved, std::vector<net::Prefix>(ascending.begin() + kEvicted, ascending.end()));
+  }
 }
 
 TEST(StreamDetector, MonthScaleFaultedRunStaysBoundedAndLosesNothing) {
